@@ -7,8 +7,7 @@ descent algorithm on the mountain-pass energy landscape, and a
 verification harness that reproduces residual/error convergence tables.
 """
 
-from .assembly import (NonlocalForm, apply_operator, assemble_dirichlet,
-                       assemble_neumann)
+from .assembly import NonlocalForm, assemble_dirichlet, assemble_neumann
 from .energy import (AllenCahn, Cubic, CubicMinusLinear, Quintic, gradient,
                      nonlinearity_from_name, t_star)
 from .fem import (FeFunction, Mesh, build_extended_mesh, build_mesh,

@@ -24,17 +24,19 @@ accuracy for kernels with a kink at the origin (exponential, power law).
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg
 
 from . import fem
-from .errors import (ExtensionMarginWarning, OutsideDomain,
+from .errors import (ConfigError, ExtensionMarginWarning, OutsideDomain,
                      SingularExteriorBlock, SingularSystem)
 
-__all__ = ["NonlocalForm", "assemble_dirichlet", "assemble_neumann",
-           "apply_operator", "dump_matrix"]
+__all__ = ["QUAD_ORDER", "NonlocalForm", "assemble_dirichlet",
+           "assemble_neumann", "check_quad_order", "dump_matrix"]
 
+QUAD_ORDER = 4          # Gauss points per element, the default rule
 _CHUNK_FLOATS = 4_000_000
 
 
@@ -102,6 +104,7 @@ class NonlocalForm:
     """
 
     def __init__(self, mesh, kernel, constraint, quad_order):
+        check_quad_order(quad_order)
         self.mesh = mesh
         self.kernel = kernel
         self.constraint = constraint
@@ -247,10 +250,6 @@ class NonlocalForm:
     def fe(self, u_unknown):
         return fem.FeFunction(self.mesh, self.full_values(u_unknown))
 
-    def constrained_full(self, u):
-        """Full nodal values of ``u`` with the constraint re-imposed."""
-        return self.full_values(self.reduce(u))
-
     def as_full(self, u):
         """Full nodal values of a FeFunction, full vector or unknown vector.
 
@@ -292,19 +291,33 @@ class NonlocalForm:
             return 0.0
         return grounding_rel * np.trace(self.B) / np.trace(self._M_unknown)
 
-    def solve_spd(self, rhs, grounding_rel=0.0):
-        """Solve B x = rhs by Cholesky, grounding the Neumann null mode."""
+    @cached_property
+    def h1_gram(self):
+        """H1(Omega) Gram matrix M + S over the unknown nodes."""
+        M_om, S_om = fem.omega_norm_matrices(self.mesh)
+        return (M_om + S_om)[np.ix_(self.unknown_idx, self.unknown_idx)]
+
+    def solve_spd(self, rhs, grounding_rel=0.0, reg=0.0):
+        """Solve (B + reg H + sigma M) x = rhs by Cholesky.
+
+        H is ``h1_gram`` and sigma M the mass shift grounding the Neumann
+        null mode; each factorization is cached on the form.
+        """
         sigma = self.grounding_shift(grounding_rel)
-        key = float(sigma)
+        key = (float(sigma), float(reg))
         fact = self._fact_cache.get(key)
         if fact is None:
-            mat = self.B if sigma == 0.0 else self.B + sigma * self._M_unknown
+            mat = self.B
+            if reg:
+                mat = mat + reg * self.h1_gram
+            if sigma:
+                mat = mat + sigma * self._M_unknown
             try:
                 fact = linalg.cho_factor(mat)
             except linalg.LinAlgError as exc:
                 raise SingularSystem(
-                    "descent system not positive definite "
-                    f"(grounding shift {sigma:.3g})") from exc
+                    "system not positive definite (grounding shift "
+                    f"{sigma:.3g}, regularization {reg:.3g})") from exc
             self._fact_cache[key] = fact
         return linalg.cho_solve(fact, rhs)
 
@@ -406,28 +419,26 @@ class NonlocalForm:
         return raw, raw / scale
 
 
-def assemble_dirichlet(mesh, kernel, quad_order=4):
-    """Nonlocal form with homogeneous Dirichlet volume constraint."""
+def check_quad_order(quad_order):
+    """Raise ConfigError unless quad_order is a usable Gauss rule size."""
     if quad_order < 2:
-        raise ValueError("quad_order must be at least 2")
+        raise ConfigError(f"quad_order must be at least 2, got {quad_order}",
+                          key="quad_order")
+
+
+def assemble_dirichlet(mesh, kernel, quad_order=QUAD_ORDER):
+    """Nonlocal form with homogeneous Dirichlet volume constraint."""
     return NonlocalForm(mesh, kernel, "dirichlet", quad_order)
 
 
-def assemble_neumann(mesh, kernel, quad_order=4):
+def assemble_neumann(mesh, kernel, quad_order=QUAD_ORDER):
     """Nonlocal form with homogeneous Neumann volume constraint.
 
     The mesh must extend beyond its physical domain (see
     :func:`fem.build_extended_mesh`); exterior unknowns are eliminated
     exactly by a Schur complement.
     """
-    if quad_order < 2:
-        raise ValueError("quad_order must be at least 2")
     return NonlocalForm(mesh, kernel, "neumann", quad_order)
-
-
-def apply_operator(form, u, x):
-    """Module-level alias for :meth:`NonlocalForm.apply_operator`."""
-    return form.apply_operator(u, x)
 
 
 def dump_matrix(path, form):

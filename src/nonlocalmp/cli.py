@@ -72,11 +72,6 @@ def _log_records(result, path):
         sys.stdout.write(text)
 
 
-def _report_line(r):
-    return (f"{r.h:.10g},{r.n_dof},{r.R_L1:.8g},{r.R_L2:.8g},"
-            f"{r.E_L1:.8g},{r.E_L2:.8g},{r.iterations},{r.wall_time_s:.3g}")
-
-
 def _exit_code(reports):
     if any(r.failed for r in reports):
         return EXIT_SOLVER
@@ -96,7 +91,7 @@ def _run_single(spec, args):
     if args.dump_matrix:
         assembly.dump_matrix(args.dump_matrix, run.form)
     print(",".join(verify.REPORT_COLUMNS))
-    print(_report_line(r))
+    print(verify.report_line(r))
     if r.failed:
         print(f"solver failure: {r.error}", file=sys.stderr)
     elif r.trivial:
@@ -109,7 +104,7 @@ def _run_study(spec, args):
     study = verify.convergence_study(spec, jobs=max(1, args.jobs))
     print(",".join(verify.REPORT_COLUMNS))
     for r in study.reports:
-        print(_report_line(r))
+        print(verify.report_line(r))
     for col, order in study.orders.items():
         shown = "n/a" if order is None else f"{order:.3f}"
         print(f"# fitted order {col}: {shown}")

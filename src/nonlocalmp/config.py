@@ -2,14 +2,17 @@
 
 The format is one ``key = value`` pair per line, ``#`` comments, and
 dotted keys for grouped parameters (``kernel.scale = 1.0``).  Unknown
-keys are rejected with the offending line number.
+keys are rejected with the offending line number.  A key left out takes
+the default of its ``RunSpec`` field; the solver settings default to
+``SolverConfig`` and the quadrature order to ``assembly.QUAD_ORDER``.
 """
 
 import math
+import os
 import re
 from dataclasses import dataclass, field
 
-from . import fem
+from . import assembly, fem
 from .energy import NONLINEARITY_NAMES, nonlinearity_from_name
 from .errors import ConfigError
 from .kernels import KERNEL_NAMES, kernel_from_name
@@ -25,16 +28,30 @@ _KERNEL_PARAM_KEYS = {
     "power_law": {"a", "p"},
 }
 
+# config key -> (RunSpec field, value type); the domain.*, kernel.* and
+# output.* keys fill the domain tuple and the kernel_params/outputs dicts
 _SCALAR_KEYS = {
-    "domain.left", "domain.right", "constraint", "neumann.extension",
-    "kernel", "nonlinearity", "h", "h_list", "epsilon", "delta",
-    "initial_guess", "quad_order", "solver.max_iterations",
-    "solver.max_halvings", "solver.grounding_rel", "solver.direction_reg",
-    "output.solution", "output.log", "output.report", "output.plot",
+    "constraint": ("constraint", str),
+    "neumann.extension": ("extension", float),
+    "kernel": ("kernel_name", str),
+    "nonlinearity": ("nonlinearity_name", str),
+    "h": ("h", float),
+    "h_list": ("h_list", tuple),
+    "epsilon": ("epsilon", float),
+    "delta": ("delta", float),
+    "initial_guess": ("initial_guess", str),
+    "quad_order": ("quad_order", int),
+    "solver.max_iterations": ("max_iterations", int),
+    "solver.max_halvings": ("max_halvings", int),
+    "solver.grounding_rel": ("grounding_rel", float),
+    "solver.direction_reg": ("direction_reg", float),
 }
-_KERNEL_KEYS = {"kernel.scale", "kernel.a", "kernel.b", "kernel.A",
-                "kernel.B", "kernel.p"}
-_ALL_KEYS = _SCALAR_KEYS | _KERNEL_KEYS
+_ALL_KEYS = set(_SCALAR_KEYS) | {
+    "domain.left", "domain.right",
+    "output.solution", "output.log", "output.report", "output.plot",
+} | {f"kernel.{p}" for ps in _KERNEL_PARAM_KEYS.values() for p in ps}
+_TYPE_NAMES = {float: "a number", int: "an integer",
+               tuple: "a list of numbers"}
 
 _STEP_RE = re.compile(r"^step\(\s*([^\s,]+)\s*,\s*([^\s)]+)\s*\)$")
 
@@ -51,14 +68,14 @@ class RunSpec:
     nonlinearity_name: str = "cubic"
     h: float = None
     h_list: tuple = None
-    epsilon: float = 1e-3
-    delta: float = 1.0
+    epsilon: float = SolverConfig.epsilon
+    delta: float = SolverConfig.delta
     initial_guess: str = "sine"
-    quad_order: int = 4
-    max_iterations: int = 10000
-    max_halvings: int = 60
-    grounding_rel: float = 1e-4
-    direction_reg: float = 0.25
+    quad_order: int = assembly.QUAD_ORDER
+    max_iterations: int = SolverConfig.max_iterations
+    max_halvings: int = SolverConfig.max_halvings
+    grounding_rel: float = SolverConfig.grounding_rel
+    direction_reg: float = SolverConfig.direction_reg
     outputs: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -81,14 +98,22 @@ class RunSpec:
             raise ConfigError("one of h or h_list is required", key="h")
         if self.h is not None and self.h_list:
             raise ConfigError("h and h_list are mutually exclusive", key="h")
+        if self.h_list is not None and len(self.h_list) < 3:
+            raise ConfigError("a convergence study needs at least 3 mesh "
+                              "sizes in h_list", key="h_list")
         if self.domain[1] <= self.domain[0]:
             raise ConfigError("domain.right must exceed domain.left",
                               key="domain.right")
-        self._parse_guess()  # validates eagerly
+        guess = self._parse_guess()  # validates eagerly
+        if guess[0] == "csv" and not os.path.isfile(guess[1]):
+            raise ConfigError(f"initial_guess file {guess[1]!r} not found",
+                              key="initial_guess")
         try:
             self.make_kernel()
         except ValueError as exc:
             raise ConfigError(str(exc), key="kernel") from exc
+        assembly.check_quad_order(self.quad_order)
+        self.solver_config()  # validates the solver settings
 
     # -- factories ------------------------------------------------------------
 
@@ -103,13 +128,12 @@ class RunSpec:
             return fem.build_mesh(self.domain[0], self.domain[1], h)
         return fem.build_extended_mesh(self.domain, h, self.extension)
 
-    def solver_config(self, check_invariants=False):
+    def solver_config(self):
         return SolverConfig(epsilon=self.epsilon, delta=self.delta,
                             max_iterations=self.max_iterations,
                             max_halvings=self.max_halvings,
                             grounding_rel=self.grounding_rel,
-                            direction_reg=self.direction_reg,
-                            check_invariants=check_invariants)
+                            direction_reg=self.direction_reg)
 
     def _parse_guess(self):
         guess = self.initial_guess
@@ -194,83 +218,42 @@ def _parse_lines(text):
     return pairs
 
 
-def _take_float(pairs, key, default=None):
-    if key not in pairs:
-        return default
-    value, lineno = pairs.pop(key)
+def _convert(key, value, lineno, kind):
+    if kind is str:
+        return value
     try:
-        return float(value)
+        if kind is tuple:
+            return tuple(float(tok) for tok in value.replace(",", " ").split())
+        return kind(value)
     except ValueError:
-        raise ConfigError(f"{key} must be a number, got {value!r}",
+        raise ConfigError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}",
                           line=lineno, key=key) from None
-
-
-def _take_int(pairs, key, default=None):
-    if key not in pairs:
-        return default
-    value, lineno = pairs.pop(key)
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {value!r}",
-                          line=lineno, key=key) from None
-
-
-def _take_str(pairs, key, default=None):
-    if key not in pairs:
-        return default
-    return pairs.pop(key)[0]
 
 
 def parse_config_text(text):
-    """Parse a flat key = value configuration into a RunSpec."""
-    pairs = _parse_lines(text)
+    """Parse a flat key = value configuration into a RunSpec.
 
-    kernel_params = {}
-    for key in list(pairs):
-        if key.startswith("kernel."):
-            pname = key.split(".", 1)[1]
-            kernel_params[pname] = _take_float(pairs, key)
-
-    h_list = None
-    if "h_list" in pairs:
-        value, lineno = pairs.pop("h_list")
-        try:
-            h_list = tuple(float(tok) for tok in value.replace(",", " ").split())
-        except ValueError:
-            raise ConfigError(f"h_list must be a list of numbers, got "
-                              f"{value!r}", line=lineno, key="h_list") from None
-        if not h_list:
-            raise ConfigError("h_list is empty", line=lineno, key="h_list")
-
-    outputs = {}
-    for key in ("solution", "log", "report", "plot"):
-        path = _take_str(pairs, f"output.{key}")
-        if path is not None:
-            outputs[key] = path
-
-    spec = RunSpec(
-        domain=(_take_float(pairs, "domain.left", -math.pi),
-                _take_float(pairs, "domain.right", math.pi)),
-        constraint=_take_str(pairs, "constraint", "dirichlet"),
-        extension=_take_float(pairs, "neumann.extension", 1.5),
-        kernel_name=_take_str(pairs, "kernel", "exponential"),
-        kernel_params=kernel_params,
-        nonlinearity_name=_take_str(pairs, "nonlinearity", "cubic"),
-        h=_take_float(pairs, "h"),
-        h_list=h_list,
-        epsilon=_take_float(pairs, "epsilon", 1e-3),
-        delta=_take_float(pairs, "delta", 1.0),
-        initial_guess=_take_str(pairs, "initial_guess", "sine"),
-        quad_order=_take_int(pairs, "quad_order", 4),
-        max_iterations=_take_int(pairs, "solver.max_iterations", 10000),
-        max_halvings=_take_int(pairs, "solver.max_halvings", 60),
-        grounding_rel=_take_float(pairs, "solver.grounding_rel", 1e-4),
-        direction_reg=_take_float(pairs, "solver.direction_reg", 0.25),
-        outputs=outputs,
-    )
-    assert not pairs, f"unconsumed keys: {sorted(pairs)}"
-    return spec
+    Only the keys present are passed on; every other setting keeps the
+    RunSpec default.
+    """
+    kwargs, domain = {}, {}
+    for key, (value, lineno) in _parse_lines(text).items():
+        group, _, name = key.partition(".")
+        if group == "domain":
+            domain[name] = _convert(key, value, lineno, float)
+        elif group == "kernel" and name:
+            kwargs.setdefault("kernel_params", {})[name] = \
+                _convert(key, value, lineno, float)
+        elif group == "output":
+            kwargs.setdefault("outputs", {})[name] = value
+        else:
+            field_name, kind = _SCALAR_KEYS[key]
+            kwargs[field_name] = _convert(key, value, lineno, kind)
+    if domain:
+        left, right = RunSpec.domain
+        kwargs["domain"] = (domain.get("left", left),
+                            domain.get("right", right))
+    return RunSpec(**kwargs)
 
 
 def parse_config_file(path):

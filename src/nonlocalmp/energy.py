@@ -29,16 +29,27 @@ __all__ = [
     "ray_coefficients",
     "ray_energy",
     "ray_slope",
+    "ray_data",
     "t_star",
     "energy",
     "gradient",
 ]
 
 
-class Nonlinearity:
-    """Base class; subclasses define f, its antiderivative and the ray rule.
+def _power_sum(terms, t):
+    """sum c t^k over the (c, k) terms, added in order from a zero array."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    for c, k in terms:
+        out = out + c * t**k
+    return out if out.ndim else float(out)
 
-    ``F_coeffs`` maps powers k to coefficients a_k of F(t) = sum a_k t^k.
+
+class Nonlinearity:
+    """Base class; subclasses define F by its coefficients and the ray rule.
+
+    ``F_coeffs`` maps powers k to coefficients a_k of F(t) = sum a_k t^k;
+    f = F' is derived from them.
     ``hypothesis_meta`` documents which growth/shape hypotheses
     (A2 growth bound with (a1, a2, alpha); A3 zero slope at the origin;
     A4 scaling with (mu, theta); A5 superlinear growth) hold.
@@ -49,14 +60,11 @@ class Nonlinearity:
     hypothesis_meta = {}
 
     def f(self, t):
-        raise NotImplementedError
+        terms = [(k * a, k - 1) for k, a in self.F_coeffs.items()]
+        return _power_sum(terms, t)
 
     def F(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for k, a in self.F_coeffs.items():
-            out = out + a * t**k
-        return out if out.ndim else float(out)
+        return _power_sum([(a, k) for k, a in self.F_coeffs.items()], t)
 
     @property
     def moment_powers(self):
@@ -77,10 +85,6 @@ class Cubic(Nonlinearity):
         "theta": 1.0, "A2": True, "A3": True, "A4": True, "A5": True,
     }
 
-    def f(self, t):
-        t = np.asarray(t, dtype=float)
-        return t**3
-
     def t_star_closed(self, Buu, P):
         if P[4] <= 0:
             raise ZeroDirection("vanishing fourth moment")
@@ -97,10 +101,6 @@ class Quintic(Nonlinearity):
         "theta": 1.0, "A2": True, "A3": True, "A4": True, "A5": True,
     }
 
-    def f(self, t):
-        t = np.asarray(t, dtype=float)
-        return t**5
-
     def t_star_closed(self, Buu, P):
         if P[6] <= 0:
             raise ZeroDirection("vanishing sixth moment")
@@ -116,10 +116,6 @@ class CubicMinusLinear(Nonlinearity):
         "a1": 1.0, "a2": 2.0, "alpha": 3, "mu_range": (2.0, 4.0),
         "theta": 1.0, "A2": True, "A3": False, "A4": True, "A5": True,
     }
-
-    def f(self, t):
-        t = np.asarray(t, dtype=float)
-        return t**3 - t
 
     def t_star_closed(self, Buu, P):
         if P[4] <= 0:
@@ -141,10 +137,6 @@ class AllenCahn(Nonlinearity):
         "a1": 2.0, "a2": 4.0, "alpha": 3, "mu_range": None,
         "theta": None, "A2": True, "A3": False, "A4": False, "A5": True,
     }
-
-    def f(self, t):
-        t = np.asarray(t, dtype=float)
-        return 0.5 * (-t - 3.0 * t**2 + 4.0 * t**3)
 
 
 NONLINEARITY_NAMES = {
@@ -191,10 +183,23 @@ def ray_slope(c, t):
     return np.polynomial.polynomial.polyval(t, dc)
 
 
-def _t_star_from_coeffs(nl, Buu, P, c, grid_max=10.0, grid_step=1e-4):
+def ray_data(form, nl, u_unknown):
+    """(t*, c): the maximizer t* of t -> I[t u] over t > 0 and the
+    coefficients c of that ray polynomial (see ``ray_coefficients``).
+
+    ``u_unknown`` holds the unknown-node values of u; the constraint
+    fixes the rest.  Raises ZeroDirection when the ray has no positive
+    maximum.
+    """
+    u_full = form.full_values(u_unknown)
+    Buu = float(u_unknown @ form.B @ u_unknown)
+    if Buu <= 0.0:
+        raise ZeroDirection("direction carries no bilinear-form energy")
+    P = moments(form, u_full, nl.moment_powers)
+    c = ray_coefficients(nl, Buu, P)
     closed = nl.t_star_closed(Buu, P)
     if closed is not None:
-        return closed
+        return closed, c
     # critical points of g: roots of g'(t)/t, a polynomial of degree <= 2
     dc = np.polynomial.polynomial.polyder(c)[1:]
     roots = np.polynomial.polynomial.polyroots(dc)
@@ -207,27 +212,15 @@ def _t_star_from_coeffs(nl, Buu, P, c, grid_max=10.0, grid_step=1e-4):
         if best_t is None or g > best_g + 1e-15 * abs(best_g) \
                 or (abs(g - best_g) <= 1e-15 * abs(best_g) and r.real > best_t):
             best_t, best_g = float(r.real), float(g)
-    if best_t is not None and best_g > 0.0:
-        return best_t
-    # fall back to a dense grid when no positive critical point works
-    ts = np.arange(grid_step, grid_max + grid_step, grid_step)
-    gs = ray_energy(c, ts)
-    i = int(np.argmax(gs))
-    if gs[i] <= 0.0:
-        raise ZeroDirection("ray energy has no positive maximum")
-    return float(ts[i])
+    if best_t is None or best_g <= 0.0:
+        raise ZeroDirection("ray energy has no positive critical point")
+    return best_t, c
 
 
-def t_star(form, nl, u, grid_max=10.0, grid_step=1e-4):
-    """Maximizer of t -> I[t u] over t > 0."""
-    u_full = form.as_full(u)
-    u_unknown = u_full[form.unknown_idx]
-    Buu = float(u_unknown @ form.B @ u_unknown)
-    if Buu <= 0.0:
-        raise ZeroDirection("direction carries no bilinear-form energy")
-    P = moments(form, u_full, nl.moment_powers)
-    c = ray_coefficients(nl, Buu, P)
-    return _t_star_from_coeffs(nl, Buu, P, c, grid_max, grid_step)
+def t_star(form, nl, u):
+    """Maximizer of t -> I[t u] over t > 0 for a FeFunction, full nodal
+    vector or unknown-node vector u."""
+    return ray_data(form, nl, form.as_full(u)[form.unknown_idx])[0]
 
 
 # -- energy and gradient -------------------------------------------------------

@@ -37,6 +37,17 @@ class SingularSystem(NonlocalMPError):
     """Linear solve failed even after grounding."""
 
 
+class InvariantViolation(NonlocalMPError):
+    """A guarantee of the descent scheme failed at an iteration.
+
+    Raised by the in-loop checks; ``iteration`` is the 1-based iteration.
+    """
+
+    def __init__(self, message, iteration):
+        super().__init__(f"{message} at iteration {iteration}")
+        self.iteration = iteration
+
+
 class StallError(NonlocalMPError):
     """Backtracking exhausted its halving budget without an energy decrease.
 
@@ -60,7 +71,7 @@ class MaxIterations(NonlocalMPError):
 
 
 class ConfigError(NonlocalMPError):
-    """Configuration file could not be parsed or validated.
+    """A configuration could not be parsed or a setting is out of range.
 
     ``line`` is the 1-based line number when known, ``key`` the offending key.
     """

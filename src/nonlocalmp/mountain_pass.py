@@ -33,19 +33,20 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
-from .energy import (_t_star_from_coeffs, gradient as energy_gradient,
-                     moments, ray_coefficients, ray_energy, ray_slope)
-from .errors import (MaxIterations, SingularSystem, StallError,
-                     ZeroDirection, ZeroGradient)
+from .energy import (gradient as energy_gradient, ray_data, ray_energy,
+                     ray_slope)
+from .errors import (ConfigError, InvariantViolation, MaxIterations,
+                     StallError, ZeroDirection, ZeroGradient)
 
 __all__ = ["SolverConfig", "IterationRecord", "SolveResult",
-           "descent_direction", "solve"]
+           "descent_direction", "check_invariants", "solve"]
 
 
 @dataclass
 class SolverConfig:
+    """Settings of one descent; these defaults are the package's."""
+
     epsilon: float = 1e-3
     delta: float = 1.0
     max_iterations: int = 10000
@@ -56,15 +57,19 @@ class SolverConfig:
     grounding_rel: float = 1e-4
     # relative weight of the (M+S)-regularization in the direction solve
     direction_reg: float = 0.25
-    t_grid_max: float = 10.0
-    t_grid_step: float = 1e-4
     check_invariants: bool = False
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        for name, ok, rule in (
+                ("epsilon", self.epsilon > 0, "positive"),
+                ("delta", self.delta > 0, "positive"),
+                ("max_iterations", self.max_iterations >= 1, "at least 1"),
+                ("max_halvings", self.max_halvings >= 0, "non-negative"),
+                ("grounding_rel", self.grounding_rel >= 0, "non-negative"),
+                ("direction_reg", self.direction_reg >= 0, "non-negative")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got "
+                                  f"{getattr(self, name)!r}", key=name)
 
 
 @dataclass
@@ -91,79 +96,64 @@ class SolveResult:
         return len(self.records)
 
 
-def _direction_factor(form, H, grounding_rel, direction_reg):
-    sigma = form.grounding_shift(grounding_rel)
-    mat = form.B + direction_reg * H
-    if sigma:
-        mat = mat + sigma * form._M_unknown
-    try:
-        return linalg.cho_factor(mat)
-    except linalg.LinAlgError as exc:
-        raise SingularSystem("direction system not positive definite") from exc
-
-
-def descent_direction(form, M, S, nl, w, grounding_rel=1e-4,
-                      direction_reg=0.25):
+def descent_direction(form, nl, w, cfg=None):
     """Gradient representative and descent direction at the iterate w.
 
     Returns ``(b, v1, b_h1, g)`` over unknown nodes: g is the energy
     gradient, b solves the (grounded) bilinear-form system B b = g and
     b_h1 = |b|_H1 is the stopping quantity, and v1 is the normalized
-    regularized descent direction with g . v1 < 0 strictly.
-    Raises ZeroGradient at a critical point.
+    regularized descent direction with g . v1 < 0 strictly.  The
+    factorizations are cached on the form.  Raises ZeroGradient at a
+    critical point.
     """
-    ix = np.ix_(form.unknown_idx, form.unknown_idx)
-    H = (M + S)[ix]
+    cfg = cfg or SolverConfig()
+    H = form.h1_gram
     g = energy_gradient(form, nl, w)
     if not np.any(g):
         raise ZeroGradient("gradient vanishes; w is already critical")
-    b = form.solve_spd(g, grounding_rel)
+    b = form.solve_spd(g, cfg.grounding_rel)
     b_h1 = float(np.sqrt(max(b @ H @ b, 0.0)))
-    if direction_reg > 0.0:
-        d = linalg.cho_solve(_direction_factor(form, H, grounding_rel,
-                                               direction_reg), g)
+    if cfg.direction_reg > 0.0:
+        d = form.solve_spd(g, cfg.grounding_rel, cfg.direction_reg)
     else:
         d = b
-    d_h1 = float(np.sqrt(max(d @ H @ d, 0.0)))
-    v1 = -d / d_h1
+    v1 = -d / float(np.sqrt(max(d @ H @ d, 0.0)))
     return b, v1, b_h1, g
 
 
-def _ray_data(form, nl, u_unknown, cfg):
-    """(t*, coefficients of t -> I[t u]) for a direction over unknown nodes."""
-    u_full = form.full_values(u_unknown)
-    Buu = float(u_unknown @ form.B @ u_unknown)
-    if Buu <= 0.0:
-        raise ZeroDirection("direction carries no bilinear-form energy")
-    P = moments(form, u_full, nl.moment_powers)
-    c = ray_coefficients(nl, Buu, P)
-    ts = _t_star_from_coeffs(nl, Buu, P, c, cfg.t_grid_max, cfg.t_grid_step)
-    return ts, c
+def check_invariants(iteration, g, v1, e_before, e_after, c, ts):
+    """Raise InvariantViolation unless the accepted step of ``iteration``
+    kept the scheme's guarantees: v1 is a descent direction for the
+    gradient g, the energy fell from e_before to e_after, and the new
+    iterate sits on the maximum ts of its ray polynomial c."""
+    if not g @ v1 < 0.0:
+        raise InvariantViolation("descent certificate violated", iteration)
+    if not e_after < e_before:
+        raise InvariantViolation("energy did not decrease", iteration)
+    slope = ts * ray_slope(c, ts)
+    dc = np.polynomial.polynomial.polyder(c)
+    scale = float(np.sum(np.abs(dc * ts ** np.arange(dc.size))))
+    if not abs(slope) <= 1e-6 * max(scale, 1e-300):
+        raise InvariantViolation("iterate left its ray maximum", iteration)
 
 
-def solve(form, M, S, nl, u1, cfg=None):
+def solve(form, nl, u1, cfg=None):
     """Run the descent from the initial guess u1 until |b|_H1 <= epsilon.
 
-    M and S are the mass/stiffness matrices restricted to the physical
-    domain (used for the H1 stopping norm).  Raises StallError when the
-    halving budget is exhausted and MaxIterations when the iteration
-    budget runs out; both carry the partial result in ``result``.
+    The H1 stopping norm is taken over the physical domain (see
+    ``NonlocalForm.h1_gram``).  Raises StallError when the halving budget
+    is exhausted and MaxIterations when the iteration budget runs out;
+    both carry the partial result in ``result``.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
-    ix = np.ix_(form.unknown_idx, form.unknown_idx)
-    H = (M + S)[ix]
-    M_unk = M[ix]
-    dir_fact = (_direction_factor(form, H, cfg.grounding_rel,
-                                  cfg.direction_reg)
-                if cfg.direction_reg > 0.0 else None)
 
     u1_unknown = form.reduce(u1)
-    ts, c = _ray_data(form, nl, u1_unknown, cfg)
+    ts, c = ray_data(form, nl, u1_unknown)
     w = ts * u1_unknown
     e_w = float(ray_energy(c, ts))
     e0 = e_w
-    l2_0 = float(np.sqrt(max(w @ M_unk @ w, 0.0)))
+    l2_0 = float(np.sqrt(max(w @ form._M_unknown @ w, 0.0)))
 
     def partial():
         return SolveResult(solution=form.fe(w), converged=False,
@@ -175,25 +165,20 @@ def solve(form, M, S, nl, u1, cfg=None):
     records = []
     grad_norm = np.inf
     for it in range(1, cfg.max_iterations + 1):
-        g = energy_gradient(form, nl, w)
-        if not np.any(g):
+        try:
+            _, v1, grad_norm, g = descent_direction(form, nl, w, cfg)
+        except ZeroGradient:
             grad_norm = 0.0
             break
-        b = form.solve_spd(g, cfg.grounding_rel)
-        grad_norm = b_h1 = float(np.sqrt(max(b @ H @ b, 0.0)))
-        if b_h1 <= cfg.epsilon:
+        if grad_norm <= cfg.epsilon:
             break
-        d = linalg.cho_solve(dir_fact, g) if dir_fact is not None else b
-        v1 = -d / float(np.sqrt(max(d @ H @ d, 0.0)))
-        if cfg.check_invariants:
-            assert g @ v1 < 0.0, "descent certificate violated"
 
         step = cfg.delta
         halvings = 0
         while True:
             trial = w + step * v1
             try:
-                ts, c = _ray_data(form, nl, trial, cfg)
+                ts, c = ray_data(form, nl, trial)
                 e_trial = float(ray_energy(c, ts))
             except ZeroDirection:
                 e_trial = np.inf
@@ -208,15 +193,10 @@ def solve(form, M, S, nl, u1, cfg=None):
 
         w = ts * trial
         if cfg.check_invariants:
-            assert e_trial < e_w, "energy did not decrease"
-            slope = ts * ray_slope(c, ts)
-            dc = np.polynomial.polynomial.polyder(c)
-            scale = float(np.sum(np.abs(dc * ts ** np.arange(dc.size))))
-            assert abs(slope) <= 1e-6 * max(scale, 1e-300), \
-                "iterate left its ray maximum"
+            check_invariants(it, g, v1, e_w, e_trial, c, ts)
         e_w = e_trial
         records.append(IterationRecord(iteration=it, energy=e_w,
-                                       grad_norm_h1=b_h1, t_star=ts,
+                                       grad_norm_h1=grad_norm, t_star=ts,
                                        halvings_used=halvings))
     else:
         raise MaxIterations(

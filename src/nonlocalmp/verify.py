@@ -20,8 +20,8 @@ from .errors import (MaxIterations, NonlocalMPError, StallError)
 
 __all__ = ["CaseReport", "StudyResult", "residual_norms", "reference_errors",
            "l1_norm_p1", "is_trivial_capture", "run_single",
-           "convergence_study", "fit_orders", "write_report_csv",
-           "write_plot_data", "REPORT_COLUMNS"]
+           "convergence_study", "fit_orders", "report_line",
+           "write_report_csv", "write_plot_data", "REPORT_COLUMNS"]
 
 REPORT_COLUMNS = ("h", "n_dof", "R_L1", "R_L2", "E_L1", "E_L2",
                   "iterations", "wall_time_s")
@@ -93,7 +93,8 @@ def l1_norm_p1(mesh, values):
     return float(np.sum(np.where(same, trapez, crossing)))
 
 
-def reference_errors(form, M, nl, u, grounding_rel=1e-4):
+def reference_errors(form, M, nl, u,
+                     grounding_rel=mountain_pass.SolverConfig.grounding_rel):
     """Solve -L ubar = f(u) with the form's constraints; return the errors.
 
     Returns (E_L1, E_L2, ubar) where the norms measure u - ubar over the
@@ -117,7 +118,8 @@ def is_trivial_capture(result, M):
     return l2 < TRIVIAL_CAPTURE_RATIO * result.initial_l2
 
 
-def run_single(spec, h, check_invariants=False):
+def run_single(spec, h,
+               check_invariants=mountain_pass.SolverConfig.check_invariants):
     """Assemble, solve and verify one mesh size of a run specification."""
     t0 = time.perf_counter()
     mesh = spec.build_mesh(h)
@@ -129,12 +131,13 @@ def run_single(spec, h, check_invariants=False):
         form = assembly.assemble_neumann(mesh, kernel, spec.quad_order)
     M, S = fem.omega_norm_matrices(mesh)
     u1 = spec.initial_guess_fe(mesh)
-    cfg = spec.solver_config(check_invariants=check_invariants)
+    cfg = spec.solver_config()
+    cfg.check_invariants = check_invariants
 
     result = None
     error = None
     try:
-        result = mountain_pass.solve(form, M, S, nl, u1, cfg)
+        result = mountain_pass.solve(form, nl, u1, cfg)
     except (StallError, MaxIterations) as exc:
         result = exc.result
         error = f"{type(exc).__name__}: {exc}"
@@ -166,21 +169,19 @@ def _study_row(args):
     return run_single(spec, h).report
 
 
-def convergence_study(spec, h_list=None, jobs=1):
-    """Run the full pipeline for every mesh size and fit convergence orders.
+def convergence_study(spec, jobs=1):
+    """Run the full pipeline for every mesh size of ``spec.h_list`` and fit
+    convergence orders.
 
     Rows that fail propagate their error message in the report and are
     excluded from the order fits, as are trivial-capture rows.
     """
-    h_list = tuple(h_list if h_list is not None else spec.h_list)
-    if len(h_list) < 3:
-        raise ValueError("a convergence study needs at least 3 mesh sizes")
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_study_row,
-                                    [(spec, h) for h in h_list]))
+                                    [(spec, h) for h in spec.h_list]))
     else:
-        reports = [run_single(spec, h).report for h in h_list]
+        reports = [run_single(spec, h).report for h in spec.h_list]
     return StudyResult(reports=reports, orders=fit_orders(reports))
 
 
@@ -205,14 +206,18 @@ def fit_orders(reports):
     return orders
 
 
+def report_line(r):
+    """One CaseReport as a CSV line of the REPORT_COLUMNS."""
+    return (f"{r.h:.10g},{r.n_dof},{r.R_L1:.8g},{r.R_L2:.8g},"
+            f"{r.E_L1:.8g},{r.E_L2:.8g},{r.iterations},{r.wall_time_s:.3g}")
+
+
 def write_report_csv(path, reports):
     """CSV with exactly the table columns of the convergence studies."""
     with open(path, "w") as fh:
         fh.write(",".join(REPORT_COLUMNS) + "\n")
         for r in reports:
-            fh.write(f"{r.h:.10g},{r.n_dof},{r.R_L1:.8g},{r.R_L2:.8g},"
-                     f"{r.E_L1:.8g},{r.E_L2:.8g},{r.iterations},"
-                     f"{r.wall_time_s:.3g}\n")
+            fh.write(report_line(r) + "\n")
 
 
 def write_plot_data(path, reports):

@@ -206,7 +206,7 @@ def _l2_ratio(run):
 def test_criterion_10_neumann_constraint_fidelity(case5_study, neumann_coarse):
     mesh, form, M, S, u1 = neumann_coarse
     cfg = mp.SolverConfig(max_iterations=60000)
-    result = mp.solve(form, M, S, en.AllenCahn(), u1, cfg)
+    result = mp.solve(form, en.AllenCahn(), u1, cfg)
     u = result.solution
     raw, rel = form.exterior_constraint_residual(u.values)
     bound = 1e-8 * float(np.max(np.abs(u.values)))

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import nonlocalmp as nm
-from nonlocalmp import cli, fem
+from nonlocalmp import assembly, cli, fem
 from nonlocalmp.cases import CASE_NAMES, case_config_text
-from nonlocalmp.config import parse_config_text
+from nonlocalmp.config import RunSpec, parse_config_text
 from nonlocalmp.errors import ConfigError
+from nonlocalmp.mountain_pass import SolverConfig
 
 from conftest import h_for
 
@@ -183,3 +184,34 @@ def test_csv_initial_guess(tmp_path):
     spec = RunSpec(h=h_for(20), initial_guess=str(path))
     u1 = spec.initial_guess_fe(mesh)
     np.testing.assert_allclose(u1.values, u0.values, atol=1e-15)
+
+
+OUT_OF_RANGE = {
+    "epsilon": "-1",
+    "quad_order": "1",
+    "h_list": f"{h_for(10)!r} {h_for(20)!r}",
+    "initial_guess": "missing-start.csv",
+    "solver.direction_reg": "-0.5",
+    "solver.max_halvings": "-1",
+}
+
+
+@pytest.mark.parametrize("key", OUT_OF_RANGE)
+def test_out_of_range_setting_exits_4(tmp_path, capsys, key):
+    value = OUT_OF_RANGE[key]
+    if key == "initial_guess":
+        value = str(tmp_path / value)
+    drop = {key, "h"} if key == "h_list" else {key}
+    text = "".join(line + "\n" for line in FAST_CFG.splitlines()
+                   if line.split("=")[0].strip() not in drop)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + f"{key} = {value}\n")
+    assert cli.main(["--config", str(cfg)]) == 4
+    assert key.split(".")[-1] in capsys.readouterr().err
+
+
+def test_defaults_have_one_home():
+    spec = parse_config_text("kernel = exponential\nh = 0.3\n")
+    assert spec == RunSpec(kernel_name="exponential", h=0.3)
+    assert spec.solver_config() == SolverConfig()
+    assert spec.quad_order == assembly.QUAD_ORDER

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -7,7 +11,8 @@ from scipy import linalg
 import nonlocalmp as nm
 from nonlocalmp import energy as en
 from nonlocalmp import mountain_pass as mp
-from nonlocalmp.errors import MaxIterations, StallError, ZeroGradient
+from nonlocalmp.errors import (InvariantViolation, MaxIterations, StallError,
+                               ZeroGradient)
 
 from conftest import h_for
 
@@ -19,7 +24,7 @@ def case1_solved(request):
     M, S = nm.omega_norm_matrices(mesh)
     u1 = nm.interpolate(mesh, math.sin, constraint="dirichlet")
     cfg = mp.SolverConfig(check_invariants=True)
-    result = mp.solve(form, M, S, en.Cubic(), u1, cfg)
+    result = mp.solve(form, en.Cubic(), u1, cfg)
     return mesh, form, M, S, u1, result
 
 
@@ -64,7 +69,7 @@ def test_descent_direction_properties(case1_solved):
     H = (M + S)[np.ix_(form.unknown_idx, form.unknown_idx)]
     for _ in range(5):
         w = rng.standard_normal(form.n_unknowns)
-        b, v1, b_h1, g = mp.descent_direction(form, M, S, nl, w)
+        b, v1, b_h1, g = mp.descent_direction(form, nl, w)
         assert g @ v1 < 0.0
         assert float(np.sqrt(v1 @ H @ v1)) == pytest.approx(1.0, rel=1e-12)
         assert b_h1 > 0.0
@@ -83,23 +88,39 @@ def test_dual_norm_sandwich(case1_solved):
     rng = np.random.default_rng(9)
     for _ in range(5):
         w = rng.standard_normal(form.n_unknowns)
-        b, v1, b_h1, g = mp.descent_direction(form, M, S, nl, w)
+        b, v1, b_h1, g = mp.descent_direction(form, nl, w)
         dual = float(np.sqrt(g @ np.linalg.solve(H, g)))
         assert beta_hat * b_h1 <= dual * (1 + 1e-10)
         assert dual <= c_hat * b_h1 * (1 + 1e-10)
 
 
+def test_direction_factorizations_cached(case1_coarse, monkeypatch):
+    # B and the regularized direction system are each factored once per
+    # form, however many directions are taken
+    mesh, _, M, S, u1 = case1_coarse
+    form = nm.assemble_dirichlet(mesh, nm.Exponential())
+    calls = []
+    cho_factor = linalg.cho_factor
+    monkeypatch.setattr(linalg, "cho_factor",
+                        lambda a: calls.append(a) or cho_factor(a))
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        mp.descent_direction(form, en.Cubic(),
+                             rng.standard_normal(form.n_unknowns))
+    assert len(calls) == 2
+
+
 def test_zero_gradient_raises(case1_solved):
     mesh, form, M, S, u1, result = case1_solved
     with pytest.raises(ZeroGradient):
-        mp.descent_direction(form, M, S, en.Cubic(), np.zeros(form.n_unknowns))
+        mp.descent_direction(form, en.Cubic(), np.zeros(form.n_unknowns))
 
 
 def test_determinism(case1_solved):
     mesh, form, M, S, u1, result = case1_solved
     cfg = mp.SolverConfig()
-    r1 = mp.solve(form, M, S, en.Cubic(), u1, cfg)
-    r2 = mp.solve(form, M, S, en.Cubic(), u1, cfg)
+    r1 = mp.solve(form, en.Cubic(), u1, cfg)
+    r2 = mp.solve(form, en.Cubic(), u1, cfg)
     assert [ (r.energy, r.grad_norm_h1, r.t_star, r.halvings_used)
              for r in r1.records ] == \
            [ (r.energy, r.grad_norm_h1, r.t_star, r.halvings_used)
@@ -111,7 +132,7 @@ def test_max_iterations_carries_partial_result(case1_solved):
     mesh, form, M, S, u1, result = case1_solved
     cfg = mp.SolverConfig(max_iterations=2)
     with pytest.raises(MaxIterations) as info:
-        mp.solve(form, M, S, en.Cubic(), u1, cfg)
+        mp.solve(form, en.Cubic(), u1, cfg)
     partial = info.value.result
     assert not partial.converged
     assert partial.iterations == 2
@@ -121,7 +142,7 @@ def test_stall_error_carries_partial_result(case1_solved):
     mesh, form, M, S, u1, result = case1_solved
     cfg = mp.SolverConfig(max_halvings=0)
     with pytest.raises(StallError) as info:
-        mp.solve(form, M, S, en.Cubic(), u1, cfg)
+        mp.solve(form, en.Cubic(), u1, cfg)
     assert info.value.result is not None
 
 
@@ -131,14 +152,15 @@ def test_unregularized_direction_available(case1_solved):
     nl = en.Cubic()
     rng = np.random.default_rng(1)
     w = rng.standard_normal(form.n_unknowns)
-    b, v1, b_h1, g = mp.descent_direction(form, M, S, nl, w, direction_reg=0.0)
+    b, v1, b_h1, g = mp.descent_direction(form, nl, w,
+                                           mp.SolverConfig(direction_reg=0.0))
     np.testing.assert_allclose(v1, -b / b_h1, atol=1e-14)
 
 
 def test_neumann_solve_converges(neumann_coarse):
     mesh, form, M, S, u1 = neumann_coarse
     cfg = mp.SolverConfig(max_iterations=60000, check_invariants=True)
-    result = mp.solve(form, M, S, en.AllenCahn(), u1, cfg)
+    result = mp.solve(form, en.AllenCahn(), u1, cfg)
     assert result.converged
     assert result.final_grad_norm <= 1e-3
     # the pulse keeps a nontrivial amplitude
@@ -146,3 +168,41 @@ def test_neumann_solve_converges(neumann_coarse):
     # exterior constraint satisfied by construction of the solution
     raw, rel = form.exterior_constraint_residual(result.solution.values)
     assert rel <= 1e-10
+
+
+# the ray g(t) = t^2/2 - t^4/4 has its maximum at t = 1
+RAY = np.array([0.0, 0.0, 0.5, 0.0, -0.25])
+VIOLATIONS = {
+    "descent certificate": (np.ones(2), np.ones(2), 1.0, 0.5, RAY, 1.0),
+    "energy did not decrease": (np.ones(2), -np.ones(2), 1.0, 1.0, RAY, 1.0),
+    "ray maximum": (np.ones(2), -np.ones(2), 1.0, 0.5, RAY, 0.5),
+}
+
+
+def test_check_invariants_raises_with_iteration():
+    mp.check_invariants(7, np.ones(2), -np.ones(2), 1.0, 0.5, RAY, 1.0)
+    for what, args in VIOLATIONS.items():
+        with pytest.raises(InvariantViolation, match=what) as info:
+            mp.check_invariants(7, *args)
+        assert info.value.iteration == 7
+
+
+def test_check_invariants_survive_optimize_flag():
+    # assert statements vanish under python -O; the checks must not
+    code = textwrap.dedent("""
+        import numpy as np
+        from nonlocalmp import mountain_pass as mp
+        from nonlocalmp.errors import InvariantViolation
+        assert False, "asserts are live"
+        ray = np.array([0.0, 0.0, 0.5, 0.0, -0.25])
+        try:
+            mp.check_invariants(3, np.ones(2), -np.ones(2), 1.0, 1.0, ray, 1.0)
+        except InvariantViolation as exc:
+            print("raised at", exc.iteration)
+        """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nm.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised at 3"

@@ -7,6 +7,7 @@ import nonlocalmp as nm
 from nonlocalmp import energy as en
 from nonlocalmp import verify
 from nonlocalmp.config import RunSpec
+from nonlocalmp.errors import ConfigError
 
 from conftest import TABLE1, h_for
 
@@ -104,9 +105,9 @@ def test_fit_orders_excludes_degenerate_rows():
 
 
 def test_convergence_study_requires_three_rows():
-    spec = RunSpec(h_list=(0.3, 0.15))
-    with pytest.raises(ValueError):
-        verify.convergence_study(spec)
+    with pytest.raises(ConfigError) as info:
+        RunSpec(h_list=(0.3, 0.15))
+    assert info.value.key == "h_list"
 
 
 def test_report_csv_and_plot_data(tmp_path):
