@@ -24,7 +24,6 @@ accuracy for kernels with a kink at the origin (exponential, power law).
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import linalg
@@ -37,7 +36,7 @@ __all__ = ["QUAD_ORDER", "NonlocalForm", "assemble_dirichlet",
            "assemble_neumann", "check_quad_order", "dump_matrix"]
 
 QUAD_ORDER = 4          # Gauss points per element, the default rule
-_CHUNK_FLOATS = 4_000_000
+_CHUNK_FLOATS = 2_000_000
 
 
 @dataclass
@@ -50,47 +49,62 @@ class _Quadrature:
     ref_wts: np.ndarray
     Xf: np.ndarray           # flattened points, (N,)
     Wf: np.ndarray
-    P: np.ndarray            # (N, n_nodes) basis values at the points
     pb: np.ndarray           # (2, q) local basis at the reference points
+    wpb: np.ndarray          # (2, q) pb times one element's Gauss weights
+
+    def hats(self, rows=slice(None)):
+        """(i, i + 1, phi_i, phi_i+1) at the flattened points ``rows``:
+        i is the left node of the point's element and phi_i, phi_i+1 are
+        the element's two hat values at the point."""
+        n_e, q = self.X.shape
+        i = np.repeat(np.arange(n_e), q)[rows]
+        phi = np.tile(self.pb, n_e)[:, rows]
+        return i, i + 1, phi[0], phi[1]
 
 
 def _make_quadrature(mesh, order):
     X, W, ref_pts, ref_wts = fem.element_quadrature(mesh, order)
-    n_e, q = X.shape
-    N = n_e * q
-    P = np.zeros((N, mesh.n_nodes))
-    rows = np.arange(N)
-    elems = rows // q
     pb = np.vstack([1.0 - ref_pts, ref_pts])
-    P[rows, elems] = np.tile(pb[0], n_e)
-    P[rows, elems + 1] = np.tile(pb[1], n_e)
-    return _Quadrature(X, W, ref_pts, ref_wts, X.ravel(), W.ravel(), P, pb)
+    return _Quadrature(X, W, ref_pts, ref_wts, X.ravel(), W.ravel(), pb,
+                       W[0] * pb)
 
 
-def _split_rule(mesh, quad):
-    """Sub-interval Gauss rules for the self-element inner integrals.
+def _p1_values(u, hats):
+    """Values of the P1 function with nodal values u at the points of
+    ``hats`` (see ``_Quadrature.hats``)."""
+    i0, i1, phi0, phi1 = hats
+    return u[i0] * phi0 + u[i1] * phi1
 
-    For each element e and each outer point x in it, the inner integral
-    over e is evaluated on [x_l, x] and [x, x_r] separately.  Returns the
-    split points, weights and local basis values with shapes
-    (n_e, q, 2q), plus gamma-independent geometry only.
+
+def _hat_sums(A, wpb):
+    """Hat-weighted sums over the trailing axis of A.
+
+    That axis runs over the Gauss points of consecutive elements, q per
+    element; each element adds its two sums with the weights ``wpb``
+    (2, q) onto its two nodes, so (..., n_e q) becomes (..., n_e + 1).
     """
-    X = quad.X
-    n_e, q = X.shape
-    xl = mesh.nodes[:-1][:, None, None]
-    xr = mesh.nodes[1:][:, None, None]
-    x = X[:, :, None]
-    ref = quad.ref_pts[None, None, :]
-    wts_ref = quad.ref_wts[None, None, :]
-    left_pts = xl + (x - xl) * ref
-    left_wts = (x - xl) * wts_ref
-    right_pts = x + (xr - x) * ref
-    right_wts = (xr - x) * wts_ref
-    pts = np.concatenate([left_pts, right_pts], axis=2)
-    wts = np.concatenate([left_wts, right_wts], axis=2)
+    S = A.reshape(A.shape[:-1] + (-1, wpb.shape[1])) @ wpb.T
+    out = np.zeros(S.shape[:-2] + (S.shape[-2] + 1,))
+    out[..., :-1] = S[..., 0]
+    out[..., 1:] += S[..., 1]
+    return out
+
+
+def _split_rule(mesh, quad, x, elem):
+    """Gauss rules on the two halves [x_l, x] and [x, x_r] of the element
+    ``elem`` = [x_l, x_r] that holds each point x.
+
+    Returns the points, weights and the element's two hat values there,
+    each of shape x.shape + (2q,).
+    """
+    xl = mesh.nodes[elem][..., None]
+    xr = mesh.nodes[elem + 1][..., None]
+    x = x[..., None]
+    ref, wts_ref = quad.ref_pts, quad.ref_wts
+    pts = np.concatenate([xl + (x - xl) * ref, x + (xr - x) * ref], axis=-1)
+    wts = np.concatenate([(x - xl) * wts_ref, (xr - x) * wts_ref], axis=-1)
     phi1 = (pts - xl) / mesh.h
-    phi0 = 1.0 - phi1
-    return pts, wts, phi0, phi1
+    return pts, wts, 1.0 - phi1, phi1
 
 
 class NonlocalForm:
@@ -116,46 +130,48 @@ class NonlocalForm:
 
     # -- assembly -----------------------------------------------------------
 
+    def _split_delta(self, x, elem):
+        """Split minus plain rule for int gamma(|x - y|) phi_j(y) dy over
+        the element ``elem`` holding each point x, for its two hats j.
+
+        Returns shape x.shape + (2,).
+        """
+        quad, gamma = self._quad, self.kernel.gamma
+        pts, wts, phi0, phi1 = _split_rule(self.mesh, quad, x, elem)
+        gam_split = gamma(np.abs(x[..., None] - pts)) * wts
+        gam_plain = gamma(np.abs(x[..., None] - quad.X[elem])) * quad.W[elem]
+        return np.stack([(gam_split * phi0).sum(axis=-1)
+                         - (gam_plain * quad.pb[0]).sum(axis=-1),
+                         (gam_split * phi1).sum(axis=-1)
+                         - (gam_plain * quad.pb[1]).sum(axis=-1)], axis=-1)
+
     def _assemble_common(self):
         quad = self._quad
-        Xf, Wf, P = quad.Xf, quad.Wf, quad.P
+        Xf, Wf = quad.Xf, quad.Wf
+        n_e, q = quad.X.shape
         N = Xf.size
-        gamma = self.kernel.gamma
-
-        WP = Wf[:, None] * P
-        K = np.zeros((self.mesh.n_nodes, self.mesh.n_nodes))
-        g_plain = np.zeros(N)
-        chunk = max(1, _CHUNK_FLOATS // N)
-        for start in range(0, N, chunk):
-            stop = min(start + chunk, N)
-            G = gamma(np.abs(Xf[start:stop, None] - Xf[None, :]))
-            K += WP[start:stop].T @ (G @ WP)
-            g_plain[start:stop] = G @ Wf
-
-        # self-element corrections: split the inner rule at the outer point
-        pts, wts, phi0, phi1 = _split_rule(self.mesh, quad)
-        gam_split = gamma(np.abs(quad.X[:, :, None] - pts))
-        gam_plain = gamma(np.abs(quad.X[:, :, None] - quad.X[:, None, :]))
-        # Delta I[e, k, j]: corrected minus plain inner integral of
-        # gamma(|x_ek - y|) phi_j(y) over element e
-        dI = np.empty(quad.X.shape + (2,))
-        pbw = quad.ref_wts * self.mesh.h           # plain inner weights
-        dI[:, :, 0] = (gam_split * wts * phi0).sum(axis=2) \
-            - (gam_plain * pbw * quad.pb[0]).sum(axis=2)
-        dI[:, :, 1] = (gam_split * wts * phi1).sum(axis=2) \
-            - (gam_plain * pbw * quad.pb[1]).sum(axis=2)
+        # dI[k]: split minus plain inner integral over the element of point k
+        dI = self._split_delta(quad.X, np.arange(n_e)[:, None]).reshape(N, 2)
         self._dI = dI
 
-        n_e, q = quad.X.shape
-        elems = np.arange(n_e)
-        for a in range(2):
-            for b in range(2):
-                vals = (quad.W * quad.pb[a] * dI[:, :, b]).sum(axis=1)
-                np.add.at(K, (elems + a, elems + b), vals)
+        # C[r, j] = int gamma(|x_r - y|) phi_j(y) dy for a block of whole
+        # elements' points x_r; K gathers its rows against the hats
+        K = np.zeros((self.mesh.n_nodes, self.mesh.n_nodes))
+        g = dI.sum(axis=1)
+        block = max(1, _CHUNK_FLOATS // (q * N))
+        for e0 in range(0, n_e, block):
+            e1 = min(e0 + block, n_e)
+            rows = slice(e0 * q, e1 * q)
+            G = self.kernel.gamma(np.abs(Xf[rows, None] - Xf[None, :]))
+            g[rows] += G @ Wf
+            C = _hat_sums(G, quad.wpb)
+            r = np.arange(C.shape[0])
+            i0, i1 = quad.hats(rows)[:2]
+            C[r, i0] += dI[rows, 0]
+            C[r, i1] += dI[rows, 1]
+            K[e0:e1 + 1] += _hat_sums(C.T, quad.wpb).T
         self.K = 0.5 * (K + K.T)
-
-        dg = dI.sum(axis=2).ravel()
-        self._g_at_quad = g_plain + dg      # int_D gamma(|x_q - y|) dy
+        self._g_at_quad = g                 # int_D gamma(|x_q - y|) dy
 
         lo, hi = self.mesh.interior_range
         if self.constraint == "dirichlet":
@@ -174,11 +190,11 @@ class NonlocalForm:
             self._assemble_neumann_reduction()
 
         M_om, S_om = fem.omega_norm_matrices(self.mesh)
-        self._M_unknown = M_om[np.ix_(self.unknown_idx, self.unknown_idx)]
-        ql, qh = lo * q, hi * q
-        self._omega_rows = slice(ql, qh)
-        self._P_omega = self._quad.P[ql:qh]
-        self._W_omega = self._quad.Wf[ql:qh]
+        unknown = np.ix_(self.unknown_idx, self.unknown_idx)
+        self._M_unknown = M_om[unknown]
+        self.h1_gram = (M_om + S_om)[unknown]   # H1(Omega) Gram matrix M + S
+        self._omega_rows = slice(lo * q, hi * q)
+        self._omega_hats = quad.hats(self._omega_rows)
 
     def _assemble_neumann_reduction(self):
         mesh = self.mesh
@@ -195,7 +211,6 @@ class NonlocalForm:
         B_tilde = Wmat - self.K
         self.B_tilde = 0.5 * (B_tilde + B_tilde.T)
 
-        lo, hi = mesh.interior_range
         idx_in = mesh.omega_nodes
         idx_ext = np.setdiff1d(np.arange(mesh.n_nodes), idx_in)
         if idx_ext.size == 0:
@@ -273,15 +288,16 @@ class NonlocalForm:
         return self._quad.Xf[self._omega_rows]
 
     def omega_quad_weights(self):
-        return self._W_omega
+        return self._quad.Wf[self._omega_rows]
 
     def values_at_omega_quad(self, u_full):
         """P1 values of a full nodal vector at the domain Gauss points."""
-        return self._P_omega @ u_full
+        return _p1_values(u_full, self._omega_hats)
 
     def load_vector(self, f_at_quad):
         """Unknown-node load vector int f(x) phi_i(x) dx over the domain."""
-        return (self._P_omega * self._W_omega[:, None]).T[self.unknown_idx] @ f_at_quad
+        lo = self.mesh.interior_range[0]
+        return _hat_sums(f_at_quad, self._quad.wpb)[self.unknown_idx - lo]
 
     # -- linear solves --------------------------------------------------------
 
@@ -290,12 +306,6 @@ class NonlocalForm:
         if self.constraint != "neumann" or grounding_rel == 0.0:
             return 0.0
         return grounding_rel * np.trace(self.B) / np.trace(self._M_unknown)
-
-    @cached_property
-    def h1_gram(self):
-        """H1(Omega) Gram matrix M + S over the unknown nodes."""
-        M_om, S_om = fem.omega_norm_matrices(self.mesh)
-        return (M_om + S_om)[np.ix_(self.unknown_idx, self.unknown_idx)]
 
     def solve_spd(self, rhs, grounding_rel=0.0, reg=0.0):
         """Solve (B + reg H + sigma M) x = rhs by Cholesky.
@@ -323,34 +333,15 @@ class NonlocalForm:
 
     # -- point-wise operator ---------------------------------------------------
 
-    def _local_mass(self, x):
-        """int_D gamma(|x-y|) dy by the same per-element rule used in assembly."""
-        conv, _ = self._conv_point(x, np.ones(self.mesh.n_nodes))
-        return conv
-
     def _conv_point(self, x, u_full):
-        """(int gamma(|x-y|) u(y) dy over the mesh, element index of x)."""
-        mesh = self.mesh
-        quad = self._quad
-        u_q = (quad.P @ u_full).reshape(quad.X.shape)
-        gam = self.kernel.gamma(np.abs(x - quad.X))
-        conv = float((gam * quad.W * u_q).sum())
-        ec = min(int(np.searchsorted(mesh.nodes, x, side="right")) - 1,
-                 mesh.n_elements - 1)
-        ec = max(ec, 0)
-        # replace the self-element contribution by the rule split at x
-        xl, xr = mesh.nodes[ec], mesh.nodes[ec + 1]
-        conv -= float((gam[ec] * quad.W[ec] * u_q[ec]).sum())
-        for lo_pt, hi_pt in ((xl, x), (x, xr)):
-            span = hi_pt - lo_pt
-            if span <= 0:
-                continue
-            pts = lo_pt + span * quad.ref_pts
-            wts = span * quad.ref_wts
-            phi1 = (pts - xl) / mesh.h
-            uv = u_full[ec] * (1.0 - phi1) + u_full[ec + 1] * phi1
-            conv += float((self.kernel.gamma(np.abs(x - pts)) * wts * uv).sum())
-        return conv, ec
+        """int gamma(|x-y|) u(y) dy over the mesh by the assembly rule."""
+        mesh, quad = self.mesh, self._quad
+        ec = int(np.clip(np.searchsorted(mesh.nodes, x, side="right") - 1,
+                         0, mesh.n_elements - 1))
+        u_q = _p1_values(u_full, quad.hats())
+        plain = self.kernel.gamma(np.abs(x - quad.Xf)) * quad.Wf @ u_q
+        dI = self._split_delta(np.array([x]), np.array([ec]))[0]
+        return float(plain + dI @ u_full[ec:ec + 2])
 
     def apply_operator(self, u, x):
         """Pointwise (-L u)(x) = m(x) u(x) - int gamma(|x-y|) u(y) dy.
@@ -363,13 +354,12 @@ class NonlocalForm:
         if not (o_left <= x <= o_right):
             raise OutsideDomain(f"x = {x} lies outside the physical domain")
         u_full = self.as_full(u)
-        conv, _ = self._conv_point(x, u_full)
         if self.constraint == "dirichlet":
             m = self.kernel_mass
         else:
-            m = self._local_mass(x)
+            m = self._conv_point(x, np.ones(self.mesh.n_nodes))
         ux = float(np.interp(x, self.mesh.nodes, u_full))
-        return m * ux - conv
+        return m * ux - self._conv_point(x, u_full)
 
     def operator_at_omega_quad(self, u_full):
         """(-L u) at every domain Gauss point, vectorized.
@@ -378,24 +368,21 @@ class NonlocalForm:
         splits), so a Neumann constant gives zero to round-off.
         """
         quad = self._quad
-        Xf, Wf = quad.Xf, quad.Wf
-        u_q = quad.P @ u_full
+        Xf = quad.Xf
+        u_q = _p1_values(u_full, quad.hats())
         rows = self._omega_rows
         Xo = Xf[rows]
         n_o = Xo.size
         conv = np.zeros(n_o)
         chunk = max(1, _CHUNK_FLOATS // Xf.size)
-        wu = Wf * u_q
+        wu = quad.Wf * u_q
         for start in range(0, n_o, chunk):
             stop = min(start + chunk, n_o)
             G = self.kernel.gamma(np.abs(Xo[start:stop, None] - Xf[None, :]))
             conv[start:stop] = G @ wu
         # self-element corrections, u linear on each element
-        n_e, q = quad.X.shape
-        lo, hi = self.mesh.interior_range
-        dI = self._dI[lo:hi]
-        corr = dI[:, :, 0] * u_full[lo:hi, None] + dI[:, :, 1] * u_full[lo + 1:hi + 1, None]
-        conv += corr.ravel()
+        dI = self._dI[rows]
+        conv += _p1_values(u_full, self._omega_hats[:2] + (dI[:, 0], dI[:, 1]))
         if self.constraint == "dirichlet":
             m = self.kernel_mass
         else:

@@ -2,8 +2,9 @@
 
 from importlib import resources
 
-__all__ = ["CASE_NAMES", "case_config_text", "case_description",
-           "list_cases_text"]
+from .errors import ConfigError
+
+__all__ = ["CASE_NAMES", "case_config_text", "list_cases_text"]
 
 CASE_NAMES = ("case1", "case2", "case3", "case4", "case5")
 
@@ -25,12 +26,9 @@ _DESCRIPTIONS = {
 
 def case_config_text(name):
     if name not in CASE_NAMES:
-        raise KeyError(f"unknown case {name!r}; expected one of {CASE_NAMES}")
+        raise ConfigError(f"unknown case {name!r}; expected one of "
+                          f"{CASE_NAMES}", key="case")
     return resources.files("nonlocalmp").joinpath(f"cases/{name}.cfg").read_text()
-
-
-def case_description(name):
-    return _DESCRIPTIONS[name]
 
 
 def list_cases_text():

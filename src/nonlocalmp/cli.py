@@ -141,19 +141,14 @@ def main(argv=None):
             spec = parse_config_text(cases.case_config_text(args.case))
         else:
             spec = parse_config_file(args.config)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
-        where = f" (line {exc.line})" if exc.line else ""
-        print(f"config error{where}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    _print_header(spec)
-    try:
+        _print_header(spec)
         if spec.h_list:
             return _run_study(spec, args)
         return _run_single(spec, args)
+    except ConfigError as exc:   # also raised mid-run, e.g. by a start CSV
+        where = f" (line {exc.line})" if exc.line else ""
+        print(f"config error{where}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except NonlocalMPError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER

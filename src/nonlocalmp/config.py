@@ -104,6 +104,16 @@ class RunSpec:
         if self.domain[1] <= self.domain[0]:
             raise ConfigError("domain.right must exceed domain.left",
                               key="domain.right")
+        key = "h" if self.h is not None else "h_list"
+        length = self.domain[1] - self.domain[0]
+        for h in (self.h,) if self.h is not None else self.h_list:
+            if not (h > 0 and 2.0 * h <= length):
+                raise ConfigError(f"{key} needs mesh sizes in "
+                                  f"(0, {length / 2:g}] for this domain, "
+                                  f"got {h!r}", key=key)
+        if not self.extension > 0:
+            raise ConfigError(f"neumann.extension must be positive, got "
+                              f"{self.extension!r}", key="neumann.extension")
         guess = self._parse_guess()  # validates eagerly
         if guess[0] == "csv" and not os.path.isfile(guess[1]):
             raise ConfigError(f"initial_guess file {guess[1]!r} not found",
@@ -159,7 +169,11 @@ class RunSpec:
             return fem.interpolate(mesh, math.sin, constraint=constraint)
         if kind[0] == "step":
             return fem.step_function(mesh, kind[1], kind[2])
-        return fem.read_function_csv(kind[1], mesh)
+        try:
+            return fem.read_function_csv(kind[1], mesh)
+        except ValueError as exc:
+            raise ConfigError(f"initial_guess {kind[1]!r}: {exc}",
+                              key="initial_guess") from exc
 
     # -- echo -------------------------------------------------------------------
 

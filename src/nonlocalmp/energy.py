@@ -13,6 +13,7 @@ polynomial.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,7 @@ def _power_sum(terms, t):
 
 
 class Nonlinearity:
-    """Base class; subclasses define F by its coefficients and the ray rule.
+    """Base class; subclasses define F by its coefficients.
 
     ``F_coeffs`` maps powers k to coefficients a_k of F(t) = sum a_k t^k;
     f = F' is derived from them.
@@ -70,9 +71,31 @@ class Nonlinearity:
     def moment_powers(self):
         return tuple(sorted(self.F_coeffs))
 
+    @cached_property
+    def _ray_rule(self):
+        """(k, 2 a_2, k a_k) when F = a_k t^k (+ a_2 t^2) with k > 2."""
+        high = set(self.F_coeffs) - {2}
+        if len(high) != 1 or min(high) <= 2:
+            return None
+        k = high.pop()
+        return k, 2.0 * self.F_coeffs.get(2, 0.0), k * self.F_coeffs[k]
+
     def t_star_closed(self, Buu, P):
-        """Closed-form ray maximizer, or None when no closed form exists."""
-        return None
+        """Closed-form ray maximizer, or None when no closed form exists.
+
+        For F = a_k t^k (+ a_2 t^2) the ray slope vanishes at
+        t^(k-2) = (B[u,u] - 2 a_2 P_2) / (k a_k P_k).
+        """
+        if self._ray_rule is None:
+            return None
+        k, two_a2, k_ak = self._ray_rule
+        num = Buu - two_a2 * P.get(2, 0.0)
+        den = k_ak * P[k]
+        if num <= 0 or den <= 0:
+            raise ZeroDirection("ray energy has no positive maximum")
+        if k == 4:
+            return math.sqrt(num / den)
+        return (num / den) ** (1 / (k - 2))
 
 
 class Cubic(Nonlinearity):
@@ -85,11 +108,6 @@ class Cubic(Nonlinearity):
         "theta": 1.0, "A2": True, "A3": True, "A4": True, "A5": True,
     }
 
-    def t_star_closed(self, Buu, P):
-        if P[4] <= 0:
-            raise ZeroDirection("vanishing fourth moment")
-        return math.sqrt(Buu / P[4])
-
 
 class Quintic(Nonlinearity):
     """f(t) = t^5, F(t) = t^6/6."""
@@ -101,11 +119,6 @@ class Quintic(Nonlinearity):
         "theta": 1.0, "A2": True, "A3": True, "A4": True, "A5": True,
     }
 
-    def t_star_closed(self, Buu, P):
-        if P[6] <= 0:
-            raise ZeroDirection("vanishing sixth moment")
-        return (Buu / P[6]) ** 0.25
-
 
 class CubicMinusLinear(Nonlinearity):
     """f(t) = t^3 - t, F(t) = t^4/4 - t^2/2; the zero-slope hypothesis fails."""
@@ -116,11 +129,6 @@ class CubicMinusLinear(Nonlinearity):
         "a1": 1.0, "a2": 2.0, "alpha": 3, "mu_range": (2.0, 4.0),
         "theta": 1.0, "A2": True, "A3": False, "A4": True, "A5": True,
     }
-
-    def t_star_closed(self, Buu, P):
-        if P[4] <= 0:
-            raise ZeroDirection("vanishing fourth moment")
-        return math.sqrt((Buu + P[2]) / P[4])
 
 
 class AllenCahn(Nonlinearity):

@@ -56,10 +56,6 @@ class Mesh:
         lo, hi = self.interior_range
         return np.arange(lo, hi)
 
-    @property
-    def omega_length(self):
-        return self.omega[1] - self.omega[0]
-
 
 @dataclass
 class FeFunction:

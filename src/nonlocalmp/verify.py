@@ -62,7 +62,6 @@ class SingleRun:
     form: object
     mesh: object
     M: np.ndarray
-    S: np.ndarray
     u_bar: object           # FeFunction reference solution or None
 
 
@@ -129,7 +128,7 @@ def run_single(spec, h,
         form = assembly.assemble_dirichlet(mesh, kernel, spec.quad_order)
     else:
         form = assembly.assemble_neumann(mesh, kernel, spec.quad_order)
-    M, S = fem.omega_norm_matrices(mesh)
+    M, _ = fem.omega_norm_matrices(mesh)
     u1 = spec.initial_guess_fe(mesh)
     cfg = spec.solver_config()
     cfg.check_invariants = check_invariants
@@ -161,7 +160,7 @@ def run_single(spec, h,
             report.failed = True
             report.error = (report.error or "") + f" verify: {exc}"
     report.wall_time_s = time.perf_counter() - t0
-    return SingleRun(report, result, form, mesh, M, S, u_bar)
+    return SingleRun(report, result, form, mesh, M, u_bar)
 
 
 def _study_row(args):

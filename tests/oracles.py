@@ -57,3 +57,44 @@ def grid_ray_argmax(energy_of_t, t_max=10.0, step=1e-3):
 def central_difference(f, w, v, eps):
     """Central finite difference of a functional along direction v."""
     return (f(w + eps * v) - f(w - eps * v)) / (2.0 * eps)
+
+
+def dense_basis(mesh, order):
+    """(P, W): P1 hat values at every Gauss point as a dense (points x
+    nodes) matrix, and the flattened Gauss weights."""
+    from nonlocalmp import fem
+
+    X, W, ref_pts, _ = fem.element_quadrature(mesh, order)
+    n_e, q = X.shape
+    rows = np.arange(n_e * q)
+    elems = rows // q
+    P = np.zeros((n_e * q, mesh.n_nodes))
+    P[rows, elems] = np.tile(1.0 - ref_pts, n_e)
+    P[rows, elems + 1] = np.tile(ref_pts, n_e)
+    return P, W.ravel()
+
+
+def dense_convolution(mesh, kernel, order):
+    """(C, P, W): C[k, j] = int gamma(|x_k - y|) phi_j(y) dy at every
+    Gauss point x_k, by the Gauss rule on every element except the one
+    holding x_k, whose rule is split at x_k; P and W from dense_basis."""
+    from nonlocalmp import fem
+
+    P, W = dense_basis(mesh, order)
+    X, _, ref_pts, ref_wts = fem.element_quadrature(mesh, order)
+    q = X.shape[1]
+    C = np.empty_like(P)
+    for k, x in enumerate(X.ravel()):
+        e = k // q
+        own = slice(e * q, (e + 1) * q)
+        gw = kernel.gamma(np.abs(x - X.ravel())) * W
+        gw[own] = 0.0
+        C[k] = gw @ P
+        xl, xr = mesh.nodes[e], mesh.nodes[e + 1]
+        for a, b in ((xl, x), (x, xr)):
+            pts = a + (b - a) * ref_pts
+            g = kernel.gamma(np.abs(x - pts)) * (b - a) * ref_wts
+            phi1 = (pts - xl) / mesh.h
+            C[k, e] += g @ (1.0 - phi1)
+            C[k, e + 1] += g @ phi1
+    return C, P, W

@@ -6,7 +6,7 @@ import pytest
 import nonlocalmp as nm
 from nonlocalmp import assembly
 from nonlocalmp.errors import OutsideDomain
-from oracles import brute_force_quadratic_form
+from oracles import brute_force_quadratic_form, dense_convolution
 
 from conftest import h_for
 
@@ -170,3 +170,39 @@ def test_extension_margin_warning():
     mesh = nm.build_extended_mesh((0.0, 3.0), 0.25, 1.5)
     with pytest.warns(ExtensionMarginWarning):
         nm.assemble_neumann(mesh, nm.Exponential())
+
+
+def _rel_err(a, b):
+    return np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
+def test_local_basis_matches_dense_reference(setup, request):
+    mesh, form, M, S, u1 = request.getfixturevalue(setup)
+    C, P, W = dense_convolution(mesh, form.kernel, form.quad_order)
+    lo, hi = mesh.interior_range
+    om = slice(lo * form.quad_order, hi * form.quad_order)
+    rng = np.random.default_rng(3)
+    u = form.full_values(rng.standard_normal(form.n_unknowns))
+    f = rng.standard_normal(om.stop - om.start)
+
+    K = (P * W[:, None]).T @ C
+    assert _rel_err(form.K, 0.5 * (K + K.T)) <= 1e-13
+    assert _rel_err(form.values_at_omega_quad(u), P[om] @ u) <= 1e-13
+    load = (P[om] * W[om, None]).T[form.unknown_idx] @ f
+    assert _rel_err(form.load_vector(f), load) <= 1e-13
+    m = form.kernel_mass if form.constraint == "dirichlet" \
+        else C[om].sum(axis=1)
+    op = m * (P[om] @ u) - C[om] @ u
+    assert _rel_err(form.operator_at_omega_quad(u), op) <= 1e-13
+    pointwise = [form.apply_operator(u, x) for x in form.omega_quad_points()]
+    assert _rel_err(pointwise, op) <= 1e-13
+
+
+@pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
+def test_no_array_grows_as_points_times_nodes(setup, request):
+    mesh, form, M, S, u1 = request.getfixturevalue(setup)
+    limit = form._quad.Xf.size * mesh.n_nodes
+    owned = list(vars(form).values()) + list(vars(form._quad).values())
+    arrays = [a for a in owned if isinstance(a, np.ndarray)]
+    assert arrays and max(a.size for a in arrays) < limit

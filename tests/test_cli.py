@@ -215,3 +215,34 @@ def test_defaults_have_one_home():
     assert spec == RunSpec(kernel_name="exponential", h=0.3)
     assert spec.solver_config() == SolverConfig()
     assert spec.quad_order == assembly.QUAD_ORDER
+
+
+BAD_MESH_OR_START = [
+    ("h", "0"),
+    ("h", "-0.3"),
+    ("h", "5"),
+    ("h_list", "0.3 0 0.1"),
+    ("neumann.extension", "-1"),
+    ("initial_guess", "two-rows.csv"),
+]
+
+
+@pytest.mark.parametrize("key,value", BAD_MESH_OR_START,
+                         ids=[f"{k}={v}" for k, v in BAD_MESH_OR_START])
+def test_bad_mesh_or_start_exits_4(tmp_path, capsys, key, value):
+    text = FAST_CFG
+    if key == "h_list":
+        text = text.replace(f"h = {h_for(20)!r}", f"h_list = {value}")
+    elif key == "h":
+        text = text.replace(f"h = {h_for(20)!r}", f"h = {value}")
+    elif key == "neumann.extension":
+        text = text.replace("constraint = dirichlet", "constraint = neumann")
+        text += f"neumann.extension = {value}\n"
+    else:
+        start = tmp_path / value
+        start.write_text("x,u\n0.0,0.0\n1.0,0.0\n")
+        text = text.replace("initial_guess = sine", f"initial_guess = {start}")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert cli.main(["--config", str(cfg)]) == 4
+    assert key in capsys.readouterr().err

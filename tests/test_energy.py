@@ -119,6 +119,7 @@ def test_t_star_closed_formulas():
     assert en.Quintic().t_star_closed(1.0, {6: 16.0}) == pytest.approx(0.5)
     assert en.CubicMinusLinear().t_star_closed(1.0, {2: 1.0, 4: 8.0}) \
         == pytest.approx(0.5)
+    assert en.AllenCahn().t_star_closed(1.0, {2: 1.0, 3: 1.0, 4: 8.0}) is None
 
 
 @pytest.mark.parametrize("nl", ALL_NL, ids=lambda nl: nl.name)
