@@ -11,8 +11,7 @@ from .assembly import NonlocalForm, assemble_dirichlet, assemble_neumann
 from .energy import (AllenCahn, Cubic, CubicMinusLinear, Quintic, gradient,
                      nonlinearity_from_name, t_star)
 from .fem import (FeFunction, Mesh, build_extended_mesh, build_mesh,
-                  h1_stiffness_matrix, interpolate, mass_matrix, norms,
-                  omega_norm_matrices, step_function)
+                  interpolate, norms, omega_norm_matrices, step_function)
 from .kernels import (Exponential, Gaussian, InvertedMexicanHat, Logistic,
                       PowerLaw, builtin_kernels, diagnostics,
                       kernel_from_name)

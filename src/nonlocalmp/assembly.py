@@ -90,31 +90,16 @@ def _hat_sums(A, wpb):
     return out
 
 
-def _split_rule(mesh, quad, x, elem):
-    """Gauss rules on the two halves [x_l, x] and [x, x_r] of the element
-    ``elem`` = [x_l, x_r] that holds each point x.
-
-    Returns the points, weights and the element's two hat values there,
-    each of shape x.shape + (2q,).
-    """
-    xl = mesh.nodes[elem][..., None]
-    xr = mesh.nodes[elem + 1][..., None]
-    x = x[..., None]
-    ref, wts_ref = quad.ref_pts, quad.ref_wts
-    pts = np.concatenate([xl + (x - xl) * ref, x + (xr - x) * ref], axis=-1)
-    wts = np.concatenate([(x - xl) * wts_ref, (xr - x) * wts_ref], axis=-1)
-    phi1 = (pts - xl) / mesh.h
-    return pts, wts, 1.0 - phi1, phi1
-
-
 class NonlocalForm:
     """Assembled nonlocal form with constraint bookkeeping.
 
     Attributes of interest: ``B`` (matrix over unknown nodes), ``K`` (the
     raw convolution matrix over all nodes), ``kernel_mass`` (Gamma),
-    ``constraint`` ('dirichlet' or 'neumann'), ``unknown_idx`` and, for
-    Neumann runs, ``exterior_map`` which reconstructs exterior nodal
-    values from the interior ones.
+    ``constraint`` ('dirichlet' or 'neumann'), ``unknown_idx``, ``M``
+    (the L2(Omega) mass matrix over all nodes, zero outside Omega),
+    ``h1_gram`` (H1(Omega) over unknown nodes) and, for Neumann runs,
+    ``exterior_map`` which reconstructs exterior nodal values from the
+    interior ones.
     """
 
     def __init__(self, mesh, kernel, constraint, quad_order):
@@ -132,14 +117,23 @@ class NonlocalForm:
 
     def _split_delta(self, x, elem):
         """Split minus plain rule for int gamma(|x - y|) phi_j(y) dy over
-        the element ``elem`` holding each point x, for its two hats j.
+        the element ``elem`` = [x_l, x_r] holding each point x, for its two
+        hats j.  The split rule is the Gauss rule on each of [x_l, x] and
+        [x, x_r].
 
         Returns shape x.shape + (2,).
         """
         quad, gamma = self._quad, self.kernel.gamma
-        pts, wts, phi0, phi1 = _split_rule(self.mesh, quad, x, elem)
-        gam_split = gamma(np.abs(x[..., None] - pts)) * wts
-        gam_plain = gamma(np.abs(x[..., None] - quad.X[elem])) * quad.W[elem]
+        xl = self.mesh.nodes[elem][..., None]
+        xr = self.mesh.nodes[elem + 1][..., None]
+        x = x[..., None]
+        ref, wts_ref = quad.ref_pts, quad.ref_wts
+        pts = np.concatenate([xl + (x - xl) * ref, x + (xr - x) * ref], -1)
+        wts = np.concatenate([(x - xl) * wts_ref, (xr - x) * wts_ref], -1)
+        phi1 = (pts - xl) / self.mesh.h
+        phi0 = 1.0 - phi1
+        gam_split = gamma(np.abs(x - pts)) * wts
+        gam_plain = gamma(np.abs(x - quad.X[elem])) * quad.W[elem]
         return np.stack([(gam_split * phi0).sum(axis=-1)
                          - (gam_plain * quad.pb[0]).sum(axis=-1),
                          (gam_split * phi1).sum(axis=-1)
@@ -152,7 +146,6 @@ class NonlocalForm:
         N = Xf.size
         # dI[k]: split minus plain inner integral over the element of point k
         dI = self._split_delta(quad.X, np.arange(n_e)[:, None]).reshape(N, 2)
-        self._dI = dI
 
         # C[r, j] = int gamma(|x_r - y|) phi_j(y) dy for a block of whole
         # elements' points x_r; K gathers its rows against the hats
@@ -171,37 +164,36 @@ class NonlocalForm:
             C[r, i1] += dI[rows, 1]
             K[e0:e1 + 1] += _hat_sums(C.T, quad.wpb).T
         self.K = 0.5 * (K + K.T)
-        self._g_at_quad = g                 # int_D gamma(|x_q - y|) dy
 
         lo, hi = self.mesh.interior_range
+        self.M, S = fem.omega_norm_matrices(self.mesh)
         if self.constraint == "dirichlet":
             if (lo, hi) != (0, self.mesh.n_nodes - 1):
                 raise ValueError("Dirichlet assembly expects the mesh to "
                                  "cover exactly the physical domain")
             self.unknown_idx = np.arange(1, self.mesh.n_nodes - 1)
-            M_full = fem.mass_matrix(self.mesh)
-            B_full = self.kernel_mass * M_full - self.K
+            # Omega is the whole mesh here, so M is the full mass matrix
+            B_full = self.kernel_mass * self.M - self.K
             B = B_full[np.ix_(self.unknown_idx, self.unknown_idx)]
             self.B = 0.5 * (B + B.T)
             self.B_tilde = None
             self.exterior_map = None
             self.exterior_idx = np.array([0, self.mesh.n_nodes - 1])
         else:
-            self._assemble_neumann_reduction()
+            self._assemble_neumann_reduction(g)
 
-        M_om, S_om = fem.omega_norm_matrices(self.mesh)
         unknown = np.ix_(self.unknown_idx, self.unknown_idx)
-        self._M_unknown = M_om[unknown]
-        self.h1_gram = (M_om + S_om)[unknown]   # H1(Omega) Gram matrix M + S
+        self.h1_gram = (self.M + S)[unknown]    # H1(Omega) Gram matrix M + S
         self._omega_rows = slice(lo * q, hi * q)
         self._omega_hats = quad.hats(self._omega_rows)
 
-    def _assemble_neumann_reduction(self):
+    def _assemble_neumann_reduction(self, g):
+        """B~ and its Schur reduction; g = int_D gamma(|x - y|) dy at x_q."""
         mesh = self.mesh
         quad = self._quad
         n_e, q = quad.X.shape
         elems = np.arange(n_e)
-        g = self._g_at_quad.reshape(n_e, q)
+        g = g.reshape(n_e, q)
 
         Wmat = np.zeros((mesh.n_nodes, mesh.n_nodes))
         for a in range(2):
@@ -211,7 +203,7 @@ class NonlocalForm:
         B_tilde = Wmat - self.K
         self.B_tilde = 0.5 * (B_tilde + B_tilde.T)
 
-        idx_in = mesh.omega_nodes
+        idx_in = np.arange(mesh.interior_range[0], mesh.interior_range[1] + 1)
         idx_ext = np.setdiff1d(np.arange(mesh.n_nodes), idx_in)
         if idx_ext.size == 0:
             raise ValueError("Neumann assembly expects an extended mesh")
@@ -305,7 +297,8 @@ class NonlocalForm:
         """Mass-matrix shift used to remove the Neumann constant null mode."""
         if self.constraint != "neumann" or grounding_rel == 0.0:
             return 0.0
-        return grounding_rel * np.trace(self.B) / np.trace(self._M_unknown)
+        m_diag = self.M.diagonal()[self.unknown_idx]
+        return grounding_rel * np.trace(self.B) / m_diag.sum()
 
     def solve_spd(self, rhs, grounding_rel=0.0, reg=0.0):
         """Solve (B + reg H + sigma M) x = rhs by Cholesky.
@@ -321,7 +314,8 @@ class NonlocalForm:
             if reg:
                 mat = mat + reg * self.h1_gram
             if sigma:
-                mat = mat + sigma * self._M_unknown
+                mat = mat + sigma * self.M[np.ix_(self.unknown_idx,
+                                                  self.unknown_idx)]
             try:
                 fact = linalg.cho_factor(mat)
             except linalg.LinAlgError as exc:
@@ -331,35 +325,51 @@ class NonlocalForm:
             self._fact_cache[key] = fact
         return linalg.cho_solve(fact, rhs)
 
-    # -- point-wise operator ---------------------------------------------------
+    # -- the operator -L u --------------------------------------------------
 
-    def _conv_point(self, x, u_full):
-        """int gamma(|x-y|) u(y) dy over the mesh by the assembly rule."""
-        mesh, quad = self.mesh, self._quad
-        ec = int(np.clip(np.searchsorted(mesh.nodes, x, side="right") - 1,
-                         0, mesh.n_elements - 1))
-        u_q = _p1_values(u_full, quad.hats())
-        plain = self.kernel.gamma(np.abs(x - quad.Xf)) * quad.Wf @ u_q
-        dI = self._split_delta(np.array([x]), np.array([ec]))[0]
-        return float(plain + dI @ u_full[ec:ec + 2])
+    def _minus_L(self, u_full, x, hats):
+        """(-L u)(x) = m(x) u(x) - int gamma(|x-y|) u(y) dy at points x.
 
-    def apply_operator(self, u, x):
-        """Pointwise (-L u)(x) = m(x) u(x) - int gamma(|x-y|) u(y) dy.
-
-        For Dirichlet forms m(x) is the total kernel mass (u is extended
-        by zero); for Neumann forms m(x) is the mass of the kernel over
-        the computational interval, consistent with the assembled form.
+        ``hats`` are the (i, i + 1, phi_i, phi_i+1) of each point's element
+        (see ``_Quadrature.hats``).  The convolution uses the assembly rule:
+        Gauss points everywhere plus the split correction of the element
+        holding x.  m(x) is Gamma for Dirichlet forms (u is extended by
+        zero) and for Neumann forms the convolution of 1 over the
+        computational interval, taken in the same pass, so that the
+        operator annihilates constants as the assembled form does.
         """
-        o_left, o_right = self.mesh.omega
-        if not (o_left <= x <= o_right):
-            raise OutsideDomain(f"x = {x} lies outside the physical domain")
-        u_full = self.as_full(u)
+        quad = self._quad
+        cols = [quad.Wf * _p1_values(u_full, quad.hats())]
+        if self.constraint == "neumann":
+            cols.append(quad.Wf)
+        conv = np.empty((len(cols), x.size))
+        chunk = max(1, _CHUNK_FLOATS // quad.Xf.size)
+        for start in range(0, x.size, chunk):
+            stop = min(start + chunk, x.size)
+            G = self.kernel.gamma(np.abs(x[start:stop, None] - quad.Xf))
+            # a matvec per column, as for the assembled g: the same bits
+            for c, col in zip(conv, cols):
+                c[start:stop] = G @ col
+        dI = self._split_delta(x, hats[0])
+        conv_u = conv[0] + _p1_values(u_full, hats[:2] + (dI[:, 0], dI[:, 1]))
         if self.constraint == "dirichlet":
             m = self.kernel_mass
         else:
-            m = self._conv_point(x, np.ones(self.mesh.n_nodes))
-        ux = float(np.interp(x, self.mesh.nodes, u_full))
-        return m * ux - self._conv_point(x, u_full)
+            m = conv[1] + dI.sum(axis=1)
+        return m * _p1_values(u_full, hats) - conv_u
+
+    def apply_operator(self, u, x):
+        """Pointwise (-L u)(x) at one point x of the physical domain, by
+        the rule of ``operator_at_omega_quad``."""
+        mesh = self.mesh
+        o_left, o_right = mesh.omega
+        if not (o_left <= x <= o_right):
+            raise OutsideDomain(f"x = {x} lies outside the physical domain")
+        e = np.clip(np.searchsorted(mesh.nodes, [x], side="right") - 1,
+                    0, mesh.n_elements - 1)
+        phi1 = (x - mesh.nodes[e]) / mesh.h
+        hats = (e, e + 1, 1.0 - phi1, phi1)
+        return float(self._minus_L(self.as_full(u), np.array([x]), hats)[0])
 
     def operator_at_omega_quad(self, u_full):
         """(-L u) at every domain Gauss point, vectorized.
@@ -367,27 +377,8 @@ class NonlocalForm:
         Uses exactly the assembly quadrature (including the self-element
         splits), so a Neumann constant gives zero to round-off.
         """
-        quad = self._quad
-        Xf = quad.Xf
-        u_q = _p1_values(u_full, quad.hats())
-        rows = self._omega_rows
-        Xo = Xf[rows]
-        n_o = Xo.size
-        conv = np.zeros(n_o)
-        chunk = max(1, _CHUNK_FLOATS // Xf.size)
-        wu = quad.Wf * u_q
-        for start in range(0, n_o, chunk):
-            stop = min(start + chunk, n_o)
-            G = self.kernel.gamma(np.abs(Xo[start:stop, None] - Xf[None, :]))
-            conv[start:stop] = G @ wu
-        # self-element corrections, u linear on each element
-        dI = self._dI[rows]
-        conv += _p1_values(u_full, self._omega_hats[:2] + (dI[:, 0], dI[:, 1]))
-        if self.constraint == "dirichlet":
-            m = self.kernel_mass
-        else:
-            m = self._g_at_quad[rows]
-        return m * u_q[rows] - conv
+        return self._minus_L(u_full, self.omega_quad_points(),
+                             self._omega_hats)
 
     # -- diagnostics ------------------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 Runs a single solve or a convergence study from a flat key = value
 configuration file or a bundled case preset.  Exit codes: 0 converged,
-2 trivial-solution capture, 3 solver failure, 4 configuration error.
+2 trivial-solution capture, 3 solver failure, 4 configuration or usage
+error.
 """
 
 import argparse
@@ -101,7 +102,7 @@ def _run_single(spec, args):
 
 
 def _run_study(spec, args):
-    study = verify.convergence_study(spec, jobs=max(1, args.jobs))
+    study = verify.convergence_study(spec, jobs=args.jobs)
     print(",".join(verify.REPORT_COLUMNS))
     for r in study.reports:
         print(verify.report_line(r))
@@ -125,22 +126,33 @@ def _run_study(spec, args):
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+        if args.jobs < 1:
+            parser.error(f"argument --jobs: must be at least 1, "
+                         f"got {args.jobs}")
+        if not args.list_cases and bool(args.config) == bool(args.case):
+            parser.error("exactly one of --config or --case is required "
+                         "(or --list-cases)")
+    except SystemExit as exc:   # argparse exits 2, the trivial-capture code
+        if exc.code == 0:       # --help
+            raise
+        return EXIT_CONFIG
 
     if args.list_cases:
         print(cases.list_cases_text())
         return EXIT_OK
-
-    if bool(args.config) == bool(args.case):
-        print("error: exactly one of --config or --case is required "
-              "(or --list-cases)", file=sys.stderr)
-        return EXIT_CONFIG
 
     try:
         if args.case:
             spec = parse_config_text(cases.case_config_text(args.case))
         else:
             spec = parse_config_file(args.config)
+        flags = ("--out", "--log", "--dump-matrix") if spec.h_list else ()
+        for flag in flags:
+            if getattr(args, flag[2:].replace("-", "_")):
+                raise ConfigError(f"{flag} applies to a single run (h), "
+                                  f"not to a convergence study (h_list)")
         _print_header(spec)
         if spec.h_list:
             return _run_study(spec, args)

@@ -105,6 +105,11 @@ class RunSpec:
             raise ConfigError("domain.right must exceed domain.left",
                               key="domain.right")
         key = "h" if self.h is not None else "h_list"
+        for name in {"h": ("report", "plot"),
+                     "h_list": ("solution", "log")}[key]:
+            if name in self.outputs:
+                raise ConfigError(f"output.{name} is not written when {key} "
+                                  f"is set", key=f"output.{name}")
         length = self.domain[1] - self.domain[0]
         for h in (self.h,) if self.h is not None else self.h_list:
             if not (h > 0 and 2.0 * h <= length):

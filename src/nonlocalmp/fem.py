@@ -17,8 +17,6 @@ __all__ = [
     "FeFunction",
     "build_mesh",
     "build_extended_mesh",
-    "mass_matrix",
-    "h1_stiffness_matrix",
     "omega_norm_matrices",
     "interpolate",
     "norms",
@@ -45,17 +43,6 @@ class Mesh:
     def n_nodes(self):
         return self.nodes.size
 
-    @property
-    def omega_nodes(self):
-        lo, hi = self.interior_range
-        return np.arange(lo, hi + 1)
-
-    @property
-    def omega_elements(self):
-        """Indices of elements contained in the physical domain."""
-        lo, hi = self.interior_range
-        return np.arange(lo, hi)
-
 
 @dataclass
 class FeFunction:
@@ -75,9 +62,6 @@ class FeFunction:
         """Evaluate by linear interpolation; zero outside the mesh."""
         return np.interp(np.asarray(x, dtype=float), self.mesh.nodes,
                          self.values, left=0.0, right=0.0)
-
-    def copy(self):
-        return FeFunction(self.mesh, self.values.copy())
 
 
 def _locate_node(nodes, x, h):
@@ -131,43 +115,27 @@ def build_extended_mesh(omega, h, extension):
                 (nodes[n_ext], nodes[n_ext + n_int]), (n_ext, n_ext + n_int))
 
 
-def _tridiag(n, diag_val, off_val, boundary_val):
-    m = np.zeros((n, n))
-    i = np.arange(n)
-    m[i, i] = diag_val
-    m[i[:-1], i[:-1] + 1] = off_val
-    m[i[:-1] + 1, i[:-1]] = off_val
-    m[0, 0] = boundary_val
-    m[-1, -1] = boundary_val
-    return m
-
-
-def mass_matrix(mesh):
-    """P1 mass matrix over the full computational interval."""
-    h = mesh.h
-    return _tridiag(mesh.n_nodes, 2.0 * h / 3.0, h / 6.0, h / 3.0)
-
-
-def h1_stiffness_matrix(mesh):
-    """P1 stiffness matrix (first-derivative energy) over the full interval."""
-    h = mesh.h
-    return _tridiag(mesh.n_nodes, 2.0 / h, -1.0 / h, 1.0 / h)
-
-
 def omega_norm_matrices(mesh):
     """Mass and stiffness matrices assembled over omega's elements only.
 
     Returned matrices are full-size (all mesh nodes); rows and columns of
-    nodes outside omega are zero.  Used for the L2(Omega) / H1(Omega) norms.
+    nodes outside omega are zero.  Used for the L2(Omega) / H1(Omega) norms
+    and, on a Dirichlet mesh, for the mass part of the nonlocal form.
     """
     n = mesh.n_nodes
-    h = mesh.h
+    lo, hi = mesh.interior_range
+    e = np.arange(lo, hi)
+    m_off = mesh.h / 6.0
+    s_diag = 1.0 / mesh.h
     M = np.zeros((n, n))
     S = np.zeros((n, n))
-    for e in mesh.omega_elements:
-        sl = slice(e, e + 2)
-        M[sl, sl] += (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
-        S[sl, sl] += (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    for mat, diag, off in ((M, 2.0 * m_off, m_off), (S, s_diag, -s_diag)):
+        d = np.zeros(n)
+        d[e] += diag            # each element adds to both its nodes
+        d[e + 1] += diag
+        np.fill_diagonal(mat, d)
+        mat[e, e + 1] = off
+        mat[e + 1, e] = off
     return M, S
 
 

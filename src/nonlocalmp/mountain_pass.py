@@ -153,7 +153,8 @@ def solve(form, nl, u1, cfg=None):
     w = ts * u1_unknown
     e_w = float(ray_energy(c, ts))
     e0 = e_w
-    l2_0 = float(np.sqrt(max(w @ form._M_unknown @ w, 0.0)))
+    w_full = form.full_values(w)
+    l2_0 = float(np.sqrt(max(w_full @ form.M @ w_full, 0.0)))
 
     def partial():
         return SolveResult(solution=form.fe(w), converged=False,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assembly, fem, mountain_pass
+from . import assembly, mountain_pass
 from .errors import (MaxIterations, NonlocalMPError, StallError)
 
 __all__ = ["CaseReport", "StudyResult", "residual_norms", "reference_errors",
@@ -61,7 +61,7 @@ class SingleRun:
     result: object          # SolveResult or None on assembly failure
     form: object
     mesh: object
-    M: np.ndarray
+    M: np.ndarray           # form.M, the L2(Omega) mass matrix
     u_bar: object           # FeFunction reference solution or None
 
 
@@ -128,7 +128,6 @@ def run_single(spec, h,
         form = assembly.assemble_dirichlet(mesh, kernel, spec.quad_order)
     else:
         form = assembly.assemble_neumann(mesh, kernel, spec.quad_order)
-    M, _ = fem.omega_norm_matrices(mesh)
     u1 = spec.initial_guess_fe(mesh)
     cfg = spec.solver_config()
     cfg.check_invariants = check_invariants
@@ -151,16 +150,16 @@ def run_single(spec, h,
     if result is not None:
         report.iterations = result.iterations
         report.converged = result.converged
-        report.trivial = is_trivial_capture(result, M)
+        report.trivial = is_trivial_capture(result, form.M)
         try:
             report.R_L1, report.R_L2 = residual_norms(form, nl, result.solution)
             report.E_L1, report.E_L2, u_bar = reference_errors(
-                form, M, nl, result.solution, spec.grounding_rel)
+                form, form.M, nl, result.solution, spec.grounding_rel)
         except NonlocalMPError as exc:
             report.failed = True
             report.error = (report.error or "") + f" verify: {exc}"
     report.wall_time_s = time.perf_counter() - t0
-    return SingleRun(report, result, form, mesh, M, u_bar)
+    return SingleRun(report, result, form, mesh, form.M, u_bar)
 
 
 def _study_row(args):

@@ -98,3 +98,17 @@ def dense_convolution(mesh, kernel, order):
             C[k, e] += g @ (1.0 - phi1)
             C[k, e + 1] += g @ phi1
     return C, P, W
+
+
+def element_loop_norm_matrices(mesh):
+    """Omega mass and stiffness matrices added element by element, the
+    2x2 local matrices scaled as written."""
+    n = mesh.n_nodes
+    M = np.zeros((n, n))
+    S = np.zeros((n, n))
+    lo, hi = mesh.interior_range
+    for e in range(lo, hi):
+        sl = slice(e, e + 2)
+        M[sl, sl] += (mesh.h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+        S[sl, sl] += (1.0 / mesh.h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return M, S

@@ -25,6 +25,7 @@ epsilon = 1e-3
 delta = 1.0
 h = {h_for(20)!r}
 """
+STUDY_H_LIST = f"h_list = {h_for(10)!r} {h_for(14)!r} {h_for(20)!r}"
 
 
 def test_list_cases(capsys):
@@ -129,7 +130,7 @@ def test_bundled_cases_parse(name):
 def test_study_run_writes_report(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(FAST_CFG.replace(f"h = {h_for(20)!r}",
-                                    f"h_list = {h_for(10)!r} {h_for(14)!r} {h_for(20)!r}\n"
+                                    f"{STUDY_H_LIST}\n"
                                     f"output.report = {tmp_path / 'rep.csv'}\n"
                                     f"output.plot = {tmp_path / 'rep.plot'}"))
     code = cli.main(["--config", str(cfg)])
@@ -193,13 +194,15 @@ OUT_OF_RANGE = {
     "initial_guess": "missing-start.csv",
     "solver.direction_reg": "-0.5",
     "solver.max_halvings": "-1",
+    "output.report": "rep.csv",        # a single run writes no report
+    "output.plot": "rep.plot",
 }
 
 
 @pytest.mark.parametrize("key", OUT_OF_RANGE)
 def test_out_of_range_setting_exits_4(tmp_path, capsys, key):
     value = OUT_OF_RANGE[key]
-    if key == "initial_guess":
+    if key == "initial_guess" or key.startswith("output."):
         value = str(tmp_path / value)
     drop = {key, "h"} if key == "h_list" else {key}
     text = "".join(line + "\n" for line in FAST_CFG.splitlines()
@@ -224,14 +227,27 @@ BAD_MESH_OR_START = [
     ("h_list", "0.3 0 0.1"),
     ("neumann.extension", "-1"),
     ("initial_guess", "two-rows.csv"),
+    # single-run outputs on a study, which would ignore them
+    ("output.solution", "u.csv"),
+    ("output.log", "log.csv"),
+    ("--out", "u.csv"),
+    ("--log", "log.csv"),
+    ("--dump-matrix", "B.txt"),
 ]
 
 
 @pytest.mark.parametrize("key,value", BAD_MESH_OR_START,
                          ids=[f"{k}={v}" for k, v in BAD_MESH_OR_START])
 def test_bad_mesh_or_start_exits_4(tmp_path, capsys, key, value):
-    text = FAST_CFG
-    if key == "h_list":
+    text, flags = FAST_CFG, []
+    if key.startswith(("output.", "--")):
+        text = text.replace(f"h = {h_for(20)!r}", STUDY_H_LIST)
+        path = str(tmp_path / value)
+        if key.startswith("--"):
+            flags = [key, path]
+        else:
+            text += f"{key} = {path}\n"
+    elif key == "h_list":
         text = text.replace(f"h = {h_for(20)!r}", f"h_list = {value}")
     elif key == "h":
         text = text.replace(f"h = {h_for(20)!r}", f"h = {value}")
@@ -244,5 +260,26 @@ def test_bad_mesh_or_start_exits_4(tmp_path, capsys, key, value):
         text = text.replace("initial_guess = sine", f"initial_guess = {start}")
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
-    assert cli.main(["--config", str(cfg)]) == 4
+    assert cli.main(["--config", str(cfg)] + flags) == 4
     assert key in capsys.readouterr().err
+
+
+USAGE_ERRORS = [["--frobnicate"], ["--jobs", "abc"], ["--jobs", "0"],
+                ["--jobs", "-5"]]
+
+
+@pytest.mark.parametrize("flags", USAGE_ERRORS, ids=" ".join)
+def test_usage_error_exits_4(tmp_path, capsys, flags):
+    # argparse alone exits 2, the trivial-capture code
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(FAST_CFG.replace(f"h = {h_for(20)!r}", STUDY_H_LIST))
+    assert cli.main(["--config", str(cfg)] + flags) == 4
+    err = capsys.readouterr().err
+    assert "usage:" in err and flags[0] in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--help"])
+    assert info.value.code == 0
+    assert "--jobs" in capsys.readouterr().out

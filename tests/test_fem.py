@@ -6,6 +6,7 @@ import pytest
 import nonlocalmp as nm
 from nonlocalmp import fem
 from nonlocalmp.errors import DegenerateInterval
+from oracles import element_loop_norm_matrices
 
 
 def test_build_mesh_case1_sizes():
@@ -37,7 +38,7 @@ def test_degenerate_interval():
 
 def test_mass_matrix_rows():
     mesh = nm.build_mesh(0.0, 3.0, 0.5)
-    M = nm.mass_matrix(mesh)
+    M, _ = nm.omega_norm_matrices(mesh)
     h = mesh.h
     i = 3
     np.testing.assert_allclose(M[i, i - 1:i + 2], [h / 6, 2 * h / 3, h / 6])
@@ -50,7 +51,7 @@ def test_mass_matrix_rows():
 
 def test_stiffness_matrix_identities():
     mesh = nm.build_mesh(0.0, 1.0, 0.1)
-    S = nm.h1_stiffness_matrix(mesh)
+    _, S = nm.omega_norm_matrices(mesh)
     u = mesh.nodes.copy()                      # u(x) = x
     assert u @ S @ u == pytest.approx(1.0)
     c = np.full(mesh.n_nodes, 2.5)
@@ -62,10 +63,20 @@ def test_stiffness_matrix_identities():
 
 def test_matrices_positive_semidefinite():
     mesh = nm.build_mesh(-1.0, 2.0, 0.25)
-    M = nm.mass_matrix(mesh)
-    S = nm.h1_stiffness_matrix(mesh)
+    M, S = nm.omega_norm_matrices(mesh)
     assert np.min(np.linalg.eigvalsh(M)) > 0.0
     assert np.min(np.linalg.eigvalsh(S)) > -1e-12
+
+
+@pytest.mark.parametrize("mesh", [
+    nm.build_mesh(-math.pi, math.pi, 2 * math.pi / 640),
+    nm.build_mesh(0.0, 3.0, 0.15),
+    nm.build_extended_mesh((0.0, 3.0), 0.075, 1.5),
+], ids=["dirichlet640", "dirichlet_h0.15", "neumann_h0.075"])
+def test_omega_norm_matrices_equal_element_loop(mesh):
+    M, S = nm.omega_norm_matrices(mesh)
+    M_ref, S_ref = element_loop_norm_matrices(mesh)
+    assert np.array_equal(M, M_ref) and np.array_equal(S, S_ref)
 
 
 def test_interpolate_dirichlet_endpoints():

@@ -20,6 +20,21 @@ def case1_run():
     return verify.run_single(spec, spec.h)
 
 
+def test_one_gram_build_per_row(monkeypatch):
+    build = nm.fem.omega_norm_matrices
+    calls = []
+
+    def counted(mesh):
+        calls.append(mesh)
+        return build(mesh)
+
+    monkeypatch.setattr(nm.fem, "omega_norm_matrices", counted)
+    spec = RunSpec(h=h_for(20))
+    run = verify.run_single(spec, spec.h)
+    assert len(calls) == 1
+    assert run.M is run.form.M
+
+
 def test_residual_of_zero(case1_coarse):
     mesh, form, M, S, u1 = case1_coarse
     for nl in (en.Cubic(), en.AllenCahn()):
