@@ -8,7 +8,7 @@ verification harness that reproduces residual/error convergence tables.
 """
 
 from .assembly import NonlocalForm, assemble_dirichlet, assemble_neumann
-from .energy import (AllenCahn, Cubic, CubicMinusLinear, Quintic, gradient,
+from .energy import (NONLINEARITIES, Nonlinearity, gradient,
                      nonlinearity_from_name, t_star)
 from .fem import (FeFunction, Mesh, build_extended_mesh, build_mesh,
                   interpolate, norms, omega_norm_matrices, step_function)

@@ -10,31 +10,25 @@ the default of its ``RunSpec`` field; the solver settings default to
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import assembly, fem
-from .energy import NONLINEARITY_NAMES, nonlinearity_from_name
+from .energy import NONLINEARITIES, nonlinearity_from_name
 from .errors import ConfigError
 from .kernels import KERNEL_NAMES, kernel_from_name
 from .mountain_pass import SolverConfig
 
 __all__ = ["RunSpec", "parse_config_text", "parse_config_file"]
 
-_KERNEL_PARAM_KEYS = {
-    "exponential": {"scale"},
-    "gaussian": {"scale"},
-    "mexican_hat": {"a", "b", "A", "B"},
-    "logistic": {"a", "b"},
-    "power_law": {"a", "p"},
-}
-
-# config key -> (RunSpec field, value type); the domain.*, kernel.* and
-# output.* keys fill the domain tuple and the kernel_params/outputs dicts
+# config key -> (RunSpec field, value type), in echo order; the domain.*,
+# kernel.* and output.* keys fill the domain tuple and the
+# kernel_params/outputs dicts, and a kernel's parameter keys are the
+# fields of its dataclass
 _SCALAR_KEYS = {
     "constraint": ("constraint", str),
-    "neumann.extension": ("extension", float),
     "kernel": ("kernel_name", str),
     "nonlinearity": ("nonlinearity_name", str),
+    "neumann.extension": ("extension", float),
     "h": ("h", float),
     "h_list": ("h_list", tuple),
     "epsilon": ("epsilon", float),
@@ -49,9 +43,11 @@ _SCALAR_KEYS = {
 _ALL_KEYS = set(_SCALAR_KEYS) | {
     "domain.left", "domain.right",
     "output.solution", "output.log", "output.report", "output.plot",
-} | {f"kernel.{p}" for ps in _KERNEL_PARAM_KEYS.values() for p in ps}
-_TYPE_NAMES = {float: "a number", int: "an integer",
-               tuple: "a list of numbers"}
+} | {f"kernel.{f.name}" for cls in KERNEL_NAMES.values() for f in fields(cls)}
+_TYPE_NAMES = {float: "a finite number", int: "an integer",
+               tuple: "a list of finite numbers"}
+_ECHO = {str: str, int: str, float: repr,
+         tuple: lambda hs: " ".join(repr(h) for h in hs)}
 
 _STEP_RE = re.compile(r"^step\(\s*([^\s,]+)\s*,\s*([^\s)]+)\s*\)$")
 
@@ -85,12 +81,13 @@ class RunSpec:
         if self.kernel_name not in KERNEL_NAMES:
             raise ConfigError(f"unknown kernel {self.kernel_name!r}",
                               key="kernel")
-        bad = set(self.kernel_params) - _KERNEL_PARAM_KEYS[self.kernel_name]
+        bad = set(self.kernel_params) - {
+            f.name for f in fields(KERNEL_NAMES[self.kernel_name])}
         if bad:
             raise ConfigError(
                 f"kernel parameter(s) {sorted(bad)} not valid for "
                 f"kernel {self.kernel_name!r}", key="kernel")
-        if self.nonlinearity_name not in NONLINEARITY_NAMES:
+        if self.nonlinearity_name not in NONLINEARITIES:
             raise ConfigError(f"unknown nonlinearity "
                               f"{self.nonlinearity_name!r}",
                               key="nonlinearity")
@@ -184,33 +181,18 @@ class RunSpec:
 
     def echo_items(self):
         """Canonical (key, value) pairs; parsing them back gives an equal RunSpec."""
-        items = [
-            ("domain.left", repr(self.domain[0])),
-            ("domain.right", repr(self.domain[1])),
-            ("constraint", self.constraint),
-            ("kernel", self.kernel_name),
-        ]
-        for k, v in sorted(self.kernel_params.items()):
-            items.append((f"kernel.{k}", repr(v)))
-        items.append(("nonlinearity", self.nonlinearity_name))
-        if self.constraint == "neumann":
-            items.append(("neumann.extension", repr(self.extension)))
-        if self.h is not None:
-            items.append(("h", repr(self.h)))
-        else:
-            items.append(("h_list", " ".join(repr(h) for h in self.h_list)))
-        items += [
-            ("epsilon", repr(self.epsilon)),
-            ("delta", repr(self.delta)),
-            ("initial_guess", self.initial_guess),
-            ("quad_order", str(self.quad_order)),
-            ("solver.max_iterations", str(self.max_iterations)),
-            ("solver.max_halvings", str(self.max_halvings)),
-            ("solver.grounding_rel", repr(self.grounding_rel)),
-            ("solver.direction_reg", repr(self.direction_reg)),
-        ]
-        for k, v in sorted(self.outputs.items()):
-            items.append((f"output.{k}", v))
+        items = [("domain.left", repr(self.domain[0])),
+                 ("domain.right", repr(self.domain[1]))]
+        for key, (name, kind) in _SCALAR_KEYS.items():
+            value = getattr(self, name)
+            if value is None or (key == "neumann.extension"
+                                 and self.constraint != "neumann"):
+                continue
+            items.append((key, _ECHO[kind](value)))
+            if key == "kernel":
+                items += [(f"kernel.{k}", repr(v))
+                          for k, v in sorted(self.kernel_params.items())]
+        items += [(f"output.{k}", v) for k, v in sorted(self.outputs.items())]
         return items
 
 
@@ -242,11 +224,16 @@ def _convert(key, value, lineno, kind):
         return value
     try:
         if kind is tuple:
-            return tuple(float(tok) for tok in value.replace(",", " ").split())
-        return kind(value)
+            out = tuple(float(tok) for tok in value.replace(",", " ").split())
+        else:
+            out = kind(value)
+        finite = all(map(math.isfinite, out if kind is tuple else (out,)))
     except ValueError:
+        finite = False
+    if not finite:
         raise ConfigError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}",
-                          line=lineno, key=key) from None
+                          line=lineno, key=key)
+    return out
 
 
 def parse_config_text(text):

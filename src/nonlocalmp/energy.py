@@ -6,13 +6,14 @@ The energy of a constrained P1 function u is
 
 with F the antiderivative of the nonlinearity f from 0.  Along a ray
 t -> I[t u] the functional is a polynomial in t whose coefficients come
-from B[u, u] and the moments int u^k dx, which gives closed forms for
-the maximizer t* of every built-in nonlinearity except the Allen-Cahn
-one; there t* is the unique positive critical point of the quartic ray
-polynomial.
+from B[u, u] and the moments int u^k dx.  A nonlinearity is nothing but
+the coefficients of F.  When F = a_k t^k (+ a_2 t^2) the maximizer t*
+has a closed form; otherwise (the built-in Allen-Cahn source, for one)
+t* is the best positive critical point of the ray polynomial.
 """
 
 import math
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -21,10 +22,7 @@ from .errors import ZeroDirection
 
 __all__ = [
     "Nonlinearity",
-    "Cubic",
-    "Quintic",
-    "CubicMinusLinear",
-    "AllenCahn",
+    "NONLINEARITIES",
     "nonlinearity_from_name",
     "moments",
     "ray_coefficients",
@@ -46,19 +44,20 @@ def _power_sum(terms, t):
     return out if out.ndim else float(out)
 
 
+@dataclass(frozen=True)
 class Nonlinearity:
-    """Base class; subclasses define F by its coefficients.
+    """A polynomial nonlinearity, given as data.
 
     ``F_coeffs`` maps powers k to coefficients a_k of F(t) = sum a_k t^k;
-    f = F' is derived from them.
-    ``hypothesis_meta`` documents which growth/shape hypotheses
+    f = F', the moment powers and the ray-maximizer rule are derived from
+    them.  ``hypothesis_meta`` documents which growth/shape hypotheses
     (A2 growth bound with (a1, a2, alpha); A3 zero slope at the origin;
     A4 scaling with (mu, theta); A5 superlinear growth) hold.
     """
 
-    name = "base"
-    F_coeffs = {}
-    hypothesis_meta = {}
+    name: str
+    F_coeffs: dict
+    hypothesis_meta: dict = field(default_factory=dict)
 
     def f(self, t):
         terms = [(k * a, k - 1) for k, a in self.F_coeffs.items()]
@@ -98,69 +97,35 @@ class Nonlinearity:
         return (num / den) ** (1 / (k - 2))
 
 
-class Cubic(Nonlinearity):
-    """f(t) = t^3, F(t) = t^4/4."""
-
-    name = "cubic"
-    F_coeffs = {4: 0.25}
-    hypothesis_meta = {
+# the built-in nonlinearities by config name
+NONLINEARITIES = {nl.name: nl for nl in (
+    # f(t) = t^3
+    Nonlinearity("cubic", {4: 0.25}, {
         "a1": 1.0, "a2": 1.0, "alpha": 3, "mu_range": (2.0, 4.0),
-        "theta": 1.0, "A2": True, "A3": True, "A4": True, "A5": True,
-    }
-
-
-class Quintic(Nonlinearity):
-    """f(t) = t^5, F(t) = t^6/6."""
-
-    name = "quintic"
-    F_coeffs = {6: 1.0 / 6.0}
-    hypothesis_meta = {
+        "theta": 1.0, "A2": True, "A3": True, "A4": True, "A5": True}),
+    # f(t) = t^5
+    Nonlinearity("quintic", {6: 1.0 / 6.0}, {
         "a1": 1.0, "a2": 1.0, "alpha": 5, "mu_range": (2.0, 6.0),
-        "theta": 1.0, "A2": True, "A3": True, "A4": True, "A5": True,
-    }
-
-
-class CubicMinusLinear(Nonlinearity):
-    """f(t) = t^3 - t, F(t) = t^4/4 - t^2/2; the zero-slope hypothesis fails."""
-
-    name = "cubic_minus_linear"
-    F_coeffs = {4: 0.25, 2: -0.5}
-    hypothesis_meta = {
+        "theta": 1.0, "A2": True, "A3": True, "A4": True, "A5": True}),
+    # f(t) = t^3 - t; the zero-slope hypothesis fails
+    Nonlinearity("cubic_minus_linear", {4: 0.25, 2: -0.5}, {
         "a1": 1.0, "a2": 2.0, "alpha": 3, "mu_range": (2.0, 4.0),
-        "theta": 1.0, "A2": True, "A3": False, "A4": True, "A5": True,
-    }
-
-
-class AllenCahn(Nonlinearity):
-    """f(t) = (-t - 3 t^2 + 4 t^3)/2, the bistable Allen-Cahn source term.
-
-    F(t) = -t^2/4 - t^3/2 + t^4/2.  Neither the zero-slope nor the
-    scaling hypothesis holds; the ray maximizer has no closed form and is
-    found from the critical points of the quartic ray polynomial.
-    """
-
-    name = "allen_cahn"
-    F_coeffs = {2: -0.25, 3: -0.5, 4: 0.5}
-    hypothesis_meta = {
+        "theta": 1.0, "A2": True, "A3": False, "A4": True, "A5": True}),
+    # f(t) = (-t - 3 t^2 + 4 t^3)/2, the bistable Allen-Cahn source term;
+    # neither the zero-slope nor the scaling hypothesis holds, and t* has
+    # no closed form
+    Nonlinearity("allen_cahn", {2: -0.25, 3: -0.5, 4: 0.5}, {
         "a1": 2.0, "a2": 4.0, "alpha": 3, "mu_range": None,
-        "theta": None, "A2": True, "A3": False, "A4": False, "A5": True,
-    }
-
-
-NONLINEARITY_NAMES = {
-    "cubic": Cubic,
-    "quintic": Quintic,
-    "cubic_minus_linear": CubicMinusLinear,
-    "allen_cahn": AllenCahn,
-}
+        "theta": None, "A2": True, "A3": False, "A4": False, "A5": True}),
+)}
 
 
 def nonlinearity_from_name(name):
     try:
-        return NONLINEARITY_NAMES[name]()
+        return NONLINEARITIES[name]
     except KeyError:
         raise ValueError(f"unknown nonlinearity {name!r}; expected one of "
-                         f"{sorted(NONLINEARITY_NAMES)}") from None
+                         f"{sorted(NONLINEARITIES)}") from None
 
 
 # -- ray restriction ----------------------------------------------------------
@@ -208,7 +173,7 @@ def ray_data(form, nl, u_unknown):
     closed = nl.t_star_closed(Buu, P)
     if closed is not None:
         return closed, c
-    # critical points of g: roots of g'(t)/t, a polynomial of degree <= 2
+    # critical points of g: roots of the polynomial g'(t)/t
     dc = np.polynomial.polynomial.polyder(c)[1:]
     roots = np.polynomial.polynomial.polyroots(dc)
     best_t, best_g = None, 0.0

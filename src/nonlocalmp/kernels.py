@@ -2,10 +2,11 @@
 
 Every kernel is an immutable value object exposing a vectorized point
 evaluation ``gamma(r)`` for r = |x - y| >= 0, the exact total mass
-``total_mass`` of the kernel over the real line, and a one-sided tail
-integral ``tail_mass(s) = int_s^inf gamma(r) dr`` used for domain
-truncation bounds.  Parameters are validated at construction; evaluation
-never branches on invalid input.
+``total_mass`` of the kernel over the real line, a characteristic
+``width`` and a ``truncation_radius(tol)`` beyond which the omitted mass
+and second moment stay below tol.  Its dataclass fields are its
+parameters, named as the ``kernel.*`` config keys.  Parameters are
+validated at construction; evaluation never branches on invalid input.
 """
 
 import math
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import erfc
 
 from .errors import QuadratureFailure, TailBoundUnavailable
 
@@ -47,17 +47,10 @@ class Exponential:
     def total_mass(self):
         return 1.0
 
-    def tail_mass(self, s):
-        return 0.5 * np.exp(-np.asarray(s) / self.scale)
-
     def truncation_radius(self, tol):
         ell = max(math.log(1.0 / tol), 1.0)
         # the extra log term keeps the second-moment tail below tol as well
         return self.scale * (ell + 2.0 * math.log1p(ell))
-
-    @property
-    def mode_radius(self):
-        return 0.0
 
     @property
     def width(self):
@@ -82,15 +75,8 @@ class Gaussian:
     def total_mass(self):
         return 1.0
 
-    def tail_mass(self, s):
-        return 0.5 * erfc(np.asarray(s) / self.scale)
-
     def truncation_radius(self, tol):
         return self.scale * (math.sqrt(max(math.log(1.0 / tol), 1.0)) + 2.0)
-
-    @property
-    def mode_radius(self):
-        return 0.0
 
     @property
     def width(self):
@@ -133,25 +119,10 @@ class InvertedMexicanHat:
     def total_mass(self):
         return (self.B - self.A) / math.sqrt(math.pi)
 
-    def tail_mass(self, s):
-        s = np.asarray(s)
-        wide = self.B * erfc(s / self.b)
-        narrow = self.A * erfc(s / self.a)
-        return (wide - narrow) / (2.0 * math.sqrt(math.pi))
-
     def truncation_radius(self, tol):
         amp = (self.A / self.a + self.B / self.b) / math.pi
         ell = max(math.log(amp / tol), 1.0)
         return self.b * (math.sqrt(ell) + 2.0)
-
-    @property
-    def mode_radius(self):
-        # stationary point of the profile away from the origin
-        ratio = (self.B / self.b**3) / (self.A / self.a**3)
-        decay = 1.0 / self.a**2 - 1.0 / self.b**2
-        if ratio >= 1.0 or decay <= 0:
-            return 0.0
-        return math.sqrt(math.log(1.0 / ratio) / decay)
 
     @property
     def width(self):
@@ -188,14 +159,6 @@ class Logistic:
     def total_mass(self):
         return 1.0
 
-    def tail_mass(self, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty_like(s)
-        for i, si in enumerate(s):
-            val, _ = integrate.quad(lambda r: self.gamma(r), si, np.inf)
-            out[i] = val
-        return out if out.size > 1 else float(out[0])
-
     def truncation_radius(self, tol):
         # gamma(r) <= (a/r)^b / Z for r >= a, so the mass tail is bounded by
         # a^b r^(1-b) / ((b-1) Z) and the second-moment tail by
@@ -204,10 +167,6 @@ class Logistic:
         r_mass = (self.a**self.b / ((self.b - 1.0) * z * tol)) ** (1.0 / (self.b - 1.0))
         r_mom = (self.a**self.b / ((self.b - 3.0) * z * tol)) ** (1.0 / (self.b - 3.0))
         return max(r_mass, r_mom, 2.0 * self.a)
-
-    @property
-    def mode_radius(self):
-        return 0.0
 
     @property
     def width(self):
@@ -243,20 +202,12 @@ class PowerLaw:
     def total_mass(self):
         return 1.0
 
-    def tail_mass(self, s):
-        z = 1.0 + np.asarray(s) / self.a
-        return self.a * z ** (1.0 - self.p) / ((self.p - 1.0) * self._norm)
-
     def truncation_radius(self, tol):
         z = self._norm
         r_mass = self.a * ((1.0 / ((self.p - 1.0) * z * tol)) ** (1.0 / (self.p - 1.0)))
         # x^2 gamma <= a^p x^(2-p)/Z for x >= a
         r_mom = (self.a**self.p / ((self.p - 3.0) * z * tol)) ** (1.0 / (self.p - 3.0))
         return max(r_mass, r_mom, 2.0 * self.a)
-
-    @property
-    def mode_radius(self):
-        return 0.0
 
     @property
     def width(self):
@@ -284,13 +235,7 @@ def kernel_from_name(name, **params):
 
 def builtin_kernels():
     """The five built-in kernels at their default parameters."""
-    return {
-        "exponential": Exponential(),
-        "gaussian": Gaussian(),
-        "mexican_hat": InvertedMexicanHat(),
-        "logistic": Logistic(),
-        "power_law": PowerLaw(),
-    }
+    return {name: cls() for name, cls in KERNEL_NAMES.items()}
 
 
 def _piecewise_quad(f, r_cut, width, eps):

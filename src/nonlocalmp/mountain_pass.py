@@ -16,17 +16,17 @@ The direction v1 comes from the H1-regularized solve
     (B + tau (M + S) + sigma M) d = I'[w],      v1 = -d / |d|_H1 ,
 
 not from b itself.  The bilinear form of an integrable kernel is a
-zeroth-order operator, so the raw metric B admits descent along
-grid-scale spikes: the pairing of a single nodal hat scales like the
-mesh size, the ray-maximal energy of ever-narrower bumps tends to zero,
-and the iteration drains into degenerate one-node critical points.  The
-stiffness regularization makes such spikes expensive in the direction
-solve at every mesh size while perturbing smooth directions at the
-discretization-error level; every guarantee of the plain scheme
-(strict descent, I'[w]v1 < 0, ray stationarity) is preserved, and the
-converged residuals then shrink with the mesh at the expected orders.
-Setting ``direction_reg = 0`` recovers the unregularized direction
-v1 = -b/|b|_H1.
+zeroth-order operator, so the raw metric B does not penalize grid-scale
+spikes: the pairing of a single nodal hat scales like the mesh size and
+the ray-maximal energy of ever-narrower bumps tends to zero, so the
+discrete problem has one- and two-node critical points.  The stiffness
+term damps grid-scale components of the direction; every guarantee of
+the plain scheme (strict descent, I'[w]v1 < 0, ray stationarity) holds
+for any tau >= 0.  It does not keep the limit smooth in general: with
+tau = 0.25 case 1 of the bundled presets stays smooth where tau = 0
+ends in a two-node spike, but cases 2 and 4 end in one-node spikes at
+tau = 0.25, 4 and 64 alike.  ``direction_reg = 0`` gives the
+unregularized direction v1 = -b/|b|_H1.
 """
 
 import time
@@ -113,10 +113,7 @@ def descent_direction(form, nl, w, cfg=None):
         raise ZeroGradient("gradient vanishes; w is already critical")
     b = form.solve_spd(g, cfg.grounding_rel)
     b_h1 = float(np.sqrt(max(b @ H @ b, 0.0)))
-    if cfg.direction_reg > 0.0:
-        d = form.solve_spd(g, cfg.grounding_rel, cfg.direction_reg)
-    else:
-        d = b
+    d = form.solve_spd(g, cfg.grounding_rel, cfg.direction_reg)
     v1 = -d / float(np.sqrt(max(d @ H @ d, 0.0)))
     return b, v1, b_h1, g
 
@@ -156,15 +153,16 @@ def solve(form, nl, u1, cfg=None):
     w_full = form.full_values(w)
     l2_0 = float(np.sqrt(max(w_full @ form.M @ w_full, 0.0)))
 
-    def partial():
-        return SolveResult(solution=form.fe(w), converged=False,
+    records = []
+    grad_norm = np.inf
+
+    def result(converged):
+        return SolveResult(solution=form.fe(w), converged=converged,
                            records=records,
                            wall_time=time.perf_counter() - t0,
                            final_grad_norm=grad_norm, initial_energy=e0,
                            initial_l2=l2_0)
 
-    records = []
-    grad_norm = np.inf
     for it in range(1, cfg.max_iterations + 1):
         try:
             _, v1, grad_norm, g = descent_direction(form, nl, w, cfg)
@@ -189,7 +187,7 @@ def solve(form, nl, u1, cfg=None):
             if halvings > cfg.max_halvings:
                 raise StallError(
                     f"no energy decrease after {cfg.max_halvings} halvings "
-                    f"at iteration {it}", partial())
+                    f"at iteration {it}", result(False))
             step *= 0.5
 
         w = ts * trial
@@ -202,9 +200,5 @@ def solve(form, nl, u1, cfg=None):
     else:
         raise MaxIterations(
             f"no convergence within {cfg.max_iterations} iterations",
-            partial())
-
-    return SolveResult(solution=form.fe(w), converged=True, records=records,
-                       wall_time=time.perf_counter() - t0,
-                       final_grad_norm=grad_norm, initial_energy=e0,
-                       initial_l2=l2_0)
+            result(False))
+    return result(True)

@@ -122,7 +122,7 @@ def test_criterion_6_t_star_oracle():
     form = nm.assemble_dirichlet(mesh, nm.Exponential())
     rng = np.random.default_rng(2024)
     worst = 0.0
-    for nl in (en.Cubic(), en.Quintic(), en.CubicMinusLinear(), en.AllenCahn()):
+    for nl in en.NONLINEARITIES.values():
         for _ in range(20):
             u = form.fe(rng.standard_normal(form.n_unknowns))
             ts = en.t_star(form, nl, u)
@@ -144,7 +144,7 @@ def test_criterion_7_gradient_order():
     rng = np.random.default_rng(77)
     worst = np.inf
     n_checked = 0
-    for nl in (en.Cubic(), en.Quintic(), en.CubicMinusLinear(), en.AllenCahn()):
+    for nl in en.NONLINEARITIES.values():
         for _ in range(20):
             w = 0.8 * rng.standard_normal(form.n_unknowns)
             v = w + 0.5 * rng.standard_normal(form.n_unknowns)
@@ -206,7 +206,7 @@ def _l2_ratio(run):
 def test_criterion_10_neumann_constraint_fidelity(case5_study, neumann_coarse):
     mesh, form, M, S, u1 = neumann_coarse
     cfg = mp.SolverConfig(max_iterations=60000)
-    result = mp.solve(form, en.AllenCahn(), u1, cfg)
+    result = mp.solve(form, en.NONLINEARITIES["allen_cahn"], u1, cfg)
     u = result.solution
     raw, rel = form.exterior_constraint_residual(u.values)
     bound = 1e-8 * float(np.max(np.abs(u.values)))

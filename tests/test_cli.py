@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -99,18 +100,60 @@ def test_log_streams_to_stdout(tmp_path, capsys):
     assert "iteration,energy,grad_norm_h1,t_star,halvings" in out
 
 
+# every key of the format but the other kernels' parameters: a study and
+# a single run, which differ in the mesh key and the outputs they accept
+ALL_KEYS_STUDY = """
+domain.left = -1.0
+domain.right = 2.5
+constraint = neumann
+neumann.extension = 1.25
+kernel = mexican_hat
+kernel.a = 0.5
+kernel.b = 1.5
+kernel.A = 1.0
+kernel.B = 2.0
+nonlinearity = allen_cahn
+h_list = 0.5 0.25 0.125
+epsilon = 0.002
+delta = 0.5
+initial_guess = step(0,1)
+quad_order = 5
+solver.max_iterations = 500
+solver.max_halvings = 30
+solver.grounding_rel = 0.001
+solver.direction_reg = 0.5
+output.report = rep.csv
+output.plot = rep.plot
+"""
+ALL_KEYS_SINGLE = ALL_KEYS_STUDY.replace(
+    "h_list = 0.5 0.25 0.125", "h = 0.5").replace(
+    "output.report = rep.csv\noutput.plot = rep.plot",
+    "output.solution = u.csv\noutput.log = log.csv")
+
+
+def _echoed(out):
+    return "\n".join(line[2:] for line in out.splitlines()
+                     if line.startswith("# ") and " = " in line
+                     and not line.startswith("# kernel mass")
+                     and not line.startswith("# coercivity"))
+
+
 def test_header_echo_roundtrip(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(FAST_CFG)
     assert cli.main(["--config", str(cfg)]) == 0
     out = capsys.readouterr().out
-    echoed = "\n".join(line[2:] for line in out.splitlines()
-                       if line.startswith("# ") and " = " in line
-                       and not line.startswith("# kernel mass")
-                       and not line.startswith("# coercivity"))
     spec_orig = parse_config_text(FAST_CFG)
-    spec_echo = parse_config_text(echoed)
+    spec_echo = parse_config_text(_echoed(out))
     assert spec_echo == spec_orig
+
+    texts = [case_config_text(name) for name in CASE_NAMES]
+    for text in texts + [ALL_KEYS_STUDY, ALL_KEYS_SINGLE]:
+        spec_orig = parse_config_text(text)
+        header = io.StringIO()
+        cli._print_header(spec_orig, header)
+        spec_echo = parse_config_text(_echoed(header.getvalue()))
+        assert spec_echo == spec_orig
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
@@ -197,11 +240,15 @@ OUT_OF_RANGE = {
     "output.report": "rep.csv",        # a single run writes no report
     "output.plot": "rep.plot",
 }
+NON_FINITE = [("kernel.scale", "nan"), ("domain.right", "inf"),
+              ("solver.direction_reg", "inf"), ("delta", "inf"),
+              ("epsilon", "inf"), ("kernel.scale", "inf")]
 
 
-@pytest.mark.parametrize("key", OUT_OF_RANGE)
-def test_out_of_range_setting_exits_4(tmp_path, capsys, key):
-    value = OUT_OF_RANGE[key]
+@pytest.mark.parametrize(
+    "key,value", list(OUT_OF_RANGE.items()) + NON_FINITE,
+    ids=list(OUT_OF_RANGE) + [f"{k}={v}" for k, v in NON_FINITE])
+def test_out_of_range_setting_exits_4(tmp_path, capsys, key, value):
     if key == "initial_guess" or key.startswith("output."):
         value = str(tmp_path / value)
     drop = {key, "h"} if key == "h_list" else {key}

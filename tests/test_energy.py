@@ -5,12 +5,14 @@ import pytest
 
 import nonlocalmp as nm
 from nonlocalmp import energy as en
+from nonlocalmp import mountain_pass as mp
 from nonlocalmp.errors import ZeroDirection
 from oracles import central_difference, grid_ray_argmax
 
 from conftest import h_for
 
-ALL_NL = [en.Cubic(), en.Quintic(), en.CubicMinusLinear(), en.AllenCahn()]
+ALL_NL = [en.NONLINEARITIES[name] for name in
+          ("cubic", "quintic", "cubic_minus_linear", "allen_cahn")]
 
 
 def test_pointwise_values():
@@ -55,7 +57,7 @@ def test_energy_of_zero(case1_coarse):
 def test_energy_ray_homogeneity(case1_coarse):
     # cubic: I[t u] = t^2/2 B[u,u] - t^4 int u^4/4 exactly
     mesh, form, M, S, u1 = case1_coarse
-    nl = en.Cubic()
+    nl = en.NONLINEARITIES["cubic"]
     uu = form.reduce(u1)
     Buu = float(uu @ form.B @ uu)
     P4 = en.moments(form, u1.values, (4,))[4]
@@ -70,7 +72,7 @@ def test_energy_regression_baseline():
     mesh = nm.build_mesh(-math.pi, math.pi, h_for(80))
     form = nm.assemble_dirichlet(mesh, nm.Exponential())
     u1 = nm.interpolate(mesh, math.sin, constraint="dirichlet")
-    nl = en.Cubic()
+    nl = en.NONLINEARITIES["cubic"]
     ts = en.t_star(form, nl, u1)
     e_star = en.energy(form, nl, nm.FeFunction(mesh, ts * u1.values))
     assert e_star > 0.0
@@ -115,11 +117,12 @@ def test_gradient_against_central_differences(nl, case1_coarse):
 
 def test_t_star_closed_formulas():
     # direct arithmetic on injected moments
-    assert en.Cubic().t_star_closed(2.0, {4: 8.0}) == pytest.approx(0.5)
-    assert en.Quintic().t_star_closed(1.0, {6: 16.0}) == pytest.approx(0.5)
-    assert en.CubicMinusLinear().t_star_closed(1.0, {2: 1.0, 4: 8.0}) \
+    cubic, quintic, cml, ac = ALL_NL
+    assert cubic.t_star_closed(2.0, {4: 8.0}) == pytest.approx(0.5)
+    assert quintic.t_star_closed(1.0, {6: 16.0}) == pytest.approx(0.5)
+    assert cml.t_star_closed(1.0, {2: 1.0, 4: 8.0}) \
         == pytest.approx(0.5)
-    assert en.AllenCahn().t_star_closed(1.0, {2: 1.0, 3: 1.0, 4: 8.0}) is None
+    assert ac.t_star_closed(1.0, {2: 1.0, 3: 1.0, 4: 8.0}) is None
 
 
 @pytest.mark.parametrize("nl", ALL_NL, ids=lambda nl: nl.name)
@@ -140,7 +143,7 @@ def test_t_star_matches_grid_argmax(nl, case1_coarse):
 
 def test_t_star_allen_cahn_step(neumann_coarse):
     mesh, form, M, S, u1 = neumann_coarse
-    nl = en.AllenCahn()
+    nl = en.NONLINEARITIES["allen_cahn"]
     ts = en.t_star(form, nl, u1)
     uu = form.reduce(u1)
     Buu = float(uu @ form.B @ uu)
@@ -172,7 +175,7 @@ def test_ray_maximizer_dominates_ray(nl, case1_coarse):
 
 def test_t_star_scale_covariance(case1_coarse):
     mesh, form, M, S, u1 = case1_coarse
-    nl = en.Cubic()
+    nl = en.NONLINEARITIES["cubic"]
     base = en.t_star(form, nl, u1)
     for cscale in (0.5, 2.0, 7.0):
         scaled = en.t_star(form, nl, nm.FeFunction(mesh, cscale * u1.values))
@@ -182,10 +185,38 @@ def test_t_star_scale_covariance(case1_coarse):
 def test_t_star_zero_direction(case1_coarse):
     mesh, form, M, S, u1 = case1_coarse
     with pytest.raises(ZeroDirection):
-        en.t_star(form, en.Cubic(), nm.FeFunction(mesh))
+        en.t_star(form, en.NONLINEARITIES["cubic"], nm.FeFunction(mesh))
 
 
 def test_nonlinearity_from_name():
-    assert isinstance(en.nonlinearity_from_name("allen_cahn"), en.AllenCahn)
+    assert en.nonlinearity_from_name("allen_cahn") \
+        is en.NONLINEARITIES["allen_cahn"]
     with pytest.raises(ValueError):
         en.nonlinearity_from_name("septic")
+
+
+def test_nonlinearity_given_as_data(case1_coarse):
+    # F = t^4/4 + t^6/6 has two powers above 2, so t* has no closed form
+    # and comes from the roots of the ray polynomial's derivative
+    mesh, form, M, S, u1 = case1_coarse
+    nl = en.Nonlinearity("cubic_plus_quintic", {4: 0.25, 6: 1.0 / 6.0})
+    ts = np.linspace(-2.0, 2.0, 41)
+    np.testing.assert_allclose(nl.f(ts), ts**3 + ts**5, rtol=1e-14)
+    np.testing.assert_allclose(nl.F(ts), ts**4 / 4 + ts**6 / 6, rtol=1e-14)
+    assert nl.moment_powers == (4, 6)
+    assert nl.t_star_closed(1.0, {4: 1.0, 6: 1.0}) is None
+
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        u = form.fe(rng.standard_normal(form.n_unknowns))
+        ts = en.t_star(form, nl, u)
+        uu = form.reduce(u)
+        Buu = float(uu @ form.B @ uu)
+        c = en.ray_coefficients(nl, Buu,
+                                en.moments(form, u.values, nl.moment_powers))
+        tg = grid_ray_argmax(lambda t: en.ray_energy(c, t), t_max=10.0,
+                             step=1e-3)
+        assert abs(ts - tg) <= 1e-3
+
+    result = mp.solve(form, nl, u1, mp.SolverConfig(check_invariants=True))
+    assert result.converged and result.final_grad_norm <= 1e-3

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 import nonlocalmp as nm
 from nonlocalmp.errors import TailBoundUnavailable
@@ -65,18 +64,11 @@ def test_quadrature_mass_consistency(name, kernel):
 
 @pytest.mark.parametrize("name,kernel", sorted(nm.builtin_kernels().items()))
 def test_monotone_tail(name, kernel):
-    r = np.linspace(kernel.mode_radius, 20.0 * kernel.width, 4001)
+    r = np.linspace(0.0, 20.0 * kernel.width, 4001)
     vals = np.abs(kernel.gamma(r))
+    vals = vals[np.argmax(vals):]   # from the sampled peak outward
     assert np.all(np.isfinite(vals))
     assert np.all(np.diff(vals) <= 1e-15)
-
-
-@pytest.mark.parametrize("name,kernel", sorted(nm.builtin_kernels().items()))
-def test_tail_mass_against_quadrature(name, kernel):
-    for s in (0.5, 1.5, 3.0):
-        ref, _ = integrate.quad(lambda r: float(kernel.gamma(r)), s, np.inf,
-                                limit=200)
-        assert float(kernel.tail_mass(s)) == pytest.approx(ref, rel=1e-6, abs=1e-12)
 
 
 def test_default_mexican_hat_is_nonnegative():

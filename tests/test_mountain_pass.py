@@ -24,7 +24,7 @@ def case1_solved(request):
     M, S = nm.omega_norm_matrices(mesh)
     u1 = nm.interpolate(mesh, math.sin, constraint="dirichlet")
     cfg = mp.SolverConfig(check_invariants=True)
-    result = mp.solve(form, en.Cubic(), u1, cfg)
+    result = mp.solve(form, en.NONLINEARITIES["cubic"], u1, cfg)
     return mesh, form, M, S, u1, result
 
 
@@ -53,7 +53,7 @@ def test_records_structure(case1_solved):
 
 def test_ray_stationarity_of_solution(case1_solved):
     mesh, form, M, S, u1, result = case1_solved
-    nl = en.Cubic()
+    nl = en.NONLINEARITIES["cubic"]
     uu = form.reduce(result.solution)
     Buu = float(uu @ form.B @ uu)
     P = en.moments(form, result.solution.values, nl.moment_powers)
@@ -64,7 +64,7 @@ def test_ray_stationarity_of_solution(case1_solved):
 
 def test_descent_direction_properties(case1_solved):
     mesh, form, M, S, u1, result = case1_solved
-    nl = en.Cubic()
+    nl = en.NONLINEARITIES["cubic"]
     rng = np.random.default_rng(3)
     H = (M + S)[np.ix_(form.unknown_idx, form.unknown_idx)]
     for _ in range(5):
@@ -79,7 +79,7 @@ def test_dual_norm_sandwich(case1_solved):
     # extreme generalized eigenvalues of (B, M+S) bound the dual norm of
     # the gradient in terms of |b|_H1
     mesh, form, M, S, u1, result = case1_solved
-    nl = en.Cubic()
+    nl = en.NONLINEARITIES["cubic"]
     ix = np.ix_(form.unknown_idx, form.unknown_idx)
     H = (M + S)[ix]
     evals = linalg.eigh(form.B, H, eigvals_only=True)
@@ -105,7 +105,7 @@ def test_direction_factorizations_cached(case1_coarse, monkeypatch):
                         lambda a: calls.append(a) or cho_factor(a))
     rng = np.random.default_rng(4)
     for _ in range(3):
-        mp.descent_direction(form, en.Cubic(),
+        mp.descent_direction(form, en.NONLINEARITIES["cubic"],
                              rng.standard_normal(form.n_unknowns))
     assert len(calls) == 2
 
@@ -113,14 +113,15 @@ def test_direction_factorizations_cached(case1_coarse, monkeypatch):
 def test_zero_gradient_raises(case1_solved):
     mesh, form, M, S, u1, result = case1_solved
     with pytest.raises(ZeroGradient):
-        mp.descent_direction(form, en.Cubic(), np.zeros(form.n_unknowns))
+        mp.descent_direction(form, en.NONLINEARITIES["cubic"],
+                             np.zeros(form.n_unknowns))
 
 
 def test_determinism(case1_solved):
     mesh, form, M, S, u1, result = case1_solved
     cfg = mp.SolverConfig()
-    r1 = mp.solve(form, en.Cubic(), u1, cfg)
-    r2 = mp.solve(form, en.Cubic(), u1, cfg)
+    r1 = mp.solve(form, en.NONLINEARITIES["cubic"], u1, cfg)
+    r2 = mp.solve(form, en.NONLINEARITIES["cubic"], u1, cfg)
     assert [ (r.energy, r.grad_norm_h1, r.t_star, r.halvings_used)
              for r in r1.records ] == \
            [ (r.energy, r.grad_norm_h1, r.t_star, r.halvings_used)
@@ -132,7 +133,7 @@ def test_max_iterations_carries_partial_result(case1_solved):
     mesh, form, M, S, u1, result = case1_solved
     cfg = mp.SolverConfig(max_iterations=2)
     with pytest.raises(MaxIterations) as info:
-        mp.solve(form, en.Cubic(), u1, cfg)
+        mp.solve(form, en.NONLINEARITIES["cubic"], u1, cfg)
     partial = info.value.result
     assert not partial.converged
     assert partial.iterations == 2
@@ -142,14 +143,14 @@ def test_stall_error_carries_partial_result(case1_solved):
     mesh, form, M, S, u1, result = case1_solved
     cfg = mp.SolverConfig(max_halvings=0)
     with pytest.raises(StallError) as info:
-        mp.solve(form, en.Cubic(), u1, cfg)
+        mp.solve(form, en.NONLINEARITIES["cubic"], u1, cfg)
     assert info.value.result is not None
 
 
 def test_unregularized_direction_available(case1_solved):
     # direction_reg = 0 recovers v1 = -b/|b|_H1
     mesh, form, M, S, u1, result = case1_solved
-    nl = en.Cubic()
+    nl = en.NONLINEARITIES["cubic"]
     rng = np.random.default_rng(1)
     w = rng.standard_normal(form.n_unknowns)
     b, v1, b_h1, g = mp.descent_direction(form, nl, w,
@@ -160,7 +161,7 @@ def test_unregularized_direction_available(case1_solved):
 def test_neumann_solve_converges(neumann_coarse):
     mesh, form, M, S, u1 = neumann_coarse
     cfg = mp.SolverConfig(max_iterations=60000, check_invariants=True)
-    result = mp.solve(form, en.AllenCahn(), u1, cfg)
+    result = mp.solve(form, en.NONLINEARITIES["allen_cahn"], u1, cfg)
     assert result.converged
     assert result.final_grad_norm <= 1e-3
     # the pulse keeps a nontrivial amplitude

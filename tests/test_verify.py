@@ -37,7 +37,7 @@ def test_one_gram_build_per_row(monkeypatch):
 
 def test_residual_of_zero(case1_coarse):
     mesh, form, M, S, u1 = case1_coarse
-    for nl in (en.Cubic(), en.AllenCahn()):
+    for nl in (en.NONLINEARITIES["cubic"], en.NONLINEARITIES["allen_cahn"]):
         r1, r2 = verify.residual_norms(form, nl, nm.FeFunction(mesh))
         assert r1 == 0.0 and r2 == 0.0
 
@@ -56,7 +56,7 @@ def test_reference_solve_self_consistency(case1_run):
     # so the errors sit at the stopping tolerance: a converged solution is
     # a fixed point of the linear resolve map up to epsilon
     run = case1_run
-    nl = en.Cubic()
+    nl = en.NONLINEARITIES["cubic"]
     e1, e2, ubar = verify.reference_errors(run.form, run.M, nl,
                                            run.result.solution)
     eps = 1e-3
@@ -71,7 +71,7 @@ def test_reference_solve_self_consistency(case1_run):
 
 def test_reference_solve_certificate(case1_run):
     run = case1_run
-    nl = en.Cubic()
+    nl = en.NONLINEARITIES["cubic"]
     form = run.form
     u = run.result.solution
     load = form.load_vector(nl.f(form.values_at_omega_quad(u.values)))
