@@ -422,7 +422,6 @@ def assemble_neumann(mesh, kernel, quad_order=QUAD_ORDER):
 def dump_matrix(path, form):
     """Write the reduced matrix B in coordinate text format (row col value)."""
     with open(path, "w") as fh:
-        B = form.B
-        for i in range(B.shape[0]):
-            for j in range(B.shape[1]):
-                fh.write(f"{i} {j} {B[i, j]:.17g}\n")
+        for i, row in enumerate(form.B):
+            fh.write("".join([f"{i} {j} {v:.17g}\n"
+                              for j, v in enumerate(row.tolist())]))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 from . import assembly, fem
 from .energy import NONLINEARITIES, nonlinearity_from_name
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 from .kernels import KERNEL_NAMES, kernel_from_name
 from .mountain_pass import SolverConfig
 
@@ -75,6 +75,7 @@ class RunSpec:
     outputs: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_finite(self._numbers())
         if self.constraint not in ("dirichlet", "neumann"):
             raise ConfigError(f"constraint must be dirichlet or neumann, "
                               f"got {self.constraint!r}", key="constraint")
@@ -126,6 +127,17 @@ class RunSpec:
             raise ConfigError(str(exc), key="kernel") from exc
         assembly.check_quad_order(self.quad_order)
         self.solver_config()  # validates the solver settings
+
+    def _numbers(self):
+        """(config key, value) of every number set outside the kernel."""
+        yield "domain.left", self.domain[0]
+        yield "domain.right", self.domain[1]
+        for key, (name, kind) in _SCALAR_KEYS.items():
+            value = getattr(self, name)
+            if kind is str or value is None:
+                continue
+            for v in value if kind is tuple else (value,):
+                yield key, v
 
     # -- factories ------------------------------------------------------------
 
@@ -243,7 +255,8 @@ def parse_config_text(text):
     RunSpec default.
     """
     kwargs, domain = {}, {}
-    for key, (value, lineno) in _parse_lines(text).items():
+    pairs = _parse_lines(text)
+    for key, (value, lineno) in pairs.items():
         group, _, name = key.partition(".")
         if group == "domain":
             domain[name] = _convert(key, value, lineno, float)
@@ -255,6 +268,11 @@ def parse_config_text(text):
         else:
             field_name, kind = _SCALAR_KEYS[key]
             kwargs[field_name] = _convert(key, value, lineno, kind)
+    if "neumann.extension" in pairs \
+            and kwargs.get("constraint", RunSpec.constraint) == "dirichlet":
+        raise ConfigError("neumann.extension is not used when constraint is "
+                          "dirichlet", line=pairs["neumann.extension"][1],
+                          key="neumann.extension")
     if domain:
         left, right = RunSpec.domain
         kwargs["domain"] = (domain.get("left", left),

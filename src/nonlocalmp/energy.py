@@ -10,6 +10,11 @@ from B[u, u] and the moments int u^k dx.  A nonlinearity is nothing but
 the coefficients of F.  When F = a_k t^k (+ a_2 t^2) the maximizer t*
 has a closed form; otherwise (the built-in Allen-Cahn source, for one)
 t* is the best positive critical point of the ray polynomial.
+
+Along a step u = w + s v the same data are polynomials in s as well:
+B[u, u] from B[w, w], B[w, v] and B[v, v], and every moment from the
+mixed moments int w^a v^b dx.  ``step_polynomial`` computes those once
+and then gives the ray of any step s from a few float operations.
 """
 
 import math
@@ -28,7 +33,9 @@ __all__ = [
     "ray_coefficients",
     "ray_energy",
     "ray_slope",
+    "ray_from_moments",
     "ray_data",
+    "step_polynomial",
     "t_star",
     "energy",
     "gradient",
@@ -156,19 +163,11 @@ def ray_slope(c, t):
     return np.polynomial.polynomial.polyval(t, dc)
 
 
-def ray_data(form, nl, u_unknown):
-    """(t*, c): the maximizer t* of t -> I[t u] over t > 0 and the
-    coefficients c of that ray polynomial (see ``ray_coefficients``).
-
-    ``u_unknown`` holds the unknown-node values of u; the constraint
-    fixes the rest.  Raises ZeroDirection when the ray has no positive
-    maximum.
-    """
-    u_full = form.full_values(u_unknown)
-    Buu = float(u_unknown @ form.B @ u_unknown)
+def ray_from_moments(nl, Buu, P):
+    """(t*, c) of the ray t -> I[t u] from B[u, u] and the moments P of u
+    (a dict power -> int u^k dx); see ``ray_data``."""
     if Buu <= 0.0:
         raise ZeroDirection("direction carries no bilinear-form energy")
-    P = moments(form, u_full, nl.moment_powers)
     c = ray_coefficients(nl, Buu, P)
     closed = nl.t_star_closed(Buu, P)
     if closed is not None:
@@ -188,6 +187,60 @@ def ray_data(form, nl, u_unknown):
     if best_t is None or best_g <= 0.0:
         raise ZeroDirection("ray energy has no positive critical point")
     return best_t, c
+
+
+def ray_data(form, nl, u_unknown):
+    """(t*, c): the maximizer t* of t -> I[t u] over t > 0 and the
+    coefficients c of that ray polynomial (see ``ray_coefficients``).
+
+    ``u_unknown`` holds the unknown-node values of u; the constraint
+    fixes the rest.  Raises ZeroDirection when the ray has no positive
+    maximum.
+    """
+    u_full = form.full_values(u_unknown)
+    Buu = float(u_unknown @ form.B @ u_unknown)
+    P = moments(form, u_full, nl.moment_powers)
+    return ray_from_moments(nl, Buu, P)
+
+
+def _horner(coeffs, s):
+    """sum c s^j for coefficients given from the highest power down."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * s + c
+    return acc
+
+
+def step_polynomial(form, nl, w, v):
+    """s -> (t*, c) of the ray through u = w + s v, as ``ray_data`` gives it.
+
+    w and v are unknown-node vectors.  B[u, u] = B[w,w] + 2s B[w,v] +
+    s^2 B[v,v] and int u^k dx = sum_j C(k,j) s^j int w^(k-j) v^j dx; the
+    mixed moments come from one (k+1) x (k+1) product of the power vectors
+    of w and v at the domain Gauss points.  A call then evaluates these
+    polynomials by Horner's rule and passes them to ``ray_from_moments``.
+    Its round-off differs from ``ray_data(form, nl, w + s v)``.
+    """
+    Bwv = form.B @ np.column_stack([w, v])
+    b_coeffs = (float(v @ Bwv[:, 1]), 2.0 * float(w @ Bwv[:, 1]),
+                float(w @ Bwv[:, 0]))
+    x = np.vstack([form.values_at_omega_quad(form.full_values(w)),
+                   form.values_at_omega_quad(form.full_values(v))])
+    # pw[a] = (w^a, v^a) at the Gauss points
+    pw = np.empty((max(nl.moment_powers) + 1,) + x.shape)
+    pw[0] = 1.0
+    for a in range(1, len(pw)):
+        np.multiply(pw[a - 1], x, out=pw[a])
+    mixed = ((pw[:, 0] * form.omega_quad_weights()) @ pw[:, 1].T).tolist()
+    p_coeffs = {k: [math.comb(k, j) * mixed[k - j][j]
+                    for j in range(k, -1, -1)]
+                for k in nl.moment_powers}
+
+    def ray(s):
+        P = {k: _horner(cs, s) for k, cs in p_coeffs.items()}
+        return ray_from_moments(nl, _horner(b_coeffs, s), P)
+
+    return ray
 
 
 def t_star(form, nl, u):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that a
+setting is a finite number."""
+
+import math
 
 
 class NonlocalMPError(Exception):
@@ -80,6 +83,16 @@ class ConfigError(NonlocalMPError):
         super().__init__(message)
         self.line = line
         self.key = key
+
+
+def check_finite(pairs, error=None):
+    """Raise for the first (name, value) of ``pairs`` whose value is not a
+    finite number: a ConfigError keyed by the name, or ``error`` (an
+    exception class taking the message) when one is given."""
+    for name, value in pairs:
+        if not math.isfinite(value):
+            message = f"{name} must be a finite number, got {value!r}"
+            raise error(message) if error else ConfigError(message, key=name)
 
 
 class ExtensionMarginWarning(UserWarning):

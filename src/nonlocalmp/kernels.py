@@ -6,16 +6,17 @@ evaluation ``gamma(r)`` for r = |x - y| >= 0, the exact total mass
 ``width`` and a ``truncation_radius(tol)`` beyond which the omitted mass
 and second moment stay below tol.  Its dataclass fields are its
 parameters, named as the ``kernel.*`` config keys.  Parameters are
-validated at construction; evaluation never branches on invalid input.
+validated at construction (each must be a finite number within its
+family's range); evaluation never branches on invalid input.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import integrate
 
-from .errors import QuadratureFailure, TailBoundUnavailable
+from .errors import QuadratureFailure, TailBoundUnavailable, check_finite
 
 __all__ = [
     "Exponential",
@@ -30,6 +31,12 @@ __all__ = [
 ]
 
 
+def _check_params(kernel):
+    """Raise ValueError unless every parameter of kernel is finite."""
+    check_finite(((f.name, getattr(kernel, f.name)) for f in fields(kernel)),
+                 ValueError)
+
+
 @dataclass(frozen=True)
 class Exponential:
     """gamma(r) = exp(-r/scale) / (2 scale), unit mass."""
@@ -37,6 +44,7 @@ class Exponential:
     scale: float = 1.0
 
     def __post_init__(self):
+        _check_params(self)
         if self.scale <= 0:
             raise ValueError("Exponential kernel requires scale > 0")
 
@@ -64,6 +72,7 @@ class Gaussian:
     scale: float = 1.0
 
     def __post_init__(self):
+        _check_params(self)
         if self.scale <= 0:
             raise ValueError("Gaussian kernel requires scale > 0")
 
@@ -102,6 +111,7 @@ class InvertedMexicanHat:
     B: float = 2.0
 
     def __post_init__(self):
+        _check_params(self)
         if not (0 < self.a < self.b):
             raise ValueError("InvertedMexicanHat requires 0 < a < b")
         if self.A <= 0 or self.B <= 0:
@@ -140,6 +150,7 @@ class Logistic:
     b: float = 4.0
 
     def __post_init__(self):
+        _check_params(self)
         if self.a <= 0:
             raise ValueError("Logistic kernel requires a > 0")
         if self.b <= 3:
@@ -184,6 +195,7 @@ class PowerLaw:
     p: float = 4.0
 
     def __post_init__(self):
+        _check_params(self)
         if self.a <= 0:
             raise ValueError("PowerLaw kernel requires a > 0")
         if self.p <= 3:

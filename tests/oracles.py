@@ -112,3 +112,56 @@ def element_loop_norm_matrices(mesh):
         M[sl, sl] += (mesh.h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
         S[sl, sl] += (1.0 / mesh.h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
     return M, S
+
+
+def per_entry_dump(path, B):
+    """The matrix dump written one entry at a time (row col value)."""
+    with open(path, "w") as fh:
+        for i in range(B.shape[0]):
+            for j in range(B.shape[1]):
+                fh.write(f"{i} {j} {B[i, j]:.17g}\n")
+
+
+def halving_solve(form, nl, u1, cfg):
+    """The descent with an exact ray evaluation at every step halving.
+
+    Returns the iteration records and the final full nodal values.
+    """
+    from nonlocalmp import energy as en
+    from nonlocalmp import mountain_pass as mp
+    from nonlocalmp.errors import ZeroDirection, ZeroGradient
+
+    u1_unknown = form.reduce(u1)
+    ts, c = en.ray_data(form, nl, u1_unknown)
+    w = ts * u1_unknown
+    e_w = float(en.ray_energy(c, ts))
+    records = []
+    for it in range(1, cfg.max_iterations + 1):
+        try:
+            _, v1, grad_norm, _ = mp.descent_direction(form, nl, w, cfg)
+        except ZeroGradient:
+            break
+        if grad_norm <= cfg.epsilon:
+            break
+        step, halvings = cfg.delta, 0
+        while True:
+            trial = w + step * v1
+            try:
+                ts, c = en.ray_data(form, nl, trial)
+                e_trial = float(en.ray_energy(c, ts))
+            except ZeroDirection:
+                e_trial = np.inf
+            if e_trial < e_w:
+                break
+            halvings += 1
+            if halvings > cfg.max_halvings:
+                raise RuntimeError(f"stalled at iteration {it}")
+            step *= 0.5
+        w = ts * trial
+        e_w = e_trial
+        records.append(mp.IterationRecord(iteration=it, energy=e_w,
+                                          grad_norm_h1=grad_norm, t_star=ts,
+                                          halvings_used=halvings))
+    else:
+        raise RuntimeError("iteration budget exhausted")
+    return records, form.full_values(w)

@@ -6,7 +6,8 @@ import pytest
 import nonlocalmp as nm
 from nonlocalmp import assembly
 from nonlocalmp.errors import OutsideDomain
-from oracles import brute_force_quadratic_form, dense_convolution
+from oracles import (brute_force_quadratic_form, dense_convolution,
+                     per_entry_dump)
 
 from conftest import h_for
 
@@ -160,6 +161,15 @@ def test_dump_matrix(tmp_path, case1_coarse):
     i, j, v = rows[0].split()
     assert (int(i), int(j)) == (0, 0)
     assert float(v) == pytest.approx(form.B[0, 0])
+
+
+@pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
+def test_dump_matrix_bytes_match_per_entry_writer(setup, request, tmp_path):
+    form = request.getfixturevalue(setup)[1]
+    assembly.dump_matrix(tmp_path / "B.txt", form)
+    per_entry_dump(tmp_path / "ref.txt", form.B)
+    assert (tmp_path / "B.txt").read_bytes() \
+        == (tmp_path / "ref.txt").read_bytes()
 
 
 def test_extension_margin_warning():

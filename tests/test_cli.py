@@ -239,6 +239,7 @@ OUT_OF_RANGE = {
     "solver.max_halvings": "-1",
     "output.report": "rep.csv",        # a single run writes no report
     "output.plot": "rep.plot",
+    "neumann.extension": "2.0",        # a Dirichlet run has no extension
 }
 NON_FINITE = [("kernel.scale", "nan"), ("domain.right", "inf"),
               ("solver.direction_reg", "inf"), ("delta", "inf"),
@@ -309,6 +310,35 @@ def test_bad_mesh_or_start_exits_4(tmp_path, capsys, key, value):
     cfg.write_text(text)
     assert cli.main(["--config", str(cfg)] + flags) == 4
     assert key in capsys.readouterr().err
+
+
+NON_FINITE_IN_CODE = [
+    ("epsilon", dict(epsilon=math.inf)),
+    ("delta", dict(delta=-math.inf)),
+    ("solver.grounding_rel", dict(grounding_rel=math.inf)),
+    ("solver.direction_reg", dict(direction_reg=math.nan)),
+    ("solver.max_iterations", dict(max_iterations=math.inf)),
+    ("domain.left", dict(domain=(math.nan, 1.0))),
+    ("domain.right", dict(domain=(0.0, math.inf))),
+    ("neumann.extension", dict(extension=math.inf)),
+    ("h_list", dict(h=None, h_list=(0.3, 0.2, math.nan))),
+]
+
+
+@pytest.mark.parametrize("key,kwargs", NON_FINITE_IN_CODE,
+                         ids=[k for k, _ in NON_FINITE_IN_CODE])
+def test_non_finite_settings_in_code_rejected(key, kwargs):
+    kwargs = {"h": 0.3, **kwargs}
+    with pytest.raises(ConfigError,
+                       match=f"{key} must be a finite number") as info:
+        RunSpec(**kwargs)
+    assert info.value.key == key
+    for name, value in kwargs.items():
+        if name in SolverConfig.__dataclass_fields__:
+            with pytest.raises(ConfigError, match=f"{name} must be a "
+                               "finite number") as info:
+                SolverConfig(**{name: value})
+            assert info.value.key == name
 
 
 USAGE_ERRORS = [["--frobnicate"], ["--jobs", "abc"], ["--jobs", "0"],

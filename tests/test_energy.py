@@ -188,6 +188,33 @@ def test_t_star_zero_direction(case1_coarse):
         en.t_star(form, en.NONLINEARITIES["cubic"], nm.FeFunction(mesh))
 
 
+@pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
+@pytest.mark.parametrize("nl", ALL_NL, ids=lambda nl: nl.name)
+def test_step_polynomial_matches_ray_data(nl, setup, request):
+    # the screened ray of w + s v against the exact one, from an iterate w
+    # on its ray maximum along its descent direction v
+    mesh, form, M, S, u1 = request.getfixturevalue(setup)
+    u = form.reduce(u1)
+    w = en.t_star(form, nl, u) * u
+    v = mp.descent_direction(form, nl, w)[1]
+    ray = en.step_polynomial(form, nl, w, v)
+    for s in (1.0, 2.0**-10, 2.0**-30):
+        ts, c = en.ray_data(form, nl, w + s * v)
+        ts_poly, c_poly = ray(s)
+        assert ts_poly == pytest.approx(ts, rel=1e-12, abs=0.0)
+        assert en.ray_energy(c_poly, ts_poly) \
+            == pytest.approx(en.ray_energy(c, ts), rel=1e-12, abs=0.0)
+
+
+def test_step_polynomial_zero_direction(case1_coarse):
+    # the screen keeps ray_data's rule: no bilinear-form energy, no ray
+    mesh, form, M, S, u1 = case1_coarse
+    zero = np.zeros(form.n_unknowns)
+    ray = en.step_polynomial(form, en.NONLINEARITIES["cubic"], zero, zero)
+    with pytest.raises(ZeroDirection):
+        ray(1.0)
+
+
 def test_nonlinearity_from_name():
     assert en.nonlinearity_from_name("allen_cahn") \
         is en.NONLINEARITIES["allen_cahn"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import nonlocalmp as nm
 from nonlocalmp.errors import TailBoundUnavailable
-from nonlocalmp.kernels import diagnostics
+from nonlocalmp.kernels import KERNEL_NAMES, diagnostics
 
 
 def test_exponential_at_origin():
@@ -95,6 +96,20 @@ def test_reweighted_mexican_hat_changes_sign():
 def test_invalid_parameters_rejected(bad):
     with pytest.raises(ValueError):
         bad()
+
+
+NON_FINITE_PARAMS = [(cls, f.name, value)
+                     for cls in KERNEL_NAMES.values()
+                     for f in dataclasses.fields(cls)
+                     for value in (math.nan, math.inf, -math.inf)]
+
+
+@pytest.mark.parametrize(
+    "cls,name,value", NON_FINITE_PARAMS,
+    ids=[f"{c.__name__}.{n}={v}" for c, n, v in NON_FINITE_PARAMS])
+def test_non_finite_parameters_rejected(cls, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        cls(**{name: value})
 
 
 def test_tail_bound_unavailable():

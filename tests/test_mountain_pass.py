@@ -15,6 +15,7 @@ from nonlocalmp.errors import (InvariantViolation, MaxIterations, StallError,
                                ZeroGradient)
 
 from conftest import h_for
+from oracles import halving_solve
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +34,38 @@ def test_converges_with_certificate(case1_solved):
     assert result.converged
     assert result.final_grad_norm <= 1e-3
     assert 5 <= result.iterations <= 42
+
+
+def test_ray_evals_counted(case1_solved):
+    # one exact ray per accepted step plus the initial one, and few more:
+    # the step polynomial screens out most halvings
+    result = case1_solved[-1]
+    halvings = sum(r.halvings_used for r in result.records)
+    assert result.ray_evals >= result.iterations + 1
+    assert result.ray_evals <= (result.iterations + halvings + 1) / 2
+
+
+@pytest.fixture(scope="module")
+def case5_h03():
+    mesh = nm.build_extended_mesh((0.0, 3.0), 0.3, 1.5)
+    form = nm.assemble_neumann(mesh, nm.Exponential())
+    return form, en.NONLINEARITIES["allen_cahn"], nm.step_function(mesh, 1, 2)
+
+
+@pytest.mark.parametrize("setup", ["case1_coarse", "case5_h03"])
+def test_screened_descent_equals_halving_loop(setup, request):
+    # the screen only skips exact rays that would reject: records and
+    # solution equal those of the loop with an exact ray per halving
+    if setup == "case1_coarse":
+        mesh, form, M, S, u1 = request.getfixturevalue(setup)
+        nl = en.NONLINEARITIES["cubic"]
+    else:
+        form, nl, u1 = request.getfixturevalue(setup)
+    cfg = mp.SolverConfig()
+    result = mp.solve(form, nl, u1, cfg)
+    records, values = halving_solve(form, nl, u1, cfg)
+    assert result.records == records
+    assert np.array_equal(result.solution.values, values)
 
 
 def test_strict_energy_descent(case1_solved):
