@@ -304,12 +304,15 @@ class NonlocalForm:
         """Solve (B + reg H + sigma M) x = rhs by Cholesky.
 
         H is ``h1_gram`` and sigma M the mass shift grounding the Neumann
-        null mode; each factorization is cached on the form.
+        null mode; each factorization is cached on the form, and sigma is
+        computed only when factoring.
         """
-        sigma = self.grounding_shift(grounding_rel)
-        key = (float(sigma), float(reg))
+        if self.constraint != "neumann":
+            grounding_rel = 0.0
+        key = (float(grounding_rel), float(reg))
         fact = self._fact_cache.get(key)
         if fact is None:
+            sigma = self.grounding_shift(grounding_rel)
             mat = self.B
             if reg:
                 mat = mat + reg * self.h1_gram

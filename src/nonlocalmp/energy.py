@@ -14,7 +14,7 @@ t* is the best positive critical point of the ray polynomial.
 Along a step u = w + s v the same data are polynomials in s as well:
 B[u, u] from B[w, w], B[w, v] and B[v, v], and every moment from the
 mixed moments int w^a v^b dx.  ``step_polynomial`` computes those once
-and then gives the ray of any step s from a few float operations.
+and then screens any array of steps in a few vectorized operations.
 """
 
 import math
@@ -203,44 +203,70 @@ def ray_data(form, nl, u_unknown):
     return ray_from_moments(nl, Buu, P)
 
 
-def _horner(coeffs, s):
-    """sum c s^j for coefficients given from the highest power down."""
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * s + c
-    return acc
-
-
 def step_polynomial(form, nl, w, v):
-    """s -> (t*, c) of the ray through u = w + s v, as ``ray_data`` gives it.
+    """Screened ray energies of the steps u = w + s v, for an array of s.
 
     w and v are unknown-node vectors.  B[u, u] = B[w,w] + 2s B[w,v] +
     s^2 B[v,v] and int u^k dx = sum_j C(k,j) s^j int w^(k-j) v^j dx; the
     mixed moments come from one (k+1) x (k+1) product of the power vectors
-    of w and v at the domain Gauss points.  A call then evaluates these
-    polynomials by Horner's rule and passes them to ``ray_from_moments``.
-    Its round-off differs from ``ray_data(form, nl, w + s v)``.
+    of w and v at the domain Gauss points.  The returned function maps
+    steps to max_t I[t u] by the rule of ``ray_from_moments``: the closed
+    form when there is one, else the largest ray value at the positive
+    real roots of g'(t)/t, which one batched eigenvalue call takes from
+    the stacked companion matrices of every step.  An entry is NaN where
+    the ray has no positive maximum.  Its round-off differs from
+    ``ray_data(form, nl, w + s v)``.
     """
     Bwv = form.B @ np.column_stack([w, v])
-    b_coeffs = (float(v @ Bwv[:, 1]), 2.0 * float(w @ Bwv[:, 1]),
-                float(w @ Bwv[:, 0]))
     x = np.vstack([form.values_at_omega_quad(form.full_values(w)),
                    form.values_at_omega_quad(form.full_values(v))])
+    n = max(3, max(nl.moment_powers) + 1)
     # pw[a] = (w^a, v^a) at the Gauss points
-    pw = np.empty((max(nl.moment_powers) + 1,) + x.shape)
+    pw = np.empty((n,) + x.shape)
     pw[0] = 1.0
-    for a in range(1, len(pw)):
+    for a in range(1, n):
         np.multiply(pw[a - 1], x, out=pw[a])
     mixed = ((pw[:, 0] * form.omega_quad_weights()) @ pw[:, 1].T).tolist()
-    p_coeffs = {k: [math.comb(k, j) * mixed[k - j][j]
-                    for j in range(k, -1, -1)]
-                for k in nl.moment_powers}
+    # coefficients of s^j (row j) of B[u, u] (column 0) and of the ray
+    # coefficients c[0], c[1], ... of ``ray_coefficients`` (columns 1, ...)
+    coeffs = np.zeros((n, 1 + n))
+    coeffs[:3, 0] = (float(w @ Bwv[:, 0]), 2.0 * float(w @ Bwv[:, 1]),
+                     float(v @ Bwv[:, 1]))
+    coeffs[:3, 3] = 0.5 * coeffs[:3, 0]
+    for k, a in nl.F_coeffs.items():
+        coeffs[:k + 1, 1 + k] -= [a * math.comb(k, j) * mixed[k - j][j]
+                                  for j in range(k + 1)]
 
-    def ray(s):
-        P = {k: _horner(cs, s) for k, cs in p_coeffs.items()}
-        return ray_from_moments(nl, _horner(b_coeffs, s), P)
+    def screen(steps):
+        m = np.vander(steps, n, increasing=True) @ coeffs
+        Buu, c = m[:, 0], m[:, 1:]
+        with np.errstate(all="ignore"):
+            if nl._ray_rule is not None:
+                # t*^(k-2) = -2 c[2] / (k c[k]), g(t*) = (1 - 2/k) c[2] t*^2
+                k = nl._ray_rule[0]
+                c2, ck = c[:, 2], c[:, k]
+                best = np.where((c2 > 0.0) & (ck < 0.0), (1.0 - 2.0 / k) * c2
+                                * (-2.0 * c2 / (k * ck)) ** (2.0 / (k - 2)),
+                                np.nan)
+            else:
+                # companion matrices of g'(t)/t = sum_j (j+2) c[j+2] t^j
+                q = c[:, 2:] * np.arange(2, n)
+                comp = np.zeros((len(q), n - 3, n - 3))
+                comp[:, np.arange(1, n - 3), np.arange(n - 4)] = 1.0
+                comp[:, :, -1:] = -(q[:, :-1] / q[:, -1:])[:, :, None]
+                ok = np.isfinite(comp).all(axis=(1, 2))
+                roots = np.linalg.eigvals(
+                    np.where(ok[:, None, None], comp, 0.0)[:, ::-1, ::-1])
+                ts = roots.real
+                g = np.zeros_like(ts)
+                for cj in c.T[::-1]:
+                    g = g * ts + cj[:, None]
+                best = np.where(ok[:, None] & (np.abs(roots.imag) <= 1e-10)
+                                & (ts > 0.0), g, -np.inf).max(
+                    axis=1, initial=-np.inf)
+        return np.where((Buu > 0.0) & (best > 0.0), best, np.nan)
 
-    return ray
+    return screen
 
 
 def t_star(form, nl, u):

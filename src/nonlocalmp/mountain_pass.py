@@ -8,16 +8,17 @@ maximum:
      the physical domain is at most the tolerance (sigma is a small mass
      shift grounding the Neumann constant null mode, zero for Dirichlet);
   2. step along a normalized descent direction v1, halving the step until
-     the re-maximized trial t*(w~) w~ has strictly lower energy.  A step
-     is first screened by its step polynomial (``energy.step_polynomial``,
-     built once per iteration): a step whose screened ray energy is at
-     least e(w) (1 + SCREEN_MARGIN) is halved at once, and every other
-     step, or one whose screen finds no ray maximum, is decided by the
-     exact ray evaluation of the trial.  The screened energy differs
-     from the exact one by round-off only (at most 1.1e-14 relative on
-     the bundled presets), far inside the 1e-8 margin, so the screen
-     only skips exact evaluations that would reject: every decision, and
-     every iterate, comes from the exact ray;
+     the re-maximized trial t*(w~) w~ has strictly lower energy.  Every
+     step delta 2^-k, k = 0 .. max_halvings, is first screened in one
+     batched call of its step polynomial (``energy.step_polynomial``,
+     built once per iteration).  In order of k, each step whose screened
+     ray energy is not at least e(w) (1 + SCREEN_MARGIN), a NaN (no ray
+     maximum) included, is decided by the exact ray evaluation of the
+     trial; the first one with lower energy is taken.  The screened
+     energy differs from the exact one by round-off only (at most 5.3e-15
+     relative on the bundled presets), far inside the 1e-8 margin, so
+     the screen only skips exact evaluations that would reject: every
+     decision, and every iterate, comes from the exact ray;
   3. replace w by the re-maximized trial and repeat.
 
 The direction v1 comes from the H1-regularized solve
@@ -107,6 +108,9 @@ class SolveResult:
     initial_l2: float
     # exact ray evaluations made by solve, the initial one included
     ray_evals: int = 0
+    # converged, zero_gradient, stall or max_iterations (None when the
+    # result was not made by solve)
+    stop_reason: str = None
 
     @property
     def iterations(self):
@@ -157,7 +161,9 @@ def solve(form, nl, u1, cfg=None):
     The H1 stopping norm is taken over the physical domain (see
     ``NonlocalForm.h1_gram``).  Raises StallError when the halving budget
     is exhausted and MaxIterations when the iteration budget runs out;
-    both carry the partial result in ``result``.
+    both carry the partial result in ``result``, whose ``stop_reason`` is
+    "stall" or "max_iterations" ("converged" or "zero_gradient" on
+    return).
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
@@ -173,49 +179,43 @@ def solve(form, nl, u1, cfg=None):
 
     records = []
     grad_norm = np.inf
+    # every step the halving may try: the floats of repeated halving
+    steps = cfg.delta * 0.5 ** np.arange(cfg.max_halvings + 1)
 
-    def result(converged):
+    def result(stop_reason):
+        converged = stop_reason in ("converged", "zero_gradient")
         return SolveResult(solution=form.fe(w), converged=converged,
                            records=records,
                            wall_time=time.perf_counter() - t0,
                            final_grad_norm=grad_norm, initial_energy=e0,
-                           initial_l2=l2_0, ray_evals=ray_evals)
+                           initial_l2=l2_0, ray_evals=ray_evals,
+                           stop_reason=stop_reason)
 
     for it in range(1, cfg.max_iterations + 1):
         try:
             _, v1, grad_norm, g = descent_direction(form, nl, w, cfg)
         except ZeroGradient:
             grad_norm = 0.0
-            break
+            return result("zero_gradient")
         if grad_norm <= cfg.epsilon:
-            break
+            return result("converged")
 
-        screen = step_polynomial(form, nl, w, v1)
-        screen_bound = e_w + SCREEN_MARGIN * abs(e_w)
-        step = cfg.delta
-        halvings = 0
-        while True:
+        screened = step_polynomial(form, nl, w, v1)(steps)
+        bound = e_w + SCREEN_MARGIN * abs(e_w)
+        for halvings in np.flatnonzero(~(screened >= bound)).tolist():
+            trial = w + steps[halvings] * v1
+            ray_evals += 1
             try:
-                ts, c = screen(step)
-                exact = not ray_energy(c, ts) >= screen_bound
+                ts, c = ray_data(form, nl, trial)
             except ZeroDirection:
-                exact = True
-            if exact:
-                trial = w + step * v1
-                ray_evals += 1
-                try:
-                    ts, c = ray_data(form, nl, trial)
-                    e_trial = float(ray_energy(c, ts))
-                except ZeroDirection:
-                    e_trial = np.inf
-                if e_trial < e_w:
-                    break
-            halvings += 1
-            if halvings > cfg.max_halvings:
-                raise StallError(
-                    f"no energy decrease after {cfg.max_halvings} halvings "
-                    f"at iteration {it}", result(False))
-            step *= 0.5
+                continue
+            e_trial = float(ray_energy(c, ts))
+            if e_trial < e_w:
+                break
+        else:
+            raise StallError(
+                f"no energy decrease after {cfg.max_halvings} halvings "
+                f"at iteration {it}", result("stall"))
 
         w = ts * trial
         if cfg.check_invariants:
@@ -224,8 +224,6 @@ def solve(form, nl, u1, cfg=None):
         records.append(IterationRecord(iteration=it, energy=e_w,
                                        grad_norm_h1=grad_norm, t_star=ts,
                                        halvings_used=halvings))
-    else:
-        raise MaxIterations(
-            f"no convergence within {cfg.max_iterations} iterations",
-            result(False))
-    return result(True)
+    raise MaxIterations(
+        f"no convergence within {cfg.max_iterations} iterations",
+        result("max_iterations"))

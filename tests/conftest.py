@@ -26,6 +26,12 @@ TABLE5 = {
 }
 
 
+# F = t^4/4 + t^6/6: two powers above 2, so t* has no closed form and
+# g'(t)/t has degree 4
+CUBIC_PLUS_QUINTIC = nm.Nonlinearity("cubic_plus_quintic",
+                                     {4: 0.25, 6: 1.0 / 6.0})
+
+
 def h_for(n):
     """Mesh size giving exactly n elements on (-pi, pi)."""
     return 2.0 * math.pi / n

@@ -9,10 +9,13 @@ from nonlocalmp import mountain_pass as mp
 from nonlocalmp.errors import ZeroDirection
 from oracles import central_difference, grid_ray_argmax
 
-from conftest import h_for
+from conftest import CUBIC_PLUS_QUINTIC, h_for
 
 ALL_NL = [en.NONLINEARITIES[name] for name in
           ("cubic", "quintic", "cubic_minus_linear", "allen_cahn")]
+SCREEN_NL = ALL_NL + [CUBIC_PLUS_QUINTIC]
+# every step the descent tries with the default delta and halving budget
+STEPS = 2.0 ** -np.arange(61)
 
 
 def test_pointwise_values():
@@ -189,30 +192,48 @@ def test_t_star_zero_direction(case1_coarse):
 
 
 @pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
-@pytest.mark.parametrize("nl", ALL_NL, ids=lambda nl: nl.name)
+@pytest.mark.parametrize("nl", SCREEN_NL, ids=lambda nl: nl.name)
 def test_step_polynomial_matches_ray_data(nl, setup, request):
-    # the screened ray of w + s v against the exact one, from an iterate w
-    # on its ray maximum along its descent direction v
+    # the screened ray energies of w + s v against the exact ones, from an
+    # iterate w on its ray maximum along its descent direction v
     mesh, form, M, S, u1 = request.getfixturevalue(setup)
     u = form.reduce(u1)
     w = en.t_star(form, nl, u) * u
     v = mp.descent_direction(form, nl, w)[1]
-    ray = en.step_polynomial(form, nl, w, v)
-    for s in (1.0, 2.0**-10, 2.0**-30):
-        ts, c = en.ray_data(form, nl, w + s * v)
-        ts_poly, c_poly = ray(s)
-        assert ts_poly == pytest.approx(ts, rel=1e-12, abs=0.0)
-        assert en.ray_energy(c_poly, ts_poly) \
-            == pytest.approx(en.ray_energy(c, ts), rel=1e-12, abs=0.0)
+    screened = en.step_polynomial(form, nl, w, v)(STEPS)
+    assert screened.shape == STEPS.shape
+    for s, got in zip(STEPS, screened):
+        try:
+            ts, c = en.ray_data(form, nl, w + s * v)
+        except ZeroDirection:
+            assert np.isnan(got)
+            continue
+        assert got == pytest.approx(en.ray_energy(c, ts), rel=1e-12, abs=0.0)
 
 
-def test_step_polynomial_zero_direction(case1_coarse):
+@pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
+@pytest.mark.parametrize("nl", SCREEN_NL, ids=lambda nl: nl.name)
+def test_step_polynomial_zero_direction(nl, setup, request):
     # the screen keeps ray_data's rule: no bilinear-form energy, no ray
-    mesh, form, M, S, u1 = case1_coarse
+    mesh, form, M, S, u1 = request.getfixturevalue(setup)
     zero = np.zeros(form.n_unknowns)
-    ray = en.step_polynomial(form, en.NONLINEARITIES["cubic"], zero, zero)
     with pytest.raises(ZeroDirection):
-        ray(1.0)
+        en.ray_data(form, nl, zero)
+    assert np.isnan(en.step_polynomial(form, nl, zero, zero)(STEPS)).all()
+
+
+@pytest.mark.parametrize("nl", [
+    en.Nonlinearity("defocusing_cubic", {4: -0.25}),
+    en.Nonlinearity("defocusing_cubic_quintic", {4: -0.25, 6: -1.0 / 6.0}),
+], ids=lambda nl: nl.name)
+def test_step_polynomial_no_ray_maximum(nl, case1_coarse):
+    # I[t u] grows without bound along every ray: the closed-form rule and
+    # the root rule both give NaN where ray_data raises
+    mesh, form, M, S, u1 = case1_coarse
+    u = form.reduce(u1)
+    with pytest.raises(ZeroDirection):
+        en.ray_data(form, nl, u)
+    assert np.isnan(en.step_polynomial(form, nl, u, u)(STEPS)).all()
 
 
 def test_nonlinearity_from_name():
@@ -226,7 +247,7 @@ def test_nonlinearity_given_as_data(case1_coarse):
     # F = t^4/4 + t^6/6 has two powers above 2, so t* has no closed form
     # and comes from the roots of the ray polynomial's derivative
     mesh, form, M, S, u1 = case1_coarse
-    nl = en.Nonlinearity("cubic_plus_quintic", {4: 0.25, 6: 1.0 / 6.0})
+    nl = CUBIC_PLUS_QUINTIC
     ts = np.linspace(-2.0, 2.0, 41)
     np.testing.assert_allclose(nl.f(ts), ts**3 + ts**5, rtol=1e-14)
     np.testing.assert_allclose(nl.F(ts), ts**4 / 4 + ts**6 / 6, rtol=1e-14)

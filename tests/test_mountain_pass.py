@@ -14,7 +14,7 @@ from nonlocalmp import mountain_pass as mp
 from nonlocalmp.errors import (InvariantViolation, MaxIterations, StallError,
                                ZeroGradient)
 
-from conftest import h_for
+from conftest import CUBIC_PLUS_QUINTIC, h_for
 from oracles import halving_solve
 
 
@@ -31,7 +31,7 @@ def case1_solved(request):
 
 def test_converges_with_certificate(case1_solved):
     mesh, form, M, S, u1, result = case1_solved
-    assert result.converged
+    assert result.converged and result.stop_reason == "converged"
     assert result.final_grad_norm <= 1e-3
     assert 5 <= result.iterations <= 42
 
@@ -49,23 +49,56 @@ def test_ray_evals_counted(case1_solved):
 def case5_h03():
     mesh = nm.build_extended_mesh((0.0, 3.0), 0.3, 1.5)
     form = nm.assemble_neumann(mesh, nm.Exponential())
-    return form, en.NONLINEARITIES["allen_cahn"], nm.step_function(mesh, 1, 2)
+    return form, nm.step_function(mesh, 1, 2)
 
 
-@pytest.mark.parametrize("setup", ["case1_coarse", "case5_h03"])
-def test_screened_descent_equals_halving_loop(setup, request):
+@pytest.fixture(scope="module")
+def case2_20():
+    # the Mexican-hat preset ends in a one-node spike: up to 12 halvings
+    spec = nm.config.parse_config_text(nm.cases.case_config_text("case2"))
+    mesh = spec.build_mesh(h_for(20))
+    form = nm.assemble_dirichlet(mesh, spec.make_kernel(), spec.quad_order)
+    return form, spec.initial_guess_fe(mesh)
+
+
+def form_and_start(request, fixture):
+    value = request.getfixturevalue(fixture)
+    return (value[1], value[-1]) if fixture == "case1_coarse" else value
+
+
+@pytest.mark.parametrize("fixture, nl", [
+    ("case1_coarse", en.NONLINEARITIES["cubic"]),
+    ("case5_h03", en.NONLINEARITIES["allen_cahn"]),
+    ("case2_20", en.NONLINEARITIES["cubic"]),
+    ("case1_coarse", en.NONLINEARITIES["allen_cahn"]),
+    ("case1_coarse", CUBIC_PLUS_QUINTIC),
+], ids=lambda x: x if isinstance(x, str) else x.name)
+def test_screened_descent_equals_halving_loop(fixture, nl, request):
     # the screen only skips exact rays that would reject: records and
     # solution equal those of the loop with an exact ray per halving
-    if setup == "case1_coarse":
-        mesh, form, M, S, u1 = request.getfixturevalue(setup)
-        nl = en.NONLINEARITIES["cubic"]
-    else:
-        form, nl, u1 = request.getfixturevalue(setup)
+    form, u1 = form_and_start(request, fixture)
     cfg = mp.SolverConfig()
     result = mp.solve(form, nl, u1, cfg)
     records, values = halving_solve(form, nl, u1, cfg)
     assert result.records == records
     assert np.array_equal(result.solution.values, values)
+
+
+def test_screened_descent_stalls_with_halving_loop(case2_20):
+    # with at most 6 halvings the case-2 descent stalls at iteration 40;
+    # the screened descent stalls where the halving loop does
+    form, u1 = case2_20
+    nl = en.NONLINEARITIES["cubic"]
+    cfg = mp.SolverConfig(max_halvings=6)
+    with pytest.raises(RuntimeError, match="stalled at iteration") as oracle:
+        halving_solve(form, nl, u1, cfg)
+    stalled_at = int(str(oracle.value).split()[-1])
+    assert stalled_at > 1
+    with pytest.raises(StallError,
+                       match=f"at iteration {stalled_at}$") as info:
+        mp.solve(form, nl, u1, cfg)
+    assert info.value.result.iterations == stalled_at - 1
+    assert info.value.result.stop_reason == "stall"
 
 
 def test_strict_energy_descent(case1_solved):
@@ -143,6 +176,32 @@ def test_direction_factorizations_cached(case1_coarse, monkeypatch):
     assert len(calls) == 2
 
 
+def test_grounded_factor_shared_with_reference_resolve(monkeypatch):
+    # a Neumann form is factored twice for the descent, and the reference
+    # resolve reuses the grounded factor; the shift sigma enters only the
+    # factorization, and the solves equal those of a factor built here
+    mesh = nm.build_extended_mesh((0.0, 3.0), 0.3, 1.5)
+    form = nm.assemble_neumann(mesh, nm.Exponential())
+    nl = en.NONLINEARITIES["allen_cahn"]
+    cfg = mp.SolverConfig()
+    calls = []
+    cho_factor = linalg.cho_factor
+    monkeypatch.setattr(linalg, "cho_factor",
+                        lambda a: calls.append(a) or cho_factor(a))
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        w = rng.standard_normal(form.n_unknowns)
+        b, v1, b_h1, g = mp.descent_direction(form, nl, w, cfg)
+    nm.reference_errors(form, form.M, nl, form.fe(w), cfg.grounding_rel)
+    assert len(calls) == 2
+    sigma = form.grounding_shift(cfg.grounding_rel)
+    assert sigma == cfg.grounding_rel * np.trace(form.B) \
+        / form.M.diagonal()[form.unknown_idx].sum()
+    mat = form.B + sigma * form.M[np.ix_(form.unknown_idx, form.unknown_idx)]
+    assert np.array_equal(calls[0], mat)
+    assert np.array_equal(b, linalg.cho_solve(cho_factor(mat), g))
+
+
 def test_zero_gradient_raises(case1_solved):
     mesh, form, M, S, u1, result = case1_solved
     with pytest.raises(ZeroGradient):
@@ -169,6 +228,7 @@ def test_max_iterations_carries_partial_result(case1_solved):
         mp.solve(form, en.NONLINEARITIES["cubic"], u1, cfg)
     partial = info.value.result
     assert not partial.converged
+    assert partial.stop_reason == "max_iterations"
     assert partial.iterations == 2
 
 
@@ -178,6 +238,21 @@ def test_stall_error_carries_partial_result(case1_solved):
     with pytest.raises(StallError) as info:
         mp.solve(form, en.NONLINEARITIES["cubic"], u1, cfg)
     assert info.value.result is not None
+    assert not info.value.result.converged
+    assert info.value.result.stop_reason == "stall"
+
+
+def test_zero_gradient_stops_converged(case1_solved, monkeypatch):
+    # a start whose gradient vanishes is a critical point: converged
+    mesh, form, M, S, u1, result = case1_solved
+
+    def critical(*args):
+        raise ZeroGradient("gradient vanishes")
+
+    monkeypatch.setattr(mp, "descent_direction", critical)
+    result = mp.solve(form, en.NONLINEARITIES["cubic"], u1)
+    assert result.converged and result.stop_reason == "zero_gradient"
+    assert result.iterations == 0 and result.final_grad_norm == 0.0
 
 
 def test_unregularized_direction_available(case1_solved):
