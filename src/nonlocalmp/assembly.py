@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import lapack
 
 from . import fem
 from .errors import (ConfigError, ExtensionMarginWarning, OutsideDomain,
@@ -305,7 +306,8 @@ class NonlocalForm:
 
         H is ``h1_gram`` and sigma M the mass shift grounding the Neumann
         null mode; each factorization is cached on the form, and sigma is
-        computed only when factoring.
+        computed only when factoring.  ``rhs`` is a vector or a matrix of
+        right-hand-side columns; a non-finite entry raises ValueError.
         """
         if self.constraint != "neumann":
             grounding_rel = 0.0
@@ -326,7 +328,17 @@ class NonlocalForm:
                     "system not positive definite (grounding shift "
                     f"{sigma:.3g}, regularization {reg:.3g})") from exc
             self._fact_cache[key] = fact
-        return linalg.cho_solve(fact, rhs)
+        # LAPACK potrs on the cached factor: the bits of linalg.cho_solve
+        # without its per-call wrapper cost, and with its two checks
+        rhs = np.asarray(rhs, dtype=float)
+        if not np.isfinite(rhs).all():
+            raise ValueError("right-hand side must contain only finite "
+                             "numbers")
+        c, lower = fact
+        x, info = lapack.dpotrs(c, rhs, lower=lower)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of potrs")
+        return x
 
     # -- the operator -L u --------------------------------------------------
 
@@ -423,8 +435,19 @@ def assemble_neumann(mesh, kernel, quad_order=QUAD_ORDER):
 
 
 def dump_matrix(path, form):
-    """Write the reduced matrix B in coordinate text format (row col value)."""
+    """Write the reduced matrix B in coordinate text format (row col value).
+
+    Each distinct value is formatted once: the text is cached on the bit
+    pattern, so -0.0 and 0.0 keep their own text.
+    """
+    B = form.B
+    cols = [f" {j} " for j in range(B.shape[1])]
+    text = {}
     with open(path, "w") as fh:
-        for i, row in enumerate(form.B):
-            fh.write("".join([f"{i} {j} {v:.17g}\n"
-                              for j, v in enumerate(row.tolist())]))
+        for i, bits in enumerate(B.view(np.int64)):
+            keys = bits.tolist()
+            new = list(set(keys).difference(text))
+            vals = np.array(new, dtype=np.int64).view(float).tolist()
+            text.update(zip(new, [f"{v:.17g}\n" for v in vals]))
+            row = str(i)
+            fh.write("".join([row + c + text[k] for c, k in zip(cols, keys)]))

@@ -15,6 +15,11 @@ Along a step u = w + s v the same data are polynomials in s as well:
 B[u, u] from B[w, w], B[w, v] and B[v, v], and every moment from the
 mixed moments int w^a v^b dx.  ``step_polynomial`` computes those once
 and then screens any array of steps in a few vectorized operations.
+
+Every integer power (in f, F, the moments and the mixed moments) comes
+from one power table, u^0 ... u^top by repeated multiplication
+(``_powers``).  It agrees with numpy's general ``u**k`` to round-off, not
+bitwise, and costs a fraction of it on negative values.
 """
 
 import math
@@ -42,12 +47,22 @@ __all__ = [
 ]
 
 
+def _powers(x, top):
+    """[x^0, x^1, ..., x^top] by repeated multiplication (numpy's general
+    ``x**k`` costs 10-20 times as much on negative values)."""
+    x = np.asarray(x, dtype=float)
+    pw = [np.ones(x.shape), x]
+    for _ in range(top - 1):
+        pw.append(pw[-1] * x)
+    return pw[:top + 1]
+
+
 def _power_sum(terms, t):
     """sum c t^k over the (c, k) terms, added in order from a zero array."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
+    pw = _powers(t, max([k for _, k in terms], default=0))
+    out = np.zeros(pw[0].shape)
     for c, k in terms:
-        out = out + c * t**k
+        out = out + c * pw[k]
     return out if out.ndim else float(out)
 
 
@@ -139,9 +154,9 @@ def nonlinearity_from_name(name):
 
 def moments(form, u_full, powers):
     """int u^k dx over the physical domain for every requested power."""
-    uq = form.values_at_omega_quad(u_full)
+    pw = _powers(form.values_at_omega_quad(u_full), max(powers, default=0))
     w = form.omega_quad_weights()
-    return {k: float(w @ uq**k) for k in powers}
+    return {k: float(w @ pw[k]) for k in powers}
 
 
 def ray_coefficients(nl, Buu, P):
@@ -222,10 +237,7 @@ def step_polynomial(form, nl, w, v):
                    form.values_at_omega_quad(form.full_values(v))])
     n = max(3, max(nl.moment_powers) + 1)
     # pw[a] = (w^a, v^a) at the Gauss points
-    pw = np.empty((n,) + x.shape)
-    pw[0] = 1.0
-    for a in range(1, n):
-        np.multiply(pw[a - 1], x, out=pw[a])
+    pw = np.array(_powers(x, n - 1))
     mixed = ((pw[:, 0] * form.omega_quad_weights()) @ pw[:, 1].T).tolist()
     # coefficients of s^j (row j) of B[u, u] (column 0) and of the ray
     # coefficients c[0], c[1], ... of ``ray_coefficients`` (columns 1, ...)

@@ -15,7 +15,7 @@ maximum:
      ray energy is not at least e(w) (1 + SCREEN_MARGIN), a NaN (no ray
      maximum) included, is decided by the exact ray evaluation of the
      trial; the first one with lower energy is taken.  The screened
-     energy differs from the exact one by round-off only (at most 5.3e-15
+     energy differs from the exact one by round-off only (at most 1.0e-14
      relative on the bundled presets), far inside the 1e-8 margin, so
      the screen only skips exact evaluations that would reject: every
      decision, and every iterate, comes from the exact ray;

@@ -19,7 +19,7 @@ from . import assembly, mountain_pass
 from .errors import (MaxIterations, NonlocalMPError, StallError)
 
 __all__ = ["CaseReport", "StudyResult", "residual_norms", "reference_errors",
-           "l1_norm_p1", "is_trivial_capture", "run_single",
+           "l1_norm_p1", "l2_ratio", "is_trivial_capture", "run_single",
            "convergence_study", "fit_orders", "report_line",
            "write_report_csv", "write_plot_data", "REPORT_COLUMNS"]
 
@@ -45,6 +45,11 @@ class CaseReport:
     trivial: bool = False
     failed: bool = False
     error: str = None
+    # SolveResult.stop_reason (None when no descent result exists)
+    stop_reason: str = None
+    # ||u*|| / ||w1||, the ratio ``is_trivial_capture`` tests (nan when no
+    # descent result exists)
+    l2_ratio: float = np.nan
 
 
 @dataclass
@@ -110,11 +115,16 @@ def reference_errors(form, M, nl, u,
     return e_l1, e_l2, ubar
 
 
+def l2_ratio(result, M):
+    """L2(Omega) norm of the iterate over that of its rescaled initial
+    guess, ||u*|| / ||w1||."""
+    v = result.solution.values
+    return float(np.sqrt(max(v @ M @ v, 0.0))) / result.initial_l2
+
+
 def is_trivial_capture(result, M):
     """True when the iterate collapsed far below its rescaled initial guess."""
-    v = result.solution.values
-    l2 = float(np.sqrt(max(v @ M @ v, 0.0)))
-    return l2 < TRIVIAL_CAPTURE_RATIO * result.initial_l2
+    return l2_ratio(result, M) < TRIVIAL_CAPTURE_RATIO
 
 
 def run_single(spec, h,
@@ -150,6 +160,8 @@ def run_single(spec, h,
     if result is not None:
         report.iterations = result.iterations
         report.converged = result.converged
+        report.stop_reason = result.stop_reason
+        report.l2_ratio = l2_ratio(result, form.M)
         report.trivial = is_trivial_capture(result, form.M)
         try:
             report.R_L1, report.R_L2 = residual_norms(form, nl, result.solution)

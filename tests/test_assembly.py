@@ -1,7 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 import nonlocalmp as nm
 from nonlocalmp import assembly
@@ -163,13 +165,60 @@ def test_dump_matrix(tmp_path, case1_coarse):
     assert float(v) == pytest.approx(form.B[0, 0])
 
 
-@pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
+# -0.0 and 0.0, repeated values, subnormals and an asymmetric pair
+HAND_BUILT_B = np.array([
+    [-0.0, 0.0, 1.0 / 3.0, 5e-324],
+    [0.0, -0.0, 1.0 / 3.0, 2.5e-310],
+    [-1.0 / 3.0, 1.0 / 3.0, 1e300, -5e-324],
+    [5e-324, 0.1, 0.1 + 2.0**-56, -0.0],
+])
+
+
+@pytest.fixture
+def hand_built():
+    return None, SimpleNamespace(B=HAND_BUILT_B)
+
+
+@pytest.mark.parametrize("setup",
+                         ["case1_coarse", "neumann_coarse", "hand_built"])
 def test_dump_matrix_bytes_match_per_entry_writer(setup, request, tmp_path):
     form = request.getfixturevalue(setup)[1]
     assembly.dump_matrix(tmp_path / "B.txt", form)
     per_entry_dump(tmp_path / "ref.txt", form.B)
     assert (tmp_path / "B.txt").read_bytes() \
         == (tmp_path / "ref.txt").read_bytes()
+
+
+@pytest.mark.parametrize("reg", [0.0, 0.25])
+@pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
+def test_solve_spd_equals_cho_solve(setup, reg, request):
+    # the direct LAPACK solve on the cached factor gives the bits of
+    # scipy's cho_solve on a factor of the same matrix, for one
+    # right-hand side and for several columns
+    form = request.getfixturevalue(setup)[1]
+    grounding_rel = 1e-4
+    sigma = form.grounding_shift(grounding_rel)
+    mat = form.B
+    if reg:
+        mat = mat + reg * form.h1_gram
+    if sigma:
+        mat = mat + sigma * form.M[np.ix_(form.unknown_idx, form.unknown_idx)]
+    fact = linalg.cho_factor(mat)
+    rng = np.random.default_rng(8)
+    for rhs in (rng.standard_normal(form.n_unknowns),
+                rng.standard_normal((form.n_unknowns, 3))):
+        x = form.solve_spd(rhs, grounding_rel, reg)
+        assert x.shape == rhs.shape
+        assert np.array_equal(x, linalg.cho_solve(fact, rhs))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_spd_rejects_non_finite_rhs(case1_coarse, bad):
+    form = case1_coarse[1]
+    rhs = np.ones(form.n_unknowns)
+    rhs[3] = bad
+    with pytest.raises(ValueError):
+        form.solve_spd(rhs)
 
 
 def test_extension_margin_warning():

@@ -35,6 +35,40 @@ def test_antiderivative_consistency(nl):
     np.testing.assert_allclose(fd, nl.f(ts), atol=1e-7, rtol=1e-7)
 
 
+def _power_sum_reference(terms, t):
+    """sum c t^k with numpy's general power, and sum |c t^k| as the scale."""
+    vals = [c * t**k for c, k in terms]
+    return sum(vals), sum(np.abs(v) for v in vals)
+
+
+@pytest.mark.parametrize("nl", SCREEN_NL, ids=lambda nl: nl.name)
+def test_powers_match_general_power(nl, case1_coarse):
+    # f, F and the moments take their powers from one table built by
+    # repeated multiplication; they agree with u**k to round-off
+    rng = np.random.default_rng(12)
+    t = 1.5 * rng.standard_normal(200)
+    t[::7] = 0.0
+    for got, terms in (
+            (nl.f(t), [(k * a, k - 1) for k, a in nl.F_coeffs.items()]),
+            (nl.F(t), [(a, k) for k, a in nl.F_coeffs.items()])):
+        ref, scale = _power_sum_reference(terms, t)
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
+    form = case1_coarse[1]
+    w = form.omega_quad_weights()
+    for _ in range(5):
+        u = form.full_values(rng.standard_normal(form.n_unknowns))
+        uq = form.values_at_omega_quad(u)
+        for k, got in en.moments(form, u, nl.moment_powers).items():
+            assert abs(got - w @ uq**k) <= 1e-14 * (w @ np.abs(uq)**k)
+
+
+@pytest.mark.parametrize("nl", SCREEN_NL, ids=lambda nl: nl.name)
+def test_scalar_values_are_floats(nl):
+    for t in (-1.5, 0.0, 2, np.float64(0.5)):
+        assert type(nl.f(t)) is float and type(nl.F(t)) is float
+
+
 def test_hypothesis_metadata():
     cubic, quintic, cml, ac = ALL_NL
     assert cubic.hypothesis_meta["a2"] == 1.0

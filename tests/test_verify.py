@@ -51,6 +51,15 @@ def test_case1_coarse_row(case1_run):
     assert r.iterations <= 3 * TABLE1["it"][0]
 
 
+def test_report_carries_stop_reason_and_l2_ratio(case1_run):
+    r = case1_run.report
+    res = case1_run.result
+    assert r.stop_reason == res.stop_reason == "converged"
+    v = res.solution.values
+    assert r.l2_ratio == math.sqrt(v @ case1_run.M @ v) / res.initial_l2
+    assert r.l2_ratio >= verify.TRIVIAL_CAPTURE_RATIO and not r.trivial
+
+
 def test_reference_solve_self_consistency(case1_run):
     # for a Dirichlet solve u* - ubar equals the final descent solve b,
     # so the errors sit at the stopping tolerance: a converged solution is
@@ -155,6 +164,9 @@ def test_failed_row_is_marked():
     assert "MaxIterations" in run.report.error
     # partial state still reported
     assert run.report.iterations == 1
+    assert run.report.stop_reason == "max_iterations"
+    assert run.report.l2_ratio == verify.l2_ratio(run.result, run.M)
+    assert 0.0 < run.report.l2_ratio < math.inf and not run.report.trivial
 
 
 def test_convergence_study_parallel_rows():
