@@ -8,8 +8,11 @@ with F the antiderivative of the nonlinearity f from 0.  Along a ray
 t -> I[t u] the functional is a polynomial in t whose coefficients come
 from B[u, u] and the moments int u^k dx.  A nonlinearity is nothing but
 the coefficients of F.  When F = a_k t^k (+ a_2 t^2) the maximizer t*
-has a closed form; otherwise (the built-in Allen-Cahn source, for one)
-t* is the best positive critical point of the ray polynomial.
+has a closed form; otherwise t* is the best positive critical point of
+the ray polynomial, a root of g'(t)/t.  While g'(t)/t has degree 2 at
+most (the built-in Allen-Cahn source, for one) its roots come from the
+quadratic formula; above that from the eigenvalues of its companion
+matrix.
 
 Along a step u = w + s v the same data are polynomials in s as well:
 B[u, u] from B[w, w], B[w, v] and B[v, v], and every moment from the
@@ -134,8 +137,8 @@ NONLINEARITIES = {nl.name: nl for nl in (
         "a1": 1.0, "a2": 2.0, "alpha": 3, "mu_range": (2.0, 4.0),
         "theta": 1.0, "A2": True, "A3": False, "A4": True, "A5": True}),
     # f(t) = (-t - 3 t^2 + 4 t^3)/2, the bistable Allen-Cahn source term;
-    # neither the zero-slope nor the scaling hypothesis holds, and t* has
-    # no closed form
+    # neither the zero-slope nor the scaling hypothesis holds; t* is a
+    # root of the quadratic g'(t)/t, taken by formula
     Nonlinearity("allen_cahn", {2: -0.25, 3: -0.5, 4: 0.5}, {
         "a1": 2.0, "a2": 4.0, "alpha": 3, "mu_range": None,
         "theta": None, "A2": True, "A3": False, "A4": False, "A5": True}),
@@ -188,20 +191,69 @@ def ray_from_moments(nl, Buu, P):
     if closed is not None:
         return closed, c
     # critical points of g: roots of the polynomial g'(t)/t
-    dc = np.polynomial.polynomial.polyder(c)[1:]
-    roots = np.polynomial.polynomial.polyroots(dc)
+    coeffs = c.tolist()[::-1]
     best_t, best_g = None, 0.0
-    for r in roots:
-        if abs(r.imag) > 1e-10 or r.real <= 0:
+    for t in _real_roots(c[2:] * np.arange(2, c.size)):
+        if not t > 0.0:
             continue
-        g = ray_energy(c, r.real)
+        # g(t) by Horner's rule, the operations of ``ray_energy``
+        g = 0.0
+        for cj in coeffs:
+            g = g * t + cj
         # prefer the global maximum; break ties toward larger t
         if best_t is None or g > best_g + 1e-15 * abs(best_g) \
-                or (abs(g - best_g) <= 1e-15 * abs(best_g) and r.real > best_t):
-            best_t, best_g = float(r.real), float(g)
+                or (abs(g - best_g) <= 1e-15 * abs(best_g) and t > best_t):
+            best_t, best_g = t, g
     if best_t is None or best_g <= 0.0:
         raise ZeroDirection("ray energy has no positive critical point")
     return best_t, c
+
+
+def _real_roots(q):
+    """Real roots of sum_j q[j] t^j for one coefficient vector q (a list
+    of floats) or for every row of a 2-D q (an array, one row each); NaN
+    stands in place of a root further than 1e-10 off the real axis or
+    not finite.
+
+    Up to degree 2 the roots come from the cancellation-free quadratic
+    formula: with s = -(q1 + sign(q1) sqrt(disc)) / 2 they are s / q2 and
+    q0 / s.  A complex pair lies sqrt(-disc) / (2 |q2|) off the axis;
+    within the tolerance it counts as the double root -q1 / (2 q2).  One
+    vector takes the formula on Python floats, rows take it on arrays.
+    Above degree 2 the roots are the eigenvalues of the companion
+    matrices.
+    """
+    if q.shape[-1] > 3:
+        d = q.shape[-1] - 1
+        with np.errstate(all="ignore"):
+            comp = np.zeros(q.shape[:-1] + (d, d))
+            comp[..., np.arange(1, d), np.arange(d - 1)] = 1.0
+            comp[..., :, -1] = -q[..., :-1] / q[..., -1:]
+        ok = np.isfinite(comp).all(axis=(-2, -1))[..., None]
+        roots = np.linalg.eigvals(np.where(ok[..., None], comp, 0.0)
+                                  [..., ::-1, ::-1])
+        roots = np.where(ok & (np.abs(roots.imag) <= 1e-10), roots.real,
+                         np.nan)
+        return roots if q.ndim > 1 else roots.tolist()
+    if q.ndim == 1:
+        q0, q1, q2 = q.tolist() + [0.0] * (3 - q.size)
+        disc = q1 * q1 - 4.0 * q0 * q2
+        if not -disc <= 4e-20 * q2 * q2:
+            return [math.nan, math.nan]
+        s = -0.5 * (q1 + math.copysign(math.sqrt(max(disc, 0.0)), q1))
+        r1 = s / q2 if q2 else math.nan
+        r2 = r1 if disc < 0.0 else (q0 / s if s else math.nan)
+        return [r if math.isfinite(r) else math.nan for r in (r1, r2)]
+    if q.shape[1] < 3:
+        q = np.hstack([q, np.zeros((len(q), 3 - q.shape[1]))])
+    q0, q1, q2 = q.T
+    with np.errstate(all="ignore"):
+        disc = q1 * q1 - 4.0 * q0 * q2
+        s = -0.5 * (q1 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), q1))
+        r1 = s / q2
+        roots = np.column_stack([r1, np.where(disc < 0.0, r1, q0 / s)])
+        real = (-disc <= 4e-20 * q2 * q2)[:, None]
+    return np.where(real & np.isfinite(roots), roots, np.nan)
 
 
 def ray_data(form, nl, u_unknown):
@@ -227,9 +279,10 @@ def step_polynomial(form, nl, w, v):
     of w and v at the domain Gauss points.  The returned function maps
     steps to max_t I[t u] by the rule of ``ray_from_moments``: the closed
     form when there is one, else the largest ray value at the positive
-    real roots of g'(t)/t, which one batched eigenvalue call takes from
-    the stacked companion matrices of every step.  An entry is NaN where
-    the ray has no positive maximum.  Its round-off differs from
+    real roots of g'(t)/t, taken for every step at once: by the quadratic
+    formula on arrays up to degree 2, by one batched eigenvalue call on
+    the stacked companion matrices above it.  An entry is NaN where the
+    ray has no positive maximum.  Its round-off differs from
     ``ray_data(form, nl, w + s v)``.
     """
     Bwv = form.B @ np.column_stack([w, v])
@@ -261,20 +314,12 @@ def step_polynomial(form, nl, w, v):
                                 * (-2.0 * c2 / (k * ck)) ** (2.0 / (k - 2)),
                                 np.nan)
             else:
-                # companion matrices of g'(t)/t = sum_j (j+2) c[j+2] t^j
-                q = c[:, 2:] * np.arange(2, n)
-                comp = np.zeros((len(q), n - 3, n - 3))
-                comp[:, np.arange(1, n - 3), np.arange(n - 4)] = 1.0
-                comp[:, :, -1:] = -(q[:, :-1] / q[:, -1:])[:, :, None]
-                ok = np.isfinite(comp).all(axis=(1, 2))
-                roots = np.linalg.eigvals(
-                    np.where(ok[:, None, None], comp, 0.0)[:, ::-1, ::-1])
-                ts = roots.real
+                # roots of g'(t)/t = sum_j (j+2) c[j+2] t^j
+                ts = _real_roots(c[:, 2:] * np.arange(2, n))
                 g = np.zeros_like(ts)
                 for cj in c.T[::-1]:
                     g = g * ts + cj[:, None]
-                best = np.where(ok[:, None] & (np.abs(roots.imag) <= 1e-10)
-                                & (ts > 0.0), g, -np.inf).max(
+                best = np.where(ts > 0.0, g, -np.inf).max(
                     axis=1, initial=-np.inf)
         return np.where((Buu > 0.0) & (best > 0.0), best, np.nan)
 

@@ -15,7 +15,7 @@ maximum:
      ray energy is not at least e(w) (1 + SCREEN_MARGIN), a NaN (no ray
      maximum) included, is decided by the exact ray evaluation of the
      trial; the first one with lower energy is taken.  The screened
-     energy differs from the exact one by round-off only (at most 1.0e-14
+     energy differs from the exact one by round-off only (at most 4.2e-15
      relative on the bundled presets), far inside the 1e-8 margin, so
      the screen only skips exact evaluations that would reject: every
      decision, and every iterate, comes from the exact ray;
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import (gradient as energy_gradient, ray_data, ray_energy,
-                     ray_slope, step_polynomial)
+                     step_polynomial)
 from .errors import (ConfigError, InvariantViolation, MaxIterations,
                      StallError, ZeroDirection, ZeroGradient, check_finite)
 
@@ -148,10 +148,11 @@ def check_invariants(iteration, g, v1, e_before, e_after, c, ts):
         raise InvariantViolation("descent certificate violated", iteration)
     if not e_after < e_before:
         raise InvariantViolation("energy did not decrease", iteration)
-    slope = ts * ray_slope(c, ts)
-    dc = np.polynomial.polynomial.polyder(c)
-    scale = float(np.sum(np.abs(dc * ts ** np.arange(dc.size))))
-    if not abs(slope) <= 1e-6 * max(scale, 1e-300):
+    # t g'(t) = sum_k k c[k] t^k against the sum of its term magnitudes;
+    # both are unchanged when u is rescaled (c[k] -> c[k] s^k, t -> t / s)
+    k = np.arange(c.size)
+    terms = k * c * ts ** k
+    if not abs(terms.sum()) <= 1e-6 * max(np.abs(terms).sum(), 1e-300):
         raise InvariantViolation("iterate left its ray maximum", iteration)
 
 

@@ -54,6 +54,28 @@ def grid_ray_argmax(energy_of_t, t_max=10.0, step=1e-3):
     return float(ts[np.argmax(vals)])
 
 
+def companion_ray_max(c):
+    """(t*, g(t*)) of the ray polynomial g(t) = sum_k c[k] t^k, or None
+    when no positive real critical point has g > 0.
+
+    The roots of g'(t)/t come from numpy's ``polyroots`` (the eigenvalues
+    of its companion matrix); a root counts as real within 1e-10 of the
+    axis, and the largest g wins, ties within 1e-15 going to larger t.
+    """
+    P = np.polynomial.polynomial
+    best_t, best_g = None, 0.0
+    for r in P.polyroots(P.polyder(c)[1:]):
+        if abs(r.imag) > 1e-10 or r.real <= 0:
+            continue
+        g = float(P.polyval(r.real, c))
+        if best_t is None or g > best_g + 1e-15 * abs(best_g) \
+                or (abs(g - best_g) <= 1e-15 * abs(best_g) and r.real > best_t):
+            best_t, best_g = float(r.real), g
+    if best_t is None or best_g <= 0.0:
+        return None
+    return best_t, best_g
+
+
 def central_difference(f, w, v, eps):
     """Central finite difference of a functional along direction v."""
     return (f(w + eps * v) - f(w - eps * v)) / (2.0 * eps)

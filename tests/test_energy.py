@@ -7,7 +7,7 @@ import nonlocalmp as nm
 from nonlocalmp import energy as en
 from nonlocalmp import mountain_pass as mp
 from nonlocalmp.errors import ZeroDirection
-from oracles import central_difference, grid_ray_argmax
+from oracles import central_difference, companion_ray_max, grid_ray_argmax
 
 from conftest import CUBIC_PLUS_QUINTIC, h_for
 
@@ -268,6 +268,98 @@ def test_step_polynomial_no_ray_maximum(nl, case1_coarse):
     with pytest.raises(ZeroDirection):
         en.ray_data(form, nl, u)
     assert np.isnan(en.step_polynomial(form, nl, u, u)(STEPS)).all()
+
+
+def _assert_matches_companion_rule(nl, Buu, P, screened):
+    """t* and g(t*) of ``ray_from_moments``, and the screened g(t*), against
+    the companion-matrix rule; both paths find no maximum where it does."""
+    c = en.ray_coefficients(nl, Buu, P)
+    ref = companion_ray_max(c)
+    if ref is None:
+        with pytest.raises(ZeroDirection):
+            en.ray_from_moments(nl, Buu, P)
+        assert np.isnan(screened)
+        return
+    ts, c = en.ray_from_moments(nl, Buu, P)
+    assert ts == pytest.approx(ref[0], rel=1e-12, abs=0.0)
+    assert en.ray_energy(c, ts) == pytest.approx(ref[1], rel=1e-12, abs=0.0)
+    assert screened == pytest.approx(ref[1], rel=1e-12, abs=0.0)
+
+
+def test_quadratic_rule_matches_companion_rule(neumann_coarse):
+    # Allen-Cahn: g'(t)/t is a quadratic, solved by formula in both paths
+    mesh, form, M, S, u1 = neumann_coarse
+    nl = en.NONLINEARITIES["allen_cahn"]
+    rng = np.random.default_rng(31)
+    steps = np.array([0.0, 0.25, 1.0])
+    found = 0
+    for _ in range(20):
+        w, v = rng.standard_normal((2, form.n_unknowns))
+        screened = en.step_polynomial(form, nl, w, v)(steps)
+        for s, got in zip(steps, screened):
+            u = w + s * v
+            Buu = float(u @ form.B @ u)
+            P = en.moments(form, form.full_values(u), nl.moment_powers)
+            _assert_matches_companion_rule(nl, Buu, P, got)
+            found += not np.isnan(got)
+    assert found >= 30
+
+
+class _PointForm:
+    """One unknown and one unit-weight Gauss point holding its value: the
+    ray of u = 1 has B[u, u] = b and every moment equal to 1."""
+
+    def __init__(self, b):
+        self.B = np.array([[b]])
+
+    def full_values(self, u):
+        return u
+
+    def values_at_omega_quad(self, u):
+        return u
+
+    def omega_quad_weights(self):
+        return np.ones(1)
+
+
+@pytest.mark.parametrize("F, b, has_max", [
+    # g'(t)/t = b - 3t + 0.4 t^2: two positive roots, the smaller a maximum
+    ({3: 1.0, 4: -0.1}, 2.0, True),
+    # negative discriminant: the ray has no critical point
+    ({3: 1.0, 4: -0.1}, 6.0, False),
+    # discriminant 9e-6 against q1^2 = 9: nearly a double root
+    ({3: 1.0, 4: -0.1}, 5.625 * (1.0 - 1e-6), True),
+    # g'(t)/t = (t - 1e-3)^2 - 2e-21: a complex pair 4e-11 off the real
+    # axis, which counts as the double root 1e-3
+    ({3: 2e-3 / 3.0, 4: -0.25}, 1e-6 * (1.0 + 2e-15), True),
+    # no cubic term (q1 = 0): roots +-sqrt(b + 1)
+    ({2: -0.5, 3: 0.0, 4: 0.25}, 3.0, True),
+], ids=["two_positive_roots", "negative_discriminant", "near_double_root",
+        "complex_double_root", "q1_zero"])
+def test_quadratic_rule_hand_built(F, b, has_max):
+    nl = en.Nonlinearity("hand_built", F)
+    assert nl.t_star_closed(b, {k: 1.0 for k in F}) is None
+    P = {k: 1.0 for k in nl.moment_powers}
+    screened = en.step_polynomial(_PointForm(b), nl, np.ones(1),
+                                  np.zeros(1))(np.zeros(1))[0]
+    assert (companion_ray_max(en.ray_coefficients(nl, b, P)) is not None) \
+        == has_max
+    _assert_matches_companion_rule(nl, b, P, screened)
+
+
+def test_quadratic_rule_is_cancellation_free():
+    # g'(t)/t = b - 3t + 0.4 t^2 with b = 1e-9: the maximum sits at the
+    # small root 2b / (3 + sqrt(9 - 1.6 b)), which the textbook formula
+    # (3 - sqrt(9 - 1.6 b)) / 0.8 gets to about 1e-7 only
+    nl = en.Nonlinearity("hand_built", {3: 1.0, 4: -0.1})
+    b = 1e-9
+    root = 2.0 * b / (3.0 + math.sqrt(9.0 - 1.6 * b))
+    ts, c = en.ray_from_moments(nl, b, {3: 1.0, 4: 1.0})
+    assert ts == pytest.approx(root, rel=1e-14, abs=0.0)
+    screened = en.step_polynomial(_PointForm(b), nl, np.ones(1),
+                                  np.zeros(1))(np.zeros(1))[0]
+    assert screened == pytest.approx(en.ray_energy(c, root), rel=1e-12,
+                                     abs=0.0)
 
 
 def test_nonlinearity_from_name():

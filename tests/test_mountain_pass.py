@@ -84,6 +84,27 @@ def test_screened_descent_equals_halving_loop(fixture, nl, request):
     assert np.array_equal(result.solution.values, values)
 
 
+@pytest.mark.parametrize("fixture, nl, companion", [
+    ("case5_h03", en.NONLINEARITIES["allen_cahn"], False),
+    ("case1_coarse", CUBIC_PLUS_QUINTIC, True),
+], ids=["allen_cahn", "cubic_plus_quintic"])
+def test_eigenvalue_roots_only_above_degree_two(fixture, nl, companion,
+                                                request, monkeypatch):
+    # a quadratic g'(t)/t (Allen-Cahn) is solved by formula in the exact
+    # ray and in the screen; degree 4 (t^4/4 + t^6/6) needs eigenvalues
+    form, u1 = form_and_start(request, fixture)
+    calls = []
+    for owner, name in ((np.linalg, "eigvals"),
+                        (np.polynomial.polynomial, "polyroots")):
+        def counted(*args, _wrapped=getattr(owner, name), **kwargs):
+            calls.append(_wrapped)
+            return _wrapped(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    result = mp.solve(form, nl, u1)
+    assert result.converged and result.iterations > 1
+    assert (len(calls) > 0) == companion
+
+
 def test_screened_descent_stalls_with_halving_loop(case2_20):
     # with at most 6 halvings the case-2 descent stalls at iteration 40;
     # the screened descent stalls where the halving loop does
@@ -294,6 +315,21 @@ def test_check_invariants_raises_with_iteration():
         with pytest.raises(InvariantViolation, match=what) as info:
             mp.check_invariants(7, *args)
         assert info.value.iteration == 7
+
+
+@pytest.mark.parametrize("t, holds", [(1.0 + 3e-7, True), (0.5, False)])
+def test_check_invariants_ray_stationarity_is_scale_free(t, holds):
+    # the ray of lam u has coefficients c[k] lam^k and maximum t / lam:
+    # the verdict must not depend on lam
+    powers = np.arange(RAY.size)
+    for lam in (1e-3, 1.0, 1e3):
+        args = (np.ones(2), -np.ones(2), 1.0, 0.5, RAY * lam ** powers,
+                t / lam)
+        if holds:
+            mp.check_invariants(7, *args)
+        else:
+            with pytest.raises(InvariantViolation, match="ray maximum"):
+                mp.check_invariants(7, *args)
 
 
 def test_check_invariants_survive_optimize_flag():
