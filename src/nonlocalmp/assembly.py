@@ -111,7 +111,9 @@ class NonlocalForm:
         self.quad_order = quad_order
         self.kernel_mass = kernel.total_mass
         self._quad = _make_quadrature(mesh, quad_order)
-        self._fact_cache = {}
+        # (sigma, ...) of the last grounded factor and modal basis built
+        self._factor = None
+        self._basis = None
         self._assemble_common()
 
     # -- assembly -----------------------------------------------------------
@@ -301,40 +303,61 @@ class NonlocalForm:
         m_diag = self.M.diagonal()[self.unknown_idx]
         return grounding_rel * np.trace(self.B) / m_diag.sum()
 
-    def solve_spd(self, rhs, grounding_rel=0.0, reg=0.0):
-        """Solve (B + reg H + sigma M) x = rhs by Cholesky.
+    def _grounded(self, sigma):
+        """B + sigma M_u, with M_u the mass matrix over unknown nodes."""
+        if not sigma:
+            return self.B
+        return self.B + sigma * self.M[np.ix_(self.unknown_idx,
+                                              self.unknown_idx)]
 
-        H is ``h1_gram`` and sigma M the mass shift grounding the Neumann
-        null mode; each factorization is cached on the form, and sigma is
-        computed only when factoring.  ``rhs`` is a vector or a matrix of
-        right-hand-side columns; a non-finite entry raises ValueError.
+    def modal_basis(self, grounding_rel=0.0):
+        """(sigma, lam, V) of the pencil (B + sigma M_u, H), H = ``h1_gram``.
+
+        V^T H V = I and V^T (B + sigma M_u) V = diag(lam), lam ascending, so
+        (B + sigma M_u + tau H)^-1 = V diag(1 / (lam + tau)) V^T for every
+        tau >= 0.  Built on first use (one generalized eigendecomposition)
+        and cached for the last grounding asked for (sigma = 0 for
+        Dirichlet forms).  Raises SingularSystem unless the grounded form
+        is positive definite (lam > 0).
         """
-        if self.constraint != "neumann":
-            grounding_rel = 0.0
-        key = (float(grounding_rel), float(reg))
-        fact = self._fact_cache.get(key)
-        if fact is None:
-            sigma = self.grounding_shift(grounding_rel)
-            mat = self.B
-            if reg:
-                mat = mat + reg * self.h1_gram
-            if sigma:
-                mat = mat + sigma * self.M[np.ix_(self.unknown_idx,
-                                                  self.unknown_idx)]
+        sigma = self.grounding_shift(grounding_rel)
+        if self._basis is None or self._basis[0] != sigma:
             try:
-                fact = linalg.cho_factor(mat)
+                lam, V = linalg.eigh(self._grounded(sigma), self.h1_gram)
+            except linalg.LinAlgError as exc:
+                raise SingularSystem("generalized eigenproblem failed "
+                                     f"(grounding shift {sigma:.3g})") from exc
+            if not lam[0] > 0.0:
+                raise SingularSystem(
+                    "system not positive definite (grounding shift "
+                    f"{sigma:.3g}, smallest eigenvalue {lam[0]:.3g})")
+            self._basis = (sigma, lam, V)
+        return self._basis
+
+    def solve_spd(self, rhs, grounding_rel=0.0):
+        """Solve (B + sigma M) x = rhs by Cholesky.
+
+        sigma M is the mass shift grounding the Neumann null mode.  The
+        factor of the last grounding asked for is cached on the form.
+        ``rhs`` is a vector or a matrix of right-hand-side columns; a
+        non-finite entry raises ValueError.
+        """
+        sigma = self.grounding_shift(grounding_rel)
+        if self._factor is None or self._factor[0] != sigma:
+            try:
+                fact = linalg.cho_factor(self._grounded(sigma))
             except linalg.LinAlgError as exc:
                 raise SingularSystem(
                     "system not positive definite (grounding shift "
-                    f"{sigma:.3g}, regularization {reg:.3g})") from exc
-            self._fact_cache[key] = fact
+                    f"{sigma:.3g})") from exc
+            self._factor = (sigma, fact)
         # LAPACK potrs on the cached factor: the bits of linalg.cho_solve
         # without its per-call wrapper cost, and with its two checks
         rhs = np.asarray(rhs, dtype=float)
         if not np.isfinite(rhs).all():
             raise ValueError("right-hand side must contain only finite "
                              "numbers")
-        c, lower = fact
+        c, lower = self._factor[1]
         x, info = lapack.dpotrs(c, rhs, lower=lower)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of potrs")

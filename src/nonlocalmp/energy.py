@@ -16,8 +16,10 @@ matrix.
 
 Along a step u = w + s v the same data are polynomials in s as well:
 B[u, u] from B[w, w], B[w, v] and B[v, v], and every moment from the
-mixed moments int w^a v^b dx.  ``step_polynomial`` computes those once
-and then screens any array of steps in a few vectorized operations.
+mixed moments int w^a v^b dx.  ``step_polynomial`` takes the three
+pairings and the Gauss-point values of w and v, computes the mixed
+moments once and then screens any array of steps in a few vectorized
+operations.
 
 Every integer power (in f, F, the moments and the mixed moments) comes
 from one power table, u^0 ... u^top by repeated multiplication
@@ -38,6 +40,7 @@ __all__ = [
     "NONLINEARITIES",
     "nonlinearity_from_name",
     "moments",
+    "gauss_moments",
     "ray_coefficients",
     "ray_energy",
     "ray_slope",
@@ -157,9 +160,15 @@ def nonlinearity_from_name(name):
 
 def moments(form, u_full, powers):
     """int u^k dx over the physical domain for every requested power."""
-    pw = _powers(form.values_at_omega_quad(u_full), max(powers, default=0))
-    w = form.omega_quad_weights()
-    return {k: float(w @ pw[k]) for k in powers}
+    return gauss_moments(form.values_at_omega_quad(u_full),
+                         form.omega_quad_weights(), powers)
+
+
+def gauss_moments(x, weights, powers):
+    """int u^k dx for every requested power, from the values x of u at the
+    domain Gauss points and their weights."""
+    pw = _powers(x, max(powers, default=0))
+    return {k: float(weights @ pw[k]) for k in powers}
 
 
 def ray_coefficients(nl, Buu, P):
@@ -270,33 +279,32 @@ def ray_data(form, nl, u_unknown):
     return ray_from_moments(nl, Buu, P)
 
 
-def step_polynomial(form, nl, w, v):
+def step_polynomial(nl, B_step, x, weights):
     """Screened ray energies of the steps u = w + s v, for an array of s.
 
-    w and v are unknown-node vectors.  B[u, u] = B[w,w] + 2s B[w,v] +
-    s^2 B[v,v] and int u^k dx = sum_j C(k,j) s^j int w^(k-j) v^j dx; the
-    mixed moments come from one (k+1) x (k+1) product of the power vectors
-    of w and v at the domain Gauss points.  The returned function maps
-    steps to max_t I[t u] by the rule of ``ray_from_moments``: the closed
-    form when there is one, else the largest ray value at the positive
-    real roots of g'(t)/t, taken for every step at once: by the quadratic
-    formula on arrays up to degree 2, by one batched eigenvalue call on
-    the stacked companion matrices above it.  An entry is NaN where the
-    ray has no positive maximum.  Its round-off differs from
-    ``ray_data(form, nl, w + s v)``.
+    ``B_step`` holds B[w, w], B[w, v] and B[v, v], and the two rows of x
+    the values of w and v at the domain Gauss points, whose weights are
+    ``weights``.  B[u, u] = B[w,w] + 2s B[w,v] + s^2 B[v,v] and int u^k dx
+    = sum_j C(k,j) s^j int w^(k-j) v^j dx; the mixed moments come from one
+    (k+1) x (k+1) product of the power vectors of w and v.  The returned
+    function maps steps to max_t I[t u] by the rule of
+    ``ray_from_moments``: the closed form when there is one, else the
+    largest ray value at the positive real roots of g'(t)/t, taken for
+    every step at once: by the quadratic formula on arrays up to degree 2,
+    by one batched eigenvalue call on the stacked companion matrices above
+    it.  An entry is NaN where the ray has no positive maximum.  Its
+    round-off differs from that of ``ray_from_moments`` on the moments of
+    w + s v.
     """
-    Bwv = form.B @ np.column_stack([w, v])
-    x = np.vstack([form.values_at_omega_quad(form.full_values(w)),
-                   form.values_at_omega_quad(form.full_values(v))])
     n = max(3, max(nl.moment_powers) + 1)
     # pw[a] = (w^a, v^a) at the Gauss points
     pw = np.array(_powers(x, n - 1))
-    mixed = ((pw[:, 0] * form.omega_quad_weights()) @ pw[:, 1].T).tolist()
+    mixed = ((pw[:, 0] * weights) @ pw[:, 1].T).tolist()
     # coefficients of s^j (row j) of B[u, u] (column 0) and of the ray
     # coefficients c[0], c[1], ... of ``ray_coefficients`` (columns 1, ...)
     coeffs = np.zeros((n, 1 + n))
-    coeffs[:3, 0] = (float(w @ Bwv[:, 0]), 2.0 * float(w @ Bwv[:, 1]),
-                     float(v @ Bwv[:, 1]))
+    Bww, Bwv, Bvv = B_step
+    coeffs[:3, 0] = (Bww, 2.0 * Bwv, Bvv)
     coeffs[:3, 3] = 0.5 * coeffs[:3, 0]
     for k, a in nl.F_coeffs.items():
         coeffs[:k + 1, 1 + k] -= [a * math.comb(k, j) * mixed[k - j][j]

@@ -1,51 +1,69 @@
 """Gradient descent on the mountain-pass energy landscape.
 
-One outer iteration, starting from an iterate w sitting on its own ray
-maximum:
+The descent works in the modal basis of the form (``NonlocalForm.
+modal_basis``): one generalized eigendecomposition of the pencil
+(B + sigma M, H) per form gives V with V^T H V = I and
+V^T (B + sigma M) V = diag(lam), where H is the H1(Omega) Gram matrix
+and sigma M a small mass shift grounding the Neumann constant null mode
+(zero for Dirichlet).  The iterate w is carried three ways, each
+updated linearly: its nodal values, its modal coordinates a (w = V a)
+and its values at the domain Gauss points.  One outer iteration,
+starting from an iterate w sitting on its own ray maximum:
 
-  1. solve (B + sigma M) b = I'[w] for the Riesz representative of the
-     gradient in the bilinear-form metric and stop when its H1 norm over
-     the physical domain is at most the tolerance (sigma is a small mass
-     shift grounding the Neumann constant null mode, zero for Dirichlet);
-  2. step along a normalized descent direction v1, halving the step until
-     the re-maximized trial t*(w~) w~ has strictly lower energy.  Every
-     step delta 2^-k, k = 0 .. max_halvings, is first screened in one
-     batched call of its step polynomial (``energy.step_polynomial``,
-     built once per iteration).  In order of k, each step whose screened
-     ray energy is not at least e(w) (1 + SCREEN_MARGIN), a NaN (no ray
-     maximum) included, is decided by the exact ray evaluation of the
-     trial; the first one with lower energy is taken.  The screened
-     energy differs from the exact one by round-off only (at most 4.2e-15
-     relative on the bundled presets), far inside the 1e-8 margin, so
-     the screen only skips exact evaluations that would reject: every
-     decision, and every iterate, comes from the exact ray;
-  3. replace w by the re-maximized trial and repeat.
+  1. take the modal gradient g^ = V^T I'[w] = lam a - V^T load, where the
+     load holds int (f(w) + sigma w) phi_i dx (sigma int w phi_i is
+     (M w)_i, the Gauss rule being exact for P1 products).  The Riesz
+     representative b of the gradient, (B + sigma M) b = I'[w], is
+     V (g^ / lam), so its H1 norm over the physical domain is
+     |g^ / lam|; stop when it is at most the tolerance;
+  2. step along the normalized descent direction v1 = V v^, halving the
+     step until the re-maximized trial t*(w~) w~ has strictly lower
+     energy.  Along w + s v1 the pairings B[w,w], B[w,v1], B[v1,v1] and
+     B of every trial are sums over the modes, sum lam a b less the
+     grounding sigma int u v, and the moments of a trial come from the
+     Gauss values x_w + s x_v.  Every step delta 2^-k, k = 0 ..
+     max_halvings, is first screened in one batched call of its step
+     polynomial (``energy.step_polynomial``, built once per iteration).
+     In order of k, each step whose screened ray energy is not at least
+     e(w) (1 + SCREEN_MARGIN), a NaN (no ray maximum) included, is
+     decided by the exact ray evaluation of the trial; the first one
+     with lower energy is taken.  The screened energy differs from the
+     exact one by round-off only (at most 3.3e-14 relative on the bundled
+     presets), far inside the 1e-8 margin, so the screen only skips
+     exact evaluations that would reject: every decision, and every
+     iterate, comes from the exact ray;
+  3. replace w by the re-maximized trial t* (w + s v1) and repeat.
 
-The direction v1 comes from the H1-regularized solve
+An iteration thus makes two dense n x n products, V^T load and V v^.
+
+The direction v1 comes from the H1-regularized system
 
     (B + tau (M + S) + sigma M) d = I'[w],      v1 = -d / |d|_H1 ,
 
-not from b itself.  The bilinear form of an integrable kernel is a
-zeroth-order operator, so the raw metric B does not penalize grid-scale
-spikes: the pairing of a single nodal hat scales like the mesh size and
-the ray-maximal energy of ever-narrower bumps tends to zero, so the
-discrete problem has one- and two-node critical points.  The stiffness
-term damps grid-scale components of the direction; every guarantee of
-the plain scheme (strict descent, I'[w]v1 < 0, ray stationarity) holds
-for any tau >= 0.  It does not keep the limit smooth in general: with
-tau = 0.25 case 1 of the bundled presets stays smooth where tau = 0
-ends in a two-node spike, but cases 2 and 4 end in one-node spikes at
-tau = 0.25, 4 and 64 alike.  ``direction_reg = 0`` gives the
-unregularized direction v1 = -b/|b|_H1.
+not from b itself; in the modal basis d = V (g^ / (lam + tau)), so
+v^ = -d^ / |d^| needs no factorization of its own.  The bilinear form
+of an integrable kernel is a zeroth-order operator, so the raw metric B
+does not penalize grid-scale spikes: the pairing of a single nodal hat
+scales like the mesh size and the ray-maximal energy of ever-narrower
+bumps tends to zero, so the discrete problem has one- and two-node
+critical points.  The stiffness term damps grid-scale components of the
+direction; every guarantee of the plain scheme (strict descent,
+I'[w]v1 < 0, ray stationarity) holds for any tau >= 0.  It does not
+keep the limit smooth in general: with tau = 0.25 case 1 of the bundled
+presets stays smooth where tau = 0 ends in a two-node spike, but cases
+2 and 4 end in one-node spikes at tau = 0.25, 4 and 64 alike.
+``direction_reg = 0`` gives the unregularized direction
+v1 = -b/|b|_H1.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (gradient as energy_gradient, ray_data, ray_energy,
-                     step_polynomial)
+from .energy import (gauss_moments, gradient as energy_gradient, ray_data,
+                     ray_energy, ray_from_moments, step_polynomial)
 from .errors import (ConfigError, InvariantViolation, MaxIterations,
                      StallError, ZeroDirection, ZeroGradient, check_finite)
 
@@ -117,26 +135,69 @@ class SolveResult:
         return len(self.records)
 
 
+def modal_direction(g_hat, lam, tau):
+    """(|b|_H1, v^) from the modal gradient g^ = V^T g.
+
+    b = V (g^ / lam) solves the grounded system and d = V (g^ / (lam + tau))
+    the regularized one; V is H-orthonormal, so their H1 norms are the
+    Euclidean norms of the modal coordinates, and v^ = -d^ / |d^| holds
+    those of the normalized direction v1 = V v^.  Raises ZeroGradient
+    when g^ vanishes.
+    """
+    if not g_hat.any():
+        raise ZeroGradient("gradient vanishes; w is already critical")
+    b_hat = g_hat / lam
+    d_hat = g_hat / (lam + tau)
+    return (math.sqrt(float(b_hat @ b_hat)),
+            d_hat / -math.sqrt(float(d_hat @ d_hat)))
+
+
 def descent_direction(form, nl, w, cfg=None):
     """Gradient representative and descent direction at the iterate w.
 
     Returns ``(b, v1, b_h1, g)`` over unknown nodes: g is the energy
     gradient, b solves the (grounded) bilinear-form system B b = g and
     b_h1 = |b|_H1 is the stopping quantity, and v1 is the normalized
-    regularized descent direction with g . v1 < 0 strictly.  The
-    factorizations are cached on the form.  Raises ZeroGradient at a
-    critical point.
+    regularized descent direction with g . v1 < 0 strictly.  Both come
+    from the form's modal basis, by the rule of ``modal_direction``.
+    Raises ZeroGradient at a critical point.
     """
     cfg = cfg or SolverConfig()
-    H = form.h1_gram
+    _, lam, V = form.modal_basis(cfg.grounding_rel)
     g = energy_gradient(form, nl, w)
-    if not np.any(g):
-        raise ZeroGradient("gradient vanishes; w is already critical")
-    b = form.solve_spd(g, cfg.grounding_rel)
-    b_h1 = float(np.sqrt(max(b @ H @ b, 0.0)))
-    d = form.solve_spd(g, cfg.grounding_rel, cfg.direction_reg)
-    v1 = -d / float(np.sqrt(max(d @ H @ d, 0.0)))
-    return b, v1, b_h1, g
+    g_hat = V.T @ g
+    b_h1, v_hat = modal_direction(g_hat, lam, cfg.direction_reg)
+    return V @ (g_hat / lam), V @ v_hat, b_h1, g
+
+
+def modal_gradient(form, nl, basis, a, x):
+    """V^T g at the iterate with modal coordinates a and domain Gauss
+    values x, where ``basis`` is the form's ``modal_basis``.
+
+    V^T B w = lam a - sigma V^T M w, and (M w)_i = int w phi_i dx joins
+    the load: the Gauss rule is exact for products of P1 functions.
+    """
+    sigma, lam, V = basis
+    f = nl.f(x)
+    if sigma:
+        f = f + sigma * x
+    return lam * a - V.T @ form.load_vector(f)
+
+
+def pairing(basis, weights, a, x, b, y):
+    """B[u, v] of u = V a and v = V b, whose domain Gauss values are x and
+    y: sum lam a b less the grounding sigma int u v dx."""
+    sigma, lam, _ = basis
+    val = float((lam * a) @ b)
+    if sigma:
+        val -= sigma * float(weights @ (x * y))
+    return val
+
+
+def modal_ray(nl, basis, weights, a, x):
+    """(t*, c) of ``ray_data`` for u = V a with domain Gauss values x."""
+    return ray_from_moments(nl, pairing(basis, weights, a, x, a, x),
+                            gauss_moments(x, weights, nl.moment_powers))
 
 
 def check_invariants(iteration, g, v1, e_before, e_after, c, ts):
@@ -168,14 +229,21 @@ def solve(form, nl, u1, cfg=None):
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
+    basis = form.modal_basis(cfg.grounding_rel)
+    _, lam, V = basis
+    weights = form.omega_quad_weights()
 
     u1_unknown = form.reduce(u1)
     ts, c = ray_data(form, nl, u1_unknown)
     ray_evals = 1
+    # the iterate as nodal values w, modal coordinates a (w = V a, so
+    # a = V^T H w) and values x_w at the domain Gauss points
     w = ts * u1_unknown
+    a = V.T @ (form.h1_gram @ w)
+    w_full = form.full_values(w)
+    x_w = form.values_at_omega_quad(w_full)
     e_w = float(ray_energy(c, ts))
     e0 = e_w
-    w_full = form.full_values(w)
     l2_0 = float(np.sqrt(max(w_full @ form.M @ w_full, 0.0)))
 
     records = []
@@ -193,21 +261,29 @@ def solve(form, nl, u1, cfg=None):
                            stop_reason=stop_reason)
 
     for it in range(1, cfg.max_iterations + 1):
+        g_hat = modal_gradient(form, nl, basis, a, x_w)
         try:
-            _, v1, grad_norm, g = descent_direction(form, nl, w, cfg)
+            grad_norm, v_hat = modal_direction(g_hat, lam, cfg.direction_reg)
         except ZeroGradient:
             grad_norm = 0.0
             return result("zero_gradient")
         if grad_norm <= cfg.epsilon:
             return result("converged")
 
-        screened = step_polynomial(form, nl, w, v1)(steps)
+        v = V @ v_hat
+        x_v = form.values_at_omega_quad(form.full_values(v))
+        B_step = (pairing(basis, weights, a, x_w, a, x_w),
+                  pairing(basis, weights, a, x_w, v_hat, x_v),
+                  pairing(basis, weights, v_hat, x_v, v_hat, x_v))
+        screened = step_polynomial(nl, B_step, np.vstack([x_w, x_v]),
+                                   weights)(steps)
         bound = e_w + SCREEN_MARGIN * abs(e_w)
         for halvings in np.flatnonzero(~(screened >= bound)).tolist():
-            trial = w + steps[halvings] * v1
+            s = steps[halvings]
+            a_u, x_u = a + s * v_hat, x_w + s * x_v
             ray_evals += 1
             try:
-                ts, c = ray_data(form, nl, trial)
+                ts, c = modal_ray(nl, basis, weights, a_u, x_u)
             except ZeroDirection:
                 continue
             e_trial = float(ray_energy(c, ts))
@@ -218,9 +294,10 @@ def solve(form, nl, u1, cfg=None):
                 f"no energy decrease after {cfg.max_halvings} halvings "
                 f"at iteration {it}", result("stall"))
 
-        w = ts * trial
+        w, a, x_w = ts * (w + s * v), ts * a_u, ts * x_u
         if cfg.check_invariants:
-            check_invariants(it, g, v1, e_w, e_trial, c, ts)
+            # g . v1 = g^ . v^
+            check_invariants(it, g_hat, v_hat, e_w, e_trial, c, ts)
         e_w = e_trial
         records.append(IterationRecord(iteration=it, energy=e_w,
                                        grad_norm_h1=grad_norm, t_star=ts,

@@ -102,8 +102,8 @@ def reference_errors(form, M, nl, u,
     """Solve -L ubar = f(u) with the form's constraints; return the errors.
 
     Returns (E_L1, E_L2, ubar) where the norms measure u - ubar over the
-    physical domain.  The linear solve reuses the grounded factorization
-    of the descent problem.
+    physical domain.  The linear solve uses the form's cached Cholesky
+    factor of the grounded system; it builds no modal basis.
     """
     u_full = form.as_full(u)
     load = form.load_vector(nl.f(form.values_at_omega_quad(u_full)))

@@ -147,29 +147,41 @@ def per_entry_dump(path, B):
 def halving_solve(form, nl, u1, cfg):
     """The descent with an exact ray evaluation at every step halving.
 
-    Returns the iteration records and the final full nodal values.
+    It runs the modal arithmetic of ``mountain_pass.solve`` (gradient,
+    direction, pairings and exact rays in the form's modal basis) in a
+    plain halving loop with no screen.  Returns the iteration records and
+    the final full nodal values.
     """
     from nonlocalmp import energy as en
     from nonlocalmp import mountain_pass as mp
     from nonlocalmp.errors import ZeroDirection, ZeroGradient
 
+    basis = form.modal_basis(cfg.grounding_rel)
+    _, lam, V = basis
+    weights = form.omega_quad_weights()
     u1_unknown = form.reduce(u1)
     ts, c = en.ray_data(form, nl, u1_unknown)
     w = ts * u1_unknown
+    a = V.T @ (form.h1_gram @ w)
+    x_w = form.values_at_omega_quad(form.full_values(w))
     e_w = float(en.ray_energy(c, ts))
     records = []
     for it in range(1, cfg.max_iterations + 1):
+        g_hat = mp.modal_gradient(form, nl, basis, a, x_w)
         try:
-            _, v1, grad_norm, _ = mp.descent_direction(form, nl, w, cfg)
+            grad_norm, v_hat = mp.modal_direction(g_hat, lam,
+                                                  cfg.direction_reg)
         except ZeroGradient:
             break
         if grad_norm <= cfg.epsilon:
             break
+        v = V @ v_hat
+        x_v = form.values_at_omega_quad(form.full_values(v))
         step, halvings = cfg.delta, 0
         while True:
-            trial = w + step * v1
+            a_u, x_u = a + step * v_hat, x_w + step * x_v
             try:
-                ts, c = en.ray_data(form, nl, trial)
+                ts, c = mp.modal_ray(nl, basis, weights, a_u, x_u)
                 e_trial = float(en.ray_energy(c, ts))
             except ZeroDirection:
                 e_trial = np.inf
@@ -179,7 +191,7 @@ def halving_solve(form, nl, u1, cfg):
             if halvings > cfg.max_halvings:
                 raise RuntimeError(f"stalled at iteration {it}")
             step *= 0.5
-        w = ts * trial
+        w, a, x_w = ts * (w + step * v), ts * a_u, ts * x_u
         e_w = e_trial
         records.append(mp.IterationRecord(iteration=it, energy=e_w,
                                           grad_norm_h1=grad_norm, t_star=ts,

@@ -189,25 +189,22 @@ def test_dump_matrix_bytes_match_per_entry_writer(setup, request, tmp_path):
         == (tmp_path / "ref.txt").read_bytes()
 
 
-@pytest.mark.parametrize("reg", [0.0, 0.25])
 @pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
-def test_solve_spd_equals_cho_solve(setup, reg, request):
-    # the direct LAPACK solve on the cached factor gives the bits of
-    # scipy's cho_solve on a factor of the same matrix, for one
+def test_solve_spd_equals_cho_solve(setup, request):
+    # the direct LAPACK solve on the cached grounded factor gives the bits
+    # of scipy's cho_solve on a factor of the same matrix, for one
     # right-hand side and for several columns
     form = request.getfixturevalue(setup)[1]
     grounding_rel = 1e-4
     sigma = form.grounding_shift(grounding_rel)
     mat = form.B
-    if reg:
-        mat = mat + reg * form.h1_gram
     if sigma:
         mat = mat + sigma * form.M[np.ix_(form.unknown_idx, form.unknown_idx)]
     fact = linalg.cho_factor(mat)
     rng = np.random.default_rng(8)
     for rhs in (rng.standard_normal(form.n_unknowns),
                 rng.standard_normal((form.n_unknowns, 3))):
-        x = form.solve_spd(rhs, grounding_rel, reg)
+        x = form.solve_spd(rhs, grounding_rel)
         assert x.shape == rhs.shape
         assert np.array_equal(x, linalg.cho_solve(fact, rhs))
 

@@ -18,6 +18,16 @@ SCREEN_NL = ALL_NL + [CUBIC_PLUS_QUINTIC]
 STEPS = 2.0 ** -np.arange(61)
 
 
+def step_screen(form, nl, w, v):
+    """``step_polynomial`` of the steps w + s v, with the pairings taken
+    by products with the assembled B."""
+    x = np.vstack([form.values_at_omega_quad(form.full_values(u))
+                   for u in (w, v)])
+    B_step = (float(w @ form.B @ w), float(w @ form.B @ v),
+              float(v @ form.B @ v))
+    return en.step_polynomial(nl, B_step, x, form.omega_quad_weights())
+
+
 def test_pointwise_values():
     cubic, quintic, cml, ac = ALL_NL
     assert cubic.f(2.0) == 8.0 and cubic.F(2.0) == 4.0
@@ -234,7 +244,7 @@ def test_step_polynomial_matches_ray_data(nl, setup, request):
     u = form.reduce(u1)
     w = en.t_star(form, nl, u) * u
     v = mp.descent_direction(form, nl, w)[1]
-    screened = en.step_polynomial(form, nl, w, v)(STEPS)
+    screened = step_screen(form, nl, w, v)(STEPS)
     assert screened.shape == STEPS.shape
     for s, got in zip(STEPS, screened):
         try:
@@ -253,7 +263,7 @@ def test_step_polynomial_zero_direction(nl, setup, request):
     zero = np.zeros(form.n_unknowns)
     with pytest.raises(ZeroDirection):
         en.ray_data(form, nl, zero)
-    assert np.isnan(en.step_polynomial(form, nl, zero, zero)(STEPS)).all()
+    assert np.isnan(step_screen(form, nl, zero, zero)(STEPS)).all()
 
 
 @pytest.mark.parametrize("nl", [
@@ -267,7 +277,7 @@ def test_step_polynomial_no_ray_maximum(nl, case1_coarse):
     u = form.reduce(u1)
     with pytest.raises(ZeroDirection):
         en.ray_data(form, nl, u)
-    assert np.isnan(en.step_polynomial(form, nl, u, u)(STEPS)).all()
+    assert np.isnan(step_screen(form, nl, u, u)(STEPS)).all()
 
 
 def _assert_matches_companion_rule(nl, Buu, P, screened):
@@ -295,7 +305,7 @@ def test_quadratic_rule_matches_companion_rule(neumann_coarse):
     found = 0
     for _ in range(20):
         w, v = rng.standard_normal((2, form.n_unknowns))
-        screened = en.step_polynomial(form, nl, w, v)(steps)
+        screened = step_screen(form, nl, w, v)(steps)
         for s, got in zip(steps, screened):
             u = w + s * v
             Buu = float(u @ form.B @ u)
@@ -305,21 +315,12 @@ def test_quadratic_rule_matches_companion_rule(neumann_coarse):
     assert found >= 30
 
 
-class _PointForm:
-    """One unknown and one unit-weight Gauss point holding its value: the
-    ray of u = 1 has B[u, u] = b and every moment equal to 1."""
-
-    def __init__(self, b):
-        self.B = np.array([[b]])
-
-    def full_values(self, u):
-        return u
-
-    def values_at_omega_quad(self, u):
-        return u
-
-    def omega_quad_weights(self):
-        return np.ones(1)
+def point_screen(nl, b):
+    """The screened ray of u = 1 at step 0, for one unknown and one
+    unit-weight Gauss point holding its value: B[u, u] = b and every
+    moment equals 1."""
+    return en.step_polynomial(nl, (b, 0.0, 0.0), np.array([[1.0], [0.0]]),
+                              np.ones(1))(np.zeros(1))[0]
 
 
 @pytest.mark.parametrize("F, b, has_max", [
@@ -340,8 +341,7 @@ def test_quadratic_rule_hand_built(F, b, has_max):
     nl = en.Nonlinearity("hand_built", F)
     assert nl.t_star_closed(b, {k: 1.0 for k in F}) is None
     P = {k: 1.0 for k in nl.moment_powers}
-    screened = en.step_polynomial(_PointForm(b), nl, np.ones(1),
-                                  np.zeros(1))(np.zeros(1))[0]
+    screened = point_screen(nl, b)
     assert (companion_ray_max(en.ray_coefficients(nl, b, P)) is not None) \
         == has_max
     _assert_matches_companion_rule(nl, b, P, screened)
@@ -356,8 +356,7 @@ def test_quadratic_rule_is_cancellation_free():
     root = 2.0 * b / (3.0 + math.sqrt(9.0 - 1.6 * b))
     ts, c = en.ray_from_moments(nl, b, {3: 1.0, 4: 1.0})
     assert ts == pytest.approx(root, rel=1e-14, abs=0.0)
-    screened = en.step_polynomial(_PointForm(b), nl, np.ones(1),
-                                  np.zeros(1))(np.zeros(1))[0]
+    screened = point_screen(nl, b)
     assert screened == pytest.approx(en.ray_energy(c, root), rel=1e-12,
                                      abs=0.0)
 

@@ -11,8 +11,8 @@ from scipy import linalg
 import nonlocalmp as nm
 from nonlocalmp import energy as en
 from nonlocalmp import mountain_pass as mp
-from nonlocalmp.errors import (InvariantViolation, MaxIterations, StallError,
-                               ZeroGradient)
+from nonlocalmp.errors import (InvariantViolation, MaxIterations,
+                               SingularSystem, StallError, ZeroGradient)
 
 from conftest import CUBIC_PLUS_QUINTIC, h_for
 from oracles import halving_solve
@@ -181,46 +181,159 @@ def test_dual_norm_sandwich(case1_solved):
         assert dual <= c_hat * b_h1 * (1 + 1e-10)
 
 
+def count_calls(monkeypatch, owner, name):
+    """Record the first argument of every call of owner.name."""
+    calls = []
+    wrapped = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda a, *args, **kw: calls.append(a)
+                        or wrapped(a, *args, **kw))
+    return calls
+
+
 def test_direction_factorizations_cached(case1_coarse, monkeypatch):
-    # B and the regularized direction system are each factored once per
-    # form, however many directions are taken
+    # the direction's one factorization, the modal basis, is built once
+    # per form however many directions and solves are taken; no Cholesky
+    # factor is made
     mesh, _, M, S, u1 = case1_coarse
     form = nm.assemble_dirichlet(mesh, nm.Exponential())
-    calls = []
-    cho_factor = linalg.cho_factor
-    monkeypatch.setattr(linalg, "cho_factor",
-                        lambda a: calls.append(a) or cho_factor(a))
+    eighs = count_calls(monkeypatch, linalg, "eigh")
+    factors = count_calls(monkeypatch, linalg, "cho_factor")
+    nl = en.NONLINEARITIES["cubic"]
     rng = np.random.default_rng(4)
     for _ in range(3):
-        mp.descent_direction(form, en.NONLINEARITIES["cubic"],
-                             rng.standard_normal(form.n_unknowns))
-    assert len(calls) == 2
+        mp.descent_direction(form, nl, rng.standard_normal(form.n_unknowns))
+    mp.solve(form, nl, u1)
+    assert len(eighs) == 1 and factors == []
 
 
-def test_grounded_factor_shared_with_reference_resolve(monkeypatch):
-    # a Neumann form is factored twice for the descent, and the reference
-    # resolve reuses the grounded factor; the shift sigma enters only the
-    # factorization, and the solves equal those of a factor built here
+def test_grounded_factor_only_for_reference_resolve(monkeypatch):
+    # the descent on a Neumann form builds the grounded modal basis and no
+    # Cholesky factor; the reference resolve factors B + sigma M_u once,
+    # and its solves equal those of a factor built here
     mesh = nm.build_extended_mesh((0.0, 3.0), 0.3, 1.5)
     form = nm.assemble_neumann(mesh, nm.Exponential())
     nl = en.NONLINEARITIES["allen_cahn"]
     cfg = mp.SolverConfig()
-    calls = []
-    cho_factor = linalg.cho_factor
-    monkeypatch.setattr(linalg, "cho_factor",
-                        lambda a: calls.append(a) or cho_factor(a))
+    eighs = count_calls(monkeypatch, linalg, "eigh")
+    factors = count_calls(monkeypatch, linalg, "cho_factor")
     rng = np.random.default_rng(6)
     for _ in range(3):
         w = rng.standard_normal(form.n_unknowns)
-        b, v1, b_h1, g = mp.descent_direction(form, nl, w, cfg)
-    nm.reference_errors(form, form.M, nl, form.fe(w), cfg.grounding_rel)
-    assert len(calls) == 2
+        mp.descent_direction(form, nl, w, cfg)
+    assert len(eighs) == 1 and factors == []
     sigma = form.grounding_shift(cfg.grounding_rel)
     assert sigma == cfg.grounding_rel * np.trace(form.B) \
         / form.M.diagonal()[form.unknown_idx].sum()
     mat = form.B + sigma * form.M[np.ix_(form.unknown_idx, form.unknown_idx)]
-    assert np.array_equal(calls[0], mat)
-    assert np.array_equal(b, linalg.cho_solve(cho_factor(mat), g))
+    assert np.array_equal(eighs[0], mat)
+    _, _, ubar = nm.reference_errors(form, form.M, nl, form.fe(w),
+                                     cfg.grounding_rel)
+    nm.reference_errors(form, form.M, nl, form.fe(-w), cfg.grounding_rel)
+    assert len(factors) == 1 and np.array_equal(factors[0], mat)
+    load = form.load_vector(nl.f(form.values_at_omega_quad(
+        form.full_values(w))))
+    assert np.array_equal(form.reduce(ubar),
+                          linalg.cho_solve(linalg.cho_factor(mat), load))
+
+
+def cholesky_direction(form, g, grounding_rel, tau):
+    """(b, v1, |b|_H1) by Cholesky solves of the grounded and the
+    regularized systems."""
+    H = form.h1_gram
+    sigma = form.grounding_shift(grounding_rel)
+    B = form.B + sigma * form.M[np.ix_(form.unknown_idx, form.unknown_idx)]
+    b = linalg.cho_solve(linalg.cho_factor(B), g)
+    d = linalg.cho_solve(linalg.cho_factor(B + tau * H), g)
+    return b, -d / math.sqrt(d @ H @ d), math.sqrt(b @ H @ b)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.25])
+@pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
+def test_modal_direction_matches_cholesky(setup, tau, request):
+    # b, v1 and |b|_H1 from the modal basis against Cholesky solves on
+    # B + sigma M_u and B + tau H + sigma M_u
+    mesh, form, M, S, u1 = request.getfixturevalue(setup)
+    nl = en.NONLINEARITIES["allen_cahn" if setup == "neumann_coarse"
+                           else "cubic"]
+    cfg = mp.SolverConfig(direction_reg=tau)
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        w = rng.standard_normal(form.n_unknowns)
+        b, v1, b_h1, g = mp.descent_direction(form, nl, w, cfg)
+        ref_b, ref_v1, ref_h1 = cholesky_direction(form, g,
+                                                   cfg.grounding_rel, tau)
+        assert np.linalg.norm(b - ref_b) <= 1e-12 * np.linalg.norm(ref_b)
+        assert np.linalg.norm(v1 - ref_v1) <= 1e-12 * np.linalg.norm(ref_v1)
+        assert b_h1 == pytest.approx(ref_h1, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
+def test_modal_coordinates_carry_the_form(setup, request):
+    # with a = V^T H w: w = V a, sum lam a^2 = w (B + sigma M_u) w, and the
+    # pairing of the descent (less sigma int w^2) is w B w
+    mesh, form, M, S, u1 = request.getfixturevalue(setup)
+    basis = sigma, lam, V = form.modal_basis(mp.SolverConfig.grounding_rel)
+    M_u = form.M[np.ix_(form.unknown_idx, form.unknown_idx)]
+    weights = form.omega_quad_weights()
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        w = rng.standard_normal(form.n_unknowns)
+        a = V.T @ (form.h1_gram @ w)
+        np.testing.assert_allclose(V @ a, w, rtol=0.0, atol=1e-12)
+        wBw = float(w @ form.B @ w)
+        assert float(lam @ (a * a)) == pytest.approx(
+            wBw + sigma * float(w @ M_u @ w), rel=1e-12)
+        x = form.values_at_omega_quad(form.full_values(w))
+        assert mp.pairing(basis, weights, a, x, a, x) == pytest.approx(
+            wBw, rel=1e-12)
+
+
+def test_final_grad_norm_survives_long_descent():
+    # the case-4 preset at 80 elements takes over 2,000 iterations with
+    # the iterate carried in three linearly updated forms; |b|_H1
+    # recomputed from the returned nodal values by Cholesky matches the
+    # reported one, which the stopping test trusts
+    spec = nm.config.parse_config_text(nm.cases.case_config_text("case4"))
+    mesh = spec.build_mesh(h_for(80))
+    form = nm.assemble_dirichlet(mesh, spec.make_kernel(), spec.quad_order)
+    nl = spec.make_nonlinearity()
+    cfg = spec.solver_config()
+    result = mp.solve(form, nl, spec.initial_guess_fe(mesh), cfg)
+    assert result.converged and result.iterations > 1000
+    g = en.gradient(form, nl, result.solution)
+    b_h1 = cholesky_direction(form, g, cfg.grounding_rel, 0.0)[2]
+    assert result.final_grad_norm == pytest.approx(b_h1, rel=1e-8, abs=0.0)
+
+
+def test_indefinite_form_raises_singular_system(case1_coarse):
+    # a form whose grounded B is not positive definite has no modal basis
+    mesh, _, M, S, u1 = case1_coarse
+    form = nm.assemble_dirichlet(mesh, nm.Exponential())
+    form.B = -form.B
+    nl = en.NONLINEARITIES["cubic"]
+    with pytest.raises(SingularSystem, match="not positive definite"):
+        form.modal_basis()
+    with pytest.raises(SingularSystem):
+        mp.descent_direction(form, nl, np.ones(form.n_unknowns))
+    with pytest.raises(SingularSystem):
+        mp.solve(form, nl, u1)
+
+
+@pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
+def test_assembly_and_reference_resolve_build_no_basis(setup, request,
+                                                         monkeypatch):
+    # only the descent pays for the eigendecomposition
+    mesh, _, M, S, u1 = request.getfixturevalue(setup)
+    eighs = count_calls(monkeypatch, linalg, "eigh")
+    if setup == "case1_coarse":
+        form = nm.assemble_dirichlet(mesh, nm.Exponential())
+        nl = en.NONLINEARITIES["cubic"]
+    else:
+        form = nm.assemble_neumann(mesh, nm.Exponential())
+        nl = en.NONLINEARITIES["allen_cahn"]
+    nm.reference_errors(form, form.M, nl, u1)
+    assert eighs == []
 
 
 def test_zero_gradient_raises(case1_solved):
@@ -270,7 +383,7 @@ def test_zero_gradient_stops_converged(case1_solved, monkeypatch):
     def critical(*args):
         raise ZeroGradient("gradient vanishes")
 
-    monkeypatch.setattr(mp, "descent_direction", critical)
+    monkeypatch.setattr(mp, "modal_direction", critical)
     result = mp.solve(form, en.NONLINEARITIES["cubic"], u1)
     assert result.converged and result.stop_reason == "zero_gradient"
     assert result.iterations == 0 and result.final_grad_norm == 0.0

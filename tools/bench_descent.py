@@ -1,0 +1,163 @@
+#!/usr/bin/env python3
+"""Per-row descent counts and seconds of one or more source trees.
+
+    python3 tools/bench_descent.py BENCH_11.json parent=OLD/src change=src
+
+Each LABEL=SRC names a source tree holding the ``nonlocalmp`` package.
+For every tree the script runs, in a fresh process with BLAS/OpenMP
+threads pinned to 1, the descent of these rows from their preset starts:
+
+- the 15 preset rows of the benchmark studies: cases 1-4 at 20, 40 and
+  80 elements and case 5 at h = 0.3, 0.15 and 0.075;
+- case 1 at 160 and 320 elements;
+- case 1 at 640 elements, cut at a budget of 300 iterations.
+
+It records per row the iterations, the exact ray evaluations
+(``SolveResult.ray_evals``), the stop reason, the solve seconds
+(``SolveResult.wall_time``, which includes building whatever the descent
+factors) and the microseconds per iteration.  Trees take turns, one
+process per tree and repeat, and the seconds are the median over
+``--repeats``; the counts must repeat exactly.  The environment record
+comes from ``benchmark/run.py``.  The result is written as JSON to OUT.
+"""
+
+import argparse
+import importlib.util
+import json
+import math
+import os
+import statistics
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FINE_BUDGET = 300
+
+
+def _benchmark_run():
+    """benchmark/run.py as a module (its main runs only as a script)."""
+    spec = importlib.util.spec_from_file_location("benchmark_run",
+                                                  ROOT / "benchmark" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def rows():
+    """(label, case, n_elements or h, iteration budget or None)."""
+    out = [(f"{case}/{n}", case, n, None)
+           for case in ("case1", "case2", "case3", "case4")
+           for n in (20, 40, 80)]
+    out += [(f"case5/h={h:g}", "case5", h, None) for h in (0.3, 0.15, 0.075)]
+    out += [(f"case1/{n}", "case1", n, None) for n in (160, 320)]
+    out += [(f"case1/640 (first {FINE_BUDGET} iterations)", "case1", 640,
+             FINE_BUDGET)]
+    return out
+
+
+def measure():
+    """Run every row on the importable package; one record per row."""
+    import nonlocalmp as nm
+    from nonlocalmp import cases, config
+    from nonlocalmp.errors import ExtensionMarginWarning, MaxIterations
+
+    warnings.simplefilter("ignore", ExtensionMarginWarning)
+    records = []
+    for label, case, size, budget in rows():
+        spec = config.parse_config_text(cases.case_config_text(case))
+        h = size if spec.constraint == "neumann" else 2 * math.pi / size
+        mesh = spec.build_mesh(h)
+        if spec.constraint == "dirichlet":
+            form = nm.assemble_dirichlet(mesh, spec.make_kernel(),
+                                         spec.quad_order)
+        else:
+            form = nm.assemble_neumann(mesh, spec.make_kernel(),
+                                       spec.quad_order)
+        cfg = spec.solver_config()
+        if budget is not None:
+            cfg.max_iterations = budget
+        try:
+            result = nm.mountain_pass.solve(form, spec.make_nonlinearity(),
+                                            spec.initial_guess_fe(mesh), cfg)
+        except MaxIterations as exc:
+            result = exc.result
+        records.append({"row": label, "unknowns": int(form.n_unknowns),
+                        "iterations": result.iterations,
+                        "ray_evals": result.ray_evals,
+                        "stop_reason": result.stop_reason,
+                        "solve_s": result.wall_time})
+    return records
+
+
+def run_tree(src, bench_run):
+    """One measuring process on the package under ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.update({var: "1" for var in bench_run.THREAD_VARS})
+    proc = subprocess.run([sys.executable, __file__, "--measure"], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def summarize(runs):
+    """Median seconds over repeats; counts must agree between repeats."""
+    rows_out = []
+    for per_repeat in zip(*runs):
+        first = per_repeat[0]
+        for rec in per_repeat[1:]:
+            if any(rec[k] != first[k] for k in ("row", "iterations",
+                                                 "ray_evals", "stop_reason")):
+                raise RuntimeError(f"counts differ between repeats on "
+                                   f"{first['row']}")
+        solve_s = statistics.median(r["solve_s"] for r in per_repeat)
+        rows_out.append(dict(first, solve_s=solve_s,
+                             us_per_iteration=1e6 * solve_s
+                             / max(first["iterations"], 1),
+                             solve_s_repeats=[r["solve_s"]
+                                              for r in per_repeat]))
+    return rows_out
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("out", nargs="?")
+    p.add_argument("trees", nargs="*", metavar="LABEL=SRC")
+    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--measure", action="store_true",
+                   help="measure the importable package and print JSON")
+    args = p.parse_args(argv)
+    if args.measure:
+        print(json.dumps(measure()))
+        return 0
+    if not args.out or not args.trees:
+        p.error("give OUT and at least one LABEL=SRC")
+    trees = [t.split("=", 1) for t in args.trees]
+    if any(len(t) != 2 for t in trees):
+        p.error("trees are given as LABEL=SRC")
+    bench_run = _benchmark_run()
+    for var in bench_run.THREAD_VARS:
+        os.environ[var] = "1"
+    runs = {label: [] for label, _ in trees}
+    for _ in range(args.repeats):
+        for label, src in trees:
+            runs[label].append(run_tree(Path(src).resolve(), bench_run))
+    record = {
+        "what": "descent of preset rows, per source tree",
+        "repeats": args.repeats,
+        "fine_budget": FINE_BUDGET,
+        "environment": bench_run.environment(),
+        "trees": {label: summarize(r) for label, r in runs.items()},
+    }
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    for label, rows_out in record["trees"].items():
+        print(label)
+        for r in rows_out:
+            print(f"  {r['row']:<32} {r['iterations']:>6} it "
+                  f"{r['ray_evals']:>6} rays {r['solve_s']:8.3f} s "
+                  f"{r['us_per_iteration']:7.0f} us/it")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
