@@ -9,7 +9,7 @@ error.
 import argparse
 import sys
 
-from . import assembly, cases, fem, kernels, verify
+from . import assembly, cases, fem, verify
 from .config import parse_config_file, parse_config_text
 from .errors import ConfigError, NonlocalMPError
 
@@ -48,16 +48,13 @@ def _print_header(spec, out=None):
     out = out if out is not None else sys.stdout
     for key, value in spec.echo_items():
         print(f"# {key} = {value}", file=out)
-    try:
-        diag = kernels.diagnostics(spec.make_kernel(), 1e-8)
-        d = spec.domain[1] - spec.domain[0]
-        beta_est = 0.5 * diag.second_moment / d**2
-        print(f"# kernel mass = {diag.total_mass:.6g}, second moment = "
-              f"{diag.second_moment:.6g}", file=out)
-        print(f"# coercivity heuristic ~ {beta_est:.3g} "
-              f"(second moment / 2 d^2; informational only)", file=out)
-    except NonlocalMPError:
-        pass
+    kernel = spec.make_kernel()
+    d = spec.domain[1] - spec.domain[0]
+    beta_est = 0.5 * kernel.second_moment / d**2
+    print(f"# kernel mass = {kernel.total_mass:.6g}, second moment = "
+          f"{kernel.second_moment:.6g}", file=out)
+    print(f"# coercivity heuristic ~ {beta_est:.3g} "
+          f"(second moment / 2 d^2; informational only)", file=out)
 
 
 def _log_records(result, path):

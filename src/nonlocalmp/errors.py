@@ -12,14 +12,6 @@ class DegenerateInterval(NonlocalMPError):
     """Requested mesh interval is too short for the requested spacing."""
 
 
-class TailBoundUnavailable(NonlocalMPError):
-    """Kernel has no analytic tail bound, so truncated quadrature is unsafe."""
-
-
-class QuadratureFailure(NonlocalMPError):
-    """Kernel diagnostics could not be computed to the requested tolerance."""
-
-
 class SingularExteriorBlock(NonlocalMPError):
     """Exterior-exterior block of the Neumann operator is numerically singular."""
 

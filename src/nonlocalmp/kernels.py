@@ -1,22 +1,22 @@
-"""Radial convolution kernels and their scalar diagnostics.
+"""Radial convolution kernels and their closed-form moments.
 
 Every kernel is an immutable value object exposing a vectorized point
-evaluation ``gamma(r)`` for r = |x - y| >= 0, the exact total mass
-``total_mass`` of the kernel over the real line, a characteristic
-``width`` and a ``truncation_radius(tol)`` beyond which the omitted mass
-and second moment stay below tol.  Its dataclass fields are its
-parameters, named as the ``kernel.*`` config keys.  Parameters are
-validated at construction (each must be a finite number within its
-family's range); evaluation never branches on invalid input.
+evaluation ``gamma(r)`` for r = |x - y| >= 0, the exact ``total_mass``
+and ``second_moment`` (int x^2 gamma(|x|) dx) of the kernel over the real
+line, ``is_sign_changing`` (whether gamma takes both signs), and a
+``truncation_radius(tol)`` beyond which the omitted mass and second
+moment stay below tol.  Its dataclass fields are its parameters, named
+as the ``kernel.*`` config keys.  Parameters are validated at
+construction (each must be a finite number within its family's range);
+evaluation never branches on invalid input.
 """
 
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import integrate
 
-from .errors import QuadratureFailure, TailBoundUnavailable, check_finite
+from .errors import check_finite
 
 __all__ = [
     "Exponential",
@@ -24,8 +24,6 @@ __all__ = [
     "InvertedMexicanHat",
     "Logistic",
     "PowerLaw",
-    "KernelDiagnostics",
-    "diagnostics",
     "builtin_kernels",
     "kernel_from_name",
 ]
@@ -42,6 +40,7 @@ class Exponential:
     """gamma(r) = exp(-r/scale) / (2 scale), unit mass."""
 
     scale: float = 1.0
+    is_sign_changing = False  # gamma > 0 everywhere
 
     def __post_init__(self):
         _check_params(self)
@@ -55,14 +54,14 @@ class Exponential:
     def total_mass(self):
         return 1.0
 
+    @property
+    def second_moment(self):
+        return 2.0 * self.scale**2
+
     def truncation_radius(self, tol):
         ell = max(math.log(1.0 / tol), 1.0)
         # the extra log term keeps the second-moment tail below tol as well
         return self.scale * (ell + 2.0 * math.log1p(ell))
-
-    @property
-    def width(self):
-        return self.scale
 
 
 @dataclass(frozen=True)
@@ -70,6 +69,7 @@ class Gaussian:
     """gamma(r) = exp(-r^2/scale^2) / (scale sqrt(pi)), unit mass."""
 
     scale: float = 1.0
+    is_sign_changing = False  # gamma > 0 everywhere
 
     def __post_init__(self):
         _check_params(self)
@@ -84,12 +84,12 @@ class Gaussian:
     def total_mass(self):
         return 1.0
 
+    @property
+    def second_moment(self):
+        return 0.5 * self.scale**2
+
     def truncation_radius(self, tol):
         return self.scale * (math.sqrt(max(math.log(1.0 / tol), 1.0)) + 2.0)
-
-    @property
-    def width(self):
-        return self.scale
 
 
 @dataclass(frozen=True)
@@ -129,14 +129,21 @@ class InvertedMexicanHat:
     def total_mass(self):
         return (self.B - self.A) / math.sqrt(math.pi)
 
+    @property
+    def second_moment(self):
+        return ((self.B * self.b**2 - self.A * self.a**2)
+                / (2.0 * math.sqrt(math.pi)))
+
+    @property
+    def is_sign_changing(self):
+        # the wide profile dominates far out, so gamma changes sign exactly
+        # when gamma(0) = (B/b - A/a) / pi is negative
+        return self.B / self.b < self.A / self.a
+
     def truncation_radius(self, tol):
         amp = (self.A / self.a + self.B / self.b) / math.pi
         ell = max(math.log(amp / tol), 1.0)
         return self.b * (math.sqrt(ell) + 2.0)
-
-    @property
-    def width(self):
-        return self.b
 
 
 @dataclass(frozen=True)
@@ -148,6 +155,7 @@ class Logistic:
 
     a: float = 1.0
     b: float = 4.0
+    is_sign_changing = False  # gamma > 0 everywhere
 
     def __post_init__(self):
         _check_params(self)
@@ -170,6 +178,12 @@ class Logistic:
     def total_mass(self):
         return 1.0
 
+    @property
+    def second_moment(self):
+        # int_R x^2 (1 + (|x|/a)^b)^-1 dx = 2 a^3 (pi/b) / sin(3 pi/b)
+        return (2.0 * self.a**3 * (math.pi / self.b)
+                / math.sin(3.0 * math.pi / self.b) / self._norm)
+
     def truncation_radius(self, tol):
         # gamma(r) <= (a/r)^b / Z for r >= a, so the mass tail is bounded by
         # a^b r^(1-b) / ((b-1) Z) and the second-moment tail by
@@ -178,10 +192,6 @@ class Logistic:
         r_mass = (self.a**self.b / ((self.b - 1.0) * z * tol)) ** (1.0 / (self.b - 1.0))
         r_mom = (self.a**self.b / ((self.b - 3.0) * z * tol)) ** (1.0 / (self.b - 3.0))
         return max(r_mass, r_mom, 2.0 * self.a)
-
-    @property
-    def width(self):
-        return self.a
 
 
 @dataclass(frozen=True)
@@ -193,6 +203,7 @@ class PowerLaw:
 
     a: float = 1.0
     p: float = 4.0
+    is_sign_changing = False  # gamma > 0 everywhere
 
     def __post_init__(self):
         _check_params(self)
@@ -214,16 +225,19 @@ class PowerLaw:
     def total_mass(self):
         return 1.0
 
+    @property
+    def second_moment(self):
+        # int_R x^2 (1 + |x|/a)^-p dx = 2 a^3 B(3, p - 3)
+        p = self.p
+        return (4.0 * self.a**3 / ((p - 1.0) * (p - 2.0) * (p - 3.0))
+                / self._norm)
+
     def truncation_radius(self, tol):
         z = self._norm
         r_mass = self.a * ((1.0 / ((self.p - 1.0) * z * tol)) ** (1.0 / (self.p - 1.0)))
         # x^2 gamma <= a^p x^(2-p)/Z for x >= a
         r_mom = (self.a**self.p / ((self.p - 3.0) * z * tol)) ** (1.0 / (self.p - 3.0))
         return max(r_mass, r_mom, 2.0 * self.a)
-
-    @property
-    def width(self):
-        return self.a
 
 
 KERNEL_NAMES = {
@@ -249,61 +263,3 @@ def builtin_kernels():
     """The five built-in kernels at their default parameters."""
     return {name: cls() for name, cls in KERNEL_NAMES.items()}
 
-
-def _piecewise_quad(f, r_cut, width, eps):
-    """Adaptive quadrature on [0, r_cut] split into geometric subintervals.
-
-    Heavy-tailed kernels need truncation radii many orders of magnitude
-    beyond their width; a single adaptive pass misses the near-origin
-    bump there.
-    """
-    edges = [0.0, min(width, r_cut)]
-    while edges[-1] < r_cut:
-        edges.append(min(edges[-1] * 10.0, r_cut))
-    total = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        val, _ = integrate.quad(f, lo, hi, epsabs=eps, epsrel=eps, limit=200)
-        total += val
-    return total
-
-
-@dataclass(frozen=True)
-class KernelDiagnostics:
-    total_mass: float
-    second_moment: float
-    min_value_sampled: float
-    is_sign_changing: bool
-
-
-def diagnostics(kernel, quad_tol=1e-10):
-    """Compute total mass, second moment and sign information of a kernel.
-
-    Both integrals run over the truncated support [0, R_cut], where R_cut
-    comes from the kernel's analytic tail bound and guarantees the omitted
-    mass (and second-moment tail) is below ``quad_tol``.
-    """
-    if quad_tol <= 0:
-        raise ValueError("quad_tol must be positive")
-    try:
-        r_cut = kernel.truncation_radius(quad_tol)
-    except AttributeError:
-        raise TailBoundUnavailable(
-            f"kernel {type(kernel).__name__} provides no tail bound") from None
-
-    eps = min(quad_tol / 10.0, 1e-12)
-    try:
-        mass = _piecewise_quad(lambda r: float(kernel.gamma(r)),
-                               r_cut, kernel.width, eps)
-        mom = _piecewise_quad(lambda r: r * r * float(kernel.gamma(r)),
-                              r_cut, kernel.width, eps)
-    except Exception as exc:  # pragma: no cover - defensive
-        raise QuadratureFailure(str(exc)) from exc
-
-    sample = kernel.gamma(np.linspace(0.0, r_cut, 4001))
-    tiny = 1e-14 * float(np.max(np.abs(sample)))
-    return KernelDiagnostics(
-        total_mass=2.0 * mass,
-        second_moment=2.0 * mom,
-        min_value_sampled=float(np.min(sample)),
-        is_sign_changing=bool(np.any(sample < -tiny) and np.any(sample > tiny)),
-    )

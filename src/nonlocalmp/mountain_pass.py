@@ -302,6 +302,9 @@ def solve(form, nl, u1, cfg=None):
         records.append(IterationRecord(iteration=it, energy=e_w,
                                        grad_norm_h1=grad_norm, t_star=ts,
                                        halvings_used=halvings))
+    # the last accepted step moved w: report |b|_H1 of the returned iterate
+    b_hat = modal_gradient(form, nl, basis, a, x_w) / lam
+    grad_norm = math.sqrt(float(b_hat @ b_hat))
     raise MaxIterations(
         f"no convergence within {cfg.max_iterations} iterations",
         result("max_iterations"))

@@ -8,6 +8,7 @@ assembled operators is meaningful.
 import math
 
 import numpy as np
+from scipy import integrate
 from scipy.special import erfc
 
 
@@ -21,6 +22,45 @@ def one_sided_tail(kernel, s):
     if isinstance(kernel, nm.Gaussian):
         return 0.5 * erfc(s / kernel.scale)
     raise NotImplementedError(type(kernel).__name__)
+
+
+# the field holding each family's characteristic length: where the
+# quadrature's first subinterval ends
+WIDTH_FIELD = {"Exponential": "scale", "Gaussian": "scale",
+               "InvertedMexicanHat": "b", "Logistic": "a", "PowerLaw": "a"}
+
+
+def piecewise_quad(f, r_cut, width, eps):
+    """Adaptive quadrature on [0, r_cut] split into geometric subintervals.
+
+    Heavy-tailed kernels need truncation radii many orders of magnitude
+    beyond their width; a single adaptive pass misses the near-origin
+    bump there.
+    """
+    edges = [0.0, min(width, r_cut)]
+    while edges[-1] < r_cut:
+        edges.append(min(edges[-1] * 10.0, r_cut))
+    total = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        val, _ = integrate.quad(f, lo, hi, epsabs=eps, epsrel=eps, limit=200)
+        total += val
+    return total
+
+
+def quadrature_moments(kernel, quad_tol=1e-10):
+    """(total mass, second moment) of a kernel by adaptive quadrature.
+
+    Both integrals run over the truncated support [0, R_cut], where R_cut
+    comes from the kernel's tail bound and keeps the omitted mass and
+    second-moment tail below ``quad_tol``.
+    """
+    r_cut = kernel.truncation_radius(quad_tol)
+    width = getattr(kernel, WIDTH_FIELD[type(kernel).__name__])
+    eps = min(quad_tol / 10.0, 1e-12)
+    mass = piecewise_quad(lambda r: float(kernel.gamma(r)), r_cut, width, eps)
+    mom = piecewise_quad(lambda r: r * r * float(kernel.gamma(r)),
+                         r_cut, width, eps)
+    return 2.0 * mass, 2.0 * mom
 
 
 def brute_force_quadratic_form(u_fe, kernel, n=4000, chunk=500):

@@ -156,6 +156,36 @@ def test_header_echo_roundtrip(tmp_path, capsys):
         assert spec_echo == spec_orig
 
 
+# the kernel lines of each preset's header, as the quadrature-based
+# header printed them before the closed-form moments replaced it
+KERNEL_HEADER_LINES = {
+    "case1": "# kernel mass = 1, second moment = 2\n"
+             "# coercivity heuristic ~ 0.0253 "
+             "(second moment / 2 d^2; informational only)\n",
+    "case2": "# kernel mass = 0.56419, second moment = 1.97466\n"
+             "# coercivity heuristic ~ 0.025 "
+             "(second moment / 2 d^2; informational only)\n",
+    "case3": "# kernel mass = 1, second moment = 0.5\n"
+             "# coercivity heuristic ~ 0.00633 "
+             "(second moment / 2 d^2; informational only)\n",
+    "case4": "# kernel mass = 1, second moment = 0.5\n"
+             "# coercivity heuristic ~ 0.00633 "
+             "(second moment / 2 d^2; informational only)\n",
+    "case5": "# kernel mass = 1, second moment = 2\n"
+             "# coercivity heuristic ~ 0.111 "
+             "(second moment / 2 d^2; informational only)\n",
+}
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_header_kernel_lines_pinned(name):
+    header = io.StringIO()
+    cli._print_header(parse_config_text(case_config_text(name)), header)
+    lines = [line for line in header.getvalue().splitlines(keepends=True)
+             if line.startswith(("# kernel mass", "# coercivity"))]
+    assert "".join(lines) == KERNEL_HEADER_LINES[name]
+
+
 @pytest.mark.parametrize("name", CASE_NAMES)
 def test_bundled_cases_parse(name):
     spec = parse_config_text(case_config_text(name))

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import nonlocalmp as nm
-from nonlocalmp.errors import TailBoundUnavailable
-from nonlocalmp.kernels import KERNEL_NAMES, diagnostics
+from nonlocalmp.kernels import KERNEL_NAMES
+
+from oracles import quadrature_moments
 
 
 def test_exponential_at_origin():
@@ -27,45 +28,85 @@ def test_mexican_hat_vanishes_at_origin():
 
 
 def test_exponential_mass():
-    d = diagnostics(nm.Exponential(), quad_tol=1e-10)
-    assert d.total_mass == pytest.approx(1.0, abs=1e-9)
+    k = nm.Exponential()
+    assert k.total_mass == 1.0
+    assert quadrature_moments(k)[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_gaussian_second_moment():
-    d = diagnostics(nm.Gaussian(), quad_tol=1e-10)
-    assert d.second_moment == pytest.approx(0.5, abs=1e-9)
-    assert d.total_mass == pytest.approx(1.0, abs=1e-9)
+    k = nm.Gaussian()
+    assert k.second_moment == 0.5 and k.total_mass == 1.0
+    mass, mom = quadrature_moments(k)
+    assert mom == pytest.approx(0.5, abs=1e-9)
+    assert mass == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mexican_hat_mass():
     # (2 sqrt(pi) - sqrt(pi)) / pi = 1/sqrt(pi); cross-checked by Riemann sum
-    d = diagnostics(nm.InvertedMexicanHat(), quad_tol=1e-10)
-    assert d.total_mass == pytest.approx(1.0 / math.sqrt(math.pi), abs=1e-9)
+    k = nm.InvertedMexicanHat()
+    assert k.total_mass == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
     x = np.linspace(-30.0, 30.0, 2_000_001)
-    riemann = np.trapezoid(nm.InvertedMexicanHat().gamma(np.abs(x)), x)
-    assert d.total_mass == pytest.approx(riemann, abs=1e-8)
+    riemann = np.trapezoid(k.gamma(np.abs(x)), x)
+    assert k.total_mass == pytest.approx(riemann, abs=1e-8)
 
 
 @pytest.mark.parametrize("name,kernel", sorted(nm.builtin_kernels().items()))
 def test_unit_mass_and_finite_second_moment(name, kernel):
-    d = diagnostics(kernel, quad_tol=1e-8)
-    assert d.total_mass == pytest.approx(kernel.total_mass, abs=1e-6)
-    assert d.total_mass > 0.0
-    assert np.isfinite(d.second_moment)
+    assert kernel.total_mass > 0.0
+    if name != "mexican_hat":
+        assert kernel.total_mass == 1.0
+    assert math.isfinite(kernel.second_moment) and kernel.second_moment > 0.0
 
 
 @pytest.mark.parametrize("name,kernel", sorted(nm.builtin_kernels().items()))
 def test_quadrature_mass_consistency(name, kernel):
+    # the oracle quadrature converges with its tolerance, onto the closed
+    # forms: R_cut omits at most tol on each side, plus the quadrature's
+    # own error
     tol = 1e-6
-    da = diagnostics(kernel, quad_tol=tol)
-    db = diagnostics(kernel, quad_tol=tol / 10.0)
-    assert abs(da.total_mass - db.total_mass) <= 2.0 * tol
-    assert abs(da.second_moment - db.second_moment) <= 2.0 * tol
+    da = quadrature_moments(kernel, quad_tol=tol)
+    db = quadrature_moments(kernel, quad_tol=tol / 10.0)
+    exact = kernel.total_mass, kernel.second_moment
+    for a, b, e in zip(da, db, exact):
+        assert abs(a - b) <= 2.0 * tol
+        assert max(abs(a - e), abs(b - e)) <= 2.0 * tol + 1e-10
+
+
+MOMENT_CASES = [
+    nm.Exponential(), nm.Exponential(scale=0.3),
+    nm.Gaussian(), nm.Gaussian(scale=2.5),
+    nm.InvertedMexicanHat(), nm.InvertedMexicanHat(A=1.5),
+    nm.InvertedMexicanHat(a=0.5, b=2.0, A=1.0, B=3.0),
+    nm.Logistic(), nm.Logistic(a=0.5, b=6.0),
+    nm.PowerLaw(), nm.PowerLaw(a=2.0, p=5.5),
+]
+
+
+@pytest.mark.parametrize("kernel", MOMENT_CASES, ids=repr)
+def test_closed_form_moments_match_quadrature(kernel):
+    mass, mom = quadrature_moments(kernel, quad_tol=1e-10)
+    assert kernel.total_mass == pytest.approx(mass, rel=1e-8, abs=0.0)
+    assert kernel.second_moment == pytest.approx(mom, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("kernel", MOMENT_CASES, ids=repr)
+def test_sign_change_matches_sampled_gamma(kernel):
+    sample = kernel.gamma(np.linspace(0.0, kernel.truncation_radius(1e-10),
+                                      4001))
+    tiny = 1e-14 * float(np.max(np.abs(sample)))
+    sampled = bool(np.any(sample < -tiny) and np.any(sample > tiny))
+    assert kernel.is_sign_changing is sampled
+
+
+# 20 characteristic lengths of each default kernel: the scale, the wide
+# width b of the Mexican hat, a of the algebraic families
+SAMPLING_RANGE = {"exponential": 20.0, "gaussian": 20.0, "mexican_hat": 40.0,
+                  "logistic": 20.0, "power_law": 20.0}
 
 
 @pytest.mark.parametrize("name,kernel", sorted(nm.builtin_kernels().items()))
 def test_monotone_tail(name, kernel):
-    r = np.linspace(0.0, 20.0 * kernel.width, 4001)
+    r = np.linspace(0.0, SAMPLING_RANGE[name], 4001)
     vals = np.abs(kernel.gamma(r))
     vals = vals[np.argmax(vals):]   # from the sampled peak outward
     assert np.all(np.isfinite(vals))
@@ -73,16 +114,16 @@ def test_monotone_tail(name, kernel):
 
 
 def test_default_mexican_hat_is_nonnegative():
-    d = diagnostics(nm.InvertedMexicanHat(), quad_tol=1e-8)
-    assert not d.is_sign_changing
-    assert d.min_value_sampled == pytest.approx(0.0, abs=1e-12)
+    k = nm.InvertedMexicanHat()
+    assert not k.is_sign_changing
+    sample = k.gamma(np.linspace(0.0, k.truncation_radius(1e-8), 4001))
+    assert float(np.min(sample)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reweighted_mexican_hat_changes_sign():
-    d = diagnostics(nm.InvertedMexicanHat(a=1.0, b=2.0, A=1.5, B=2.0),
-                    quad_tol=1e-8)
-    assert d.is_sign_changing
-    assert d.min_value_sampled < 0.0
+    k = nm.InvertedMexicanHat(a=1.0, b=2.0, A=1.5, B=2.0)
+    assert k.is_sign_changing
+    assert k.gamma(0.0) < 0.0
 
 
 @pytest.mark.parametrize("bad", [
@@ -110,15 +151,6 @@ NON_FINITE_PARAMS = [(cls, f.name, value)
 def test_non_finite_parameters_rejected(cls, name, value):
     with pytest.raises(ValueError, match=f"{name} must be a finite number"):
         cls(**{name: value})
-
-
-def test_tail_bound_unavailable():
-    class Odd:
-        def gamma(self, r):
-            return np.zeros_like(np.asarray(r))
-
-    with pytest.raises(TailBoundUnavailable):
-        diagnostics(Odd(), quad_tol=1e-8)
 
 
 def test_kernel_from_name():

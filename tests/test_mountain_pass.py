@@ -306,6 +306,25 @@ def test_final_grad_norm_survives_long_descent():
     assert result.final_grad_norm == pytest.approx(b_h1, rel=1e-8, abs=0.0)
 
 
+def test_final_grad_norm_on_budget_stop():
+    # the budget runs out after an accepted step: the reported |b|_H1 is
+    # that of the returned iterate, recomputed here by Cholesky
+    spec = nm.config.parse_config_text(nm.cases.case_config_text("case4"))
+    mesh = spec.build_mesh(h_for(80))
+    form = nm.assemble_dirichlet(mesh, spec.make_kernel(), spec.quad_order)
+    nl = spec.make_nonlinearity()
+    cfg = spec.solver_config()
+    cfg.max_iterations = 50
+    with pytest.raises(MaxIterations) as info:
+        mp.solve(form, nl, spec.initial_guess_fe(mesh), cfg)
+    result = info.value.result
+    assert result.iterations == 50
+    g = en.gradient(form, nl, result.solution)
+    b_h1 = cholesky_direction(form, g, cfg.grounding_rel, 0.0)[2]
+    assert result.final_grad_norm == pytest.approx(b_h1, rel=1e-8, abs=0.0)
+    assert result.final_grad_norm != result.records[-1].grad_norm_h1
+
+
 def test_indefinite_form_raises_singular_system(case1_coarse):
     # a form whose grounded B is not positive definite has no modal basis
     mesh, _, M, S, u1 = case1_coarse

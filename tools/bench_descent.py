@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Per-row descent counts and seconds of one or more source trees.
+"""Import cost and per-row descent counts and seconds of source trees.
 
-    python3 tools/bench_descent.py BENCH_11.json parent=OLD/src change=src
+    python3 tools/bench_descent.py BENCH_12.json parent=OLD/src change=src
 
 Each LABEL=SRC names a source tree holding the ``nonlocalmp`` package.
 For every tree the script runs, in a fresh process with BLAS/OpenMP
@@ -18,7 +18,13 @@ It records per row the iterations, the exact ray evaluations
 factors) and the microseconds per iteration.  Trees take turns, one
 process per tree and repeat, and the seconds are the median over
 ``--repeats``; the counts must repeat exactly.  The environment record
-comes from ``benchmark/run.py``.  The result is written as JSON to OUT.
+comes from ``benchmark/run.py``.
+
+Before the descent it times ``import nonlocalmp`` in fresh processes,
+``IMPORT_REPEATS`` per tree with the trees taking turns, and records
+the median seconds of the import itself, the median peak RSS after it
+and the number of modules it loads.  The result is written as JSON to
+OUT.
 """
 
 import argparse
@@ -34,6 +40,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FINE_BUDGET = 300
+IMPORT_REPEATS = 9
+# run by ``python -c`` so that nothing but the interpreter precedes the import
+IMPORT_PROBE = """
+import json, resource, sys, time
+before = len(sys.modules)
+t0 = time.perf_counter()
+import nonlocalmp
+print(json.dumps({"import_s": time.perf_counter() - t0,
+                  "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                  / 1024.0,
+                  "modules": len(sys.modules) - before}))
+"""
 
 
 def _benchmark_run():
@@ -91,13 +109,25 @@ def measure():
     return records
 
 
-def run_tree(src, bench_run):
+def run_tree(src, bench_run, args):
     """One measuring process on the package under ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src))
     env.update({var: "1" for var in bench_run.THREAD_VARS})
-    proc = subprocess.run([sys.executable, __file__, "--measure"], env=env,
+    proc = subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+def summarize_imports(runs):
+    """Median import seconds and RSS; the module count must repeat."""
+    if len({r["modules"] for r in runs}) != 1:
+        raise RuntimeError("import loads a different number of modules "
+                           "between repeats")
+    return {"import_s": statistics.median(r["import_s"] for r in runs),
+            "rss_mb": statistics.median(r["rss_mb"] for r in runs),
+            "modules": runs[0]["modules"],
+            "import_s_repeats": [r["import_s"] for r in runs],
+            "rss_mb_repeats": [r["rss_mb"] for r in runs]}
 
 
 def summarize(runs):
@@ -138,20 +168,33 @@ def main(argv=None):
     bench_run = _benchmark_run()
     for var in bench_run.THREAD_VARS:
         os.environ[var] = "1"
+    trees = [(label, Path(src).resolve()) for label, src in trees]
+    imports = {label: [] for label, _ in trees}
+    for _ in range(IMPORT_REPEATS):
+        for label, src in trees:
+            imports[label].append(run_tree(src, bench_run,
+                                           ["-c", IMPORT_PROBE]))
     runs = {label: [] for label, _ in trees}
     for _ in range(args.repeats):
         for label, src in trees:
-            runs[label].append(run_tree(Path(src).resolve(), bench_run))
+            runs[label].append(run_tree(src, bench_run,
+                                        [__file__, "--measure"]))
     record = {
-        "what": "descent of preset rows, per source tree",
+        "what": "import nonlocalmp and descent of preset rows, "
+                "per source tree",
         "repeats": args.repeats,
+        "import_repeats": IMPORT_REPEATS,
         "fine_budget": FINE_BUDGET,
         "environment": bench_run.environment(),
+        "imports": {label: summarize_imports(r)
+                    for label, r in imports.items()},
         "trees": {label: summarize(r) for label, r in runs.items()},
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     for label, rows_out in record["trees"].items():
-        print(label)
+        imp = record["imports"][label]
+        print(f"{label}: import {imp['import_s']:.3f} s, "
+              f"{imp['rss_mb']:.1f} MiB, {imp['modules']} modules")
         for r in rows_out:
             print(f"  {r['row']:<32} {r['iterations']:>6} it "
                   f"{r['ray_evals']:>6} rays {r['solve_s']:8.3f} s "
