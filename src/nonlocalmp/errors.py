@@ -1,5 +1,9 @@
 """Exception types shared across the package, and the check that a
-setting is a finite number."""
+setting is a finite number.
+
+They report faults only.  How a descent stopped (converged, stall or
+iteration budget) is not an error: ``mountain_pass.solve`` returns its
+SolveResult for every stop and names the stop in ``stop_reason``."""
 
 import math
 
@@ -41,28 +45,6 @@ class InvariantViolation(NonlocalMPError):
     def __init__(self, message, iteration):
         super().__init__(f"{message} at iteration {iteration}")
         self.iteration = iteration
-
-
-class StallError(NonlocalMPError):
-    """Backtracking exhausted its halving budget without an energy decrease.
-
-    Carries the partial solve result in ``result``.
-    """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
-
-
-class MaxIterations(NonlocalMPError):
-    """Iteration budget exhausted before the stopping criterion was met.
-
-    Carries the partial solve result in ``result``.
-    """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
 
 
 class ConfigError(NonlocalMPError):

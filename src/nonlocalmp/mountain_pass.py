@@ -56,6 +56,7 @@ presets stays smooth where tau = 0 ends in a two-node spike, but cases
 v1 = -b/|b|_H1.
 """
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -64,8 +65,8 @@ import numpy as np
 
 from .energy import (gauss_moments, gradient as energy_gradient, ray_data,
                      ray_energy, ray_from_moments, step_polynomial)
-from .errors import (ConfigError, InvariantViolation, MaxIterations,
-                     StallError, ZeroDirection, ZeroGradient, check_finite)
+from .errors import (ConfigError, InvariantViolation, ZeroDirection,
+                     ZeroGradient, check_finite)
 
 __all__ = ["SolverConfig", "IterationRecord", "SolveResult",
            "descent_direction", "check_invariants", "solve"]
@@ -117,8 +118,11 @@ class IterationRecord:
 
 @dataclass
 class SolveResult:
+    """Where a descent stopped and why: ``stop_reason`` is one of the stops
+    of ``solve``, or None when the result was not made by it, and
+    ``converged`` follows from it."""
+
     solution: object             # FeFunction
-    converged: bool
     records: list
     wall_time: float
     final_grad_norm: float
@@ -126,9 +130,11 @@ class SolveResult:
     initial_l2: float
     # exact ray evaluations made by solve, the initial one included
     ray_evals: int = 0
-    # converged, zero_gradient, stall or max_iterations (None when the
-    # result was not made by solve)
     stop_reason: str = None
+
+    @property
+    def converged(self):
+        return self.stop_reason in ("converged", "zero_gradient")
 
     @property
     def iterations(self):
@@ -221,11 +227,12 @@ def solve(form, nl, u1, cfg=None):
     """Run the descent from the initial guess u1 until |b|_H1 <= epsilon.
 
     The H1 stopping norm is taken over the physical domain (see
-    ``NonlocalForm.h1_gram``).  Raises StallError when the halving budget
-    is exhausted and MaxIterations when the iteration budget runs out;
-    both carry the partial result in ``result``, whose ``stop_reason`` is
-    "stall" or "max_iterations" ("converged" or "zero_gradient" on
-    return).
+    ``NonlocalForm.h1_gram``).  Every stop returns the SolveResult and
+    names itself in ``stop_reason``: converged, zero_gradient (the
+    gradient vanished), max_iterations (``cfg.max_iterations`` steps
+    reached an iterate still above epsilon) or stall (no step of the
+    halving budget lowered the energy).  Only faults raise: ZeroDirection
+    when u1 has no ray maximum, SingularSystem, InvariantViolation.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
@@ -247,20 +254,17 @@ def solve(form, nl, u1, cfg=None):
     l2_0 = float(np.sqrt(max(w_full @ form.M @ w_full, 0.0)))
 
     records = []
-    grad_norm = np.inf
     # every step the halving may try: the floats of repeated halving
     steps = cfg.delta * 0.5 ** np.arange(cfg.max_halvings + 1)
 
     def result(stop_reason):
-        converged = stop_reason in ("converged", "zero_gradient")
-        return SolveResult(solution=form.fe(w), converged=converged,
-                           records=records,
+        return SolveResult(solution=form.fe(w), records=records,
                            wall_time=time.perf_counter() - t0,
                            final_grad_norm=grad_norm, initial_energy=e0,
                            initial_l2=l2_0, ray_evals=ray_evals,
                            stop_reason=stop_reason)
 
-    for it in range(1, cfg.max_iterations + 1):
+    for it in itertools.count(1):
         g_hat = modal_gradient(form, nl, basis, a, x_w)
         try:
             grad_norm, v_hat = modal_direction(g_hat, lam, cfg.direction_reg)
@@ -269,6 +273,8 @@ def solve(form, nl, u1, cfg=None):
             return result("zero_gradient")
         if grad_norm <= cfg.epsilon:
             return result("converged")
+        if it > cfg.max_iterations:
+            return result("max_iterations")
 
         v = V @ v_hat
         x_v = form.values_at_omega_quad(form.full_values(v))
@@ -290,9 +296,7 @@ def solve(form, nl, u1, cfg=None):
             if e_trial < e_w:
                 break
         else:
-            raise StallError(
-                f"no energy decrease after {cfg.max_halvings} halvings "
-                f"at iteration {it}", result("stall"))
+            return result("stall")
 
         w, a, x_w = ts * (w + s * v), ts * a_u, ts * x_u
         if cfg.check_invariants:
@@ -302,9 +306,3 @@ def solve(form, nl, u1, cfg=None):
         records.append(IterationRecord(iteration=it, energy=e_w,
                                        grad_norm_h1=grad_norm, t_star=ts,
                                        halvings_used=halvings))
-    # the last accepted step moved w: report |b|_H1 of the returned iterate
-    b_hat = modal_gradient(form, nl, basis, a, x_w) / lam
-    grad_norm = math.sqrt(float(b_hat @ b_hat))
-    raise MaxIterations(
-        f"no convergence within {cfg.max_iterations} iterations",
-        result("max_iterations"))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly, mountain_pass
-from .errors import (MaxIterations, NonlocalMPError, StallError)
+from .errors import NonlocalMPError
 
 __all__ = ["CaseReport", "StudyResult", "residual_norms", "reference_errors",
            "l1_norm_p1", "l2_ratio", "is_trivial_capture", "run_single",
@@ -142,15 +142,21 @@ def run_single(spec, h,
     cfg = spec.solver_config()
     cfg.check_invariants = check_invariants
 
-    result = None
-    error = None
+    result = error = None
     try:
         result = mountain_pass.solve(form, nl, u1, cfg)
-    except (StallError, MaxIterations) as exc:
-        result = exc.result
-        error = f"{type(exc).__name__}: {exc}"
     except NonlocalMPError as exc:
         error = f"{type(exc).__name__}: {exc}"
+    else:
+        # named like a fault: readers of the report take the stop from the
+        # name that leads the text
+        if result.stop_reason == "stall":
+            error = (f"StallError: no energy decrease after "
+                     f"{cfg.max_halvings} halvings at iteration "
+                     f"{result.iterations + 1}")
+        elif not result.converged:
+            error = (f"MaxIterations: no convergence within "
+                     f"{cfg.max_iterations} iterations")
 
     report = CaseReport(h=mesh.h, n_dof=mesh.n_elements,
                         R_L1=np.nan, R_L2=np.nan, E_L1=np.nan, E_L2=np.nan,

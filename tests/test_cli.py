@@ -230,6 +230,34 @@ def test_exit_code_mapping():
     assert cli._exit_code([ok, triv, bad]) == 3
 
 
+@pytest.mark.parametrize("setting,line", [
+    ("solver.max_iterations = 5",
+     "solver failure: MaxIterations: no convergence within 5 iterations"),
+    ("solver.max_halvings = 0",
+     "solver failure: StallError: no energy decrease after 0 halvings "
+     "at iteration 4"),
+])
+def test_solver_failure_output_pinned(tmp_path, capsys, setting, line):
+    # the stop's name leads the error text: benchmark/workloads.py reads
+    # its stop label from that prefix
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST_CFG + setting + "\n")
+    assert cli.main(["--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == line + "\n"
+
+
+def test_last_budgeted_step_that_converges_exits_0(tmp_path, capsys):
+    # a budget equal to the default run's iteration count is enough
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST_CFG)
+    assert cli.main(["--config", str(cfg)]) == 0
+    row = capsys.readouterr().out.splitlines()[-1].split(",")
+    cfg.write_text(FAST_CFG + f"solver.max_iterations = {row[6]}\n")
+    assert cli.main(["--config", str(cfg)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].split(",")[:7] == row[:7] and err == ""
+
+
 def test_config_error_reporting():
     with pytest.raises(ConfigError) as info:
         parse_config_text("h = 0.1\nh = 0.2\n")

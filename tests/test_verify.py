@@ -105,7 +105,7 @@ def test_trivial_capture_detector(case1_run):
     assert not verify.is_trivial_capture(res, run.M)
     shrunk = type(res)(solution=nm.FeFunction(run.mesh,
                                               1e-4 * res.solution.values),
-                       converged=True, records=res.records,
+                       stop_reason="converged", records=res.records,
                        wall_time=res.wall_time, final_grad_norm=0.0,
                        initial_energy=res.initial_energy,
                        initial_l2=res.initial_l2)
