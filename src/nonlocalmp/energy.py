@@ -7,19 +7,20 @@ The energy of a constrained P1 function u is
 with F the antiderivative of the nonlinearity f from 0.  Along a ray
 t -> I[t u] the functional is a polynomial in t whose coefficients come
 from B[u, u] and the moments int u^k dx.  A nonlinearity is nothing but
-the coefficients of F.  When F = a_k t^k (+ a_2 t^2) the maximizer t*
-has a closed form; otherwise t* is the best positive critical point of
-the ray polynomial, a root of g'(t)/t.  While g'(t)/t has degree 2 at
-most (the built-in Allen-Cahn source, for one) its roots come from the
-quadratic formula; above that from the eigenvalues of its companion
-matrix.
+the coefficients of F.  One rule, ``ray_max``, takes the maximizer t*
+and the ray maximum g(t*) of any number of rays at once, one row of
+ray coefficients each.  When F = a_k t^k (+ a_2 t^2) t* has a closed
+form; otherwise t* is the best positive critical point of the ray
+polynomial, a root of g'(t)/t.  While g'(t)/t has degree 2 at most (the
+built-in Allen-Cahn source, for one) its roots come from the quadratic
+formula; above that from the eigenvalues of its companion matrices.
 
 Along a step u = w + s v the same data are polynomials in s as well:
 B[u, u] from B[w, w], B[w, v] and B[v, v], and every moment from the
 mixed moments int w^a v^b dx.  ``step_polynomial`` takes the three
 pairings and the Gauss-point values of w and v, computes the mixed
-moments once and then screens any array of steps in a few vectorized
-operations.
+moments once and then gives the ray maxima of any array of steps in a
+few vectorized operations.
 
 Every integer power (in f, F, the moments and the mixed moments) comes
 from one power table, u^0 ... u^top by repeated multiplication
@@ -44,7 +45,7 @@ __all__ = [
     "ray_coefficients",
     "ray_energy",
     "ray_slope",
-    "ray_from_moments",
+    "ray_max",
     "ray_data",
     "step_polynomial",
     "t_star",
@@ -78,14 +79,22 @@ class Nonlinearity:
 
     ``F_coeffs`` maps powers k to coefficients a_k of F(t) = sum a_k t^k;
     f = F', the moment powers and the ray-maximizer rule are derived from
-    them.  ``hypothesis_meta`` documents which growth/shape hypotheses
-    (A2 growth bound with (a1, a2, alpha); A3 zero slope at the origin;
-    A4 scaling with (mu, theta); A5 superlinear growth) hold.
+    them.  Every power is at least 2 and one is above 2, so F vanishes to
+    second order at zero and every ray polynomial has a t^2 term and a
+    higher one.  ``hypothesis_meta`` documents which growth/shape
+    hypotheses (A2 growth bound with (a1, a2, alpha); A3 zero slope at the
+    origin; A4 scaling with (mu, theta); A5 superlinear growth) hold.
     """
 
     name: str
     F_coeffs: dict
     hypothesis_meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        powers = self.moment_powers
+        if not powers or powers[0] < 2 or powers[-1] < 3:
+            raise ValueError(f"nonlinearity {self.name!r}: the powers of F "
+                             f"must be at least 2, one above 2; got {powers}")
 
     def f(self, t):
         terms = [(k * a, k - 1) for k, a in self.F_coeffs.items()]
@@ -100,29 +109,9 @@ class Nonlinearity:
 
     @cached_property
     def _ray_rule(self):
-        """(k, 2 a_2, k a_k) when F = a_k t^k (+ a_2 t^2) with k > 2."""
+        """k when F = a_k t^k (+ a_2 t^2) with k > 2, else None."""
         high = set(self.F_coeffs) - {2}
-        if len(high) != 1 or min(high) <= 2:
-            return None
-        k = high.pop()
-        return k, 2.0 * self.F_coeffs.get(2, 0.0), k * self.F_coeffs[k]
-
-    def t_star_closed(self, Buu, P):
-        """Closed-form ray maximizer, or None when no closed form exists.
-
-        For F = a_k t^k (+ a_2 t^2) the ray slope vanishes at
-        t^(k-2) = (B[u,u] - 2 a_2 P_2) / (k a_k P_k).
-        """
-        if self._ray_rule is None:
-            return None
-        k, two_a2, k_ak = self._ray_rule
-        num = Buu - two_a2 * P.get(2, 0.0)
-        den = k_ak * P[k]
-        if num <= 0 or den <= 0:
-            raise ZeroDirection("ray energy has no positive maximum")
-        if k == 4:
-            return math.sqrt(num / den)
-        return (num / den) ** (1 / (k - 2))
+        return high.pop() if len(high) == 1 else None
 
 
 # the built-in nonlinearities by config name
@@ -173,8 +162,7 @@ def gauss_moments(x, weights, powers):
 
 def ray_coefficients(nl, Buu, P):
     """Coefficients c[k] of g(t) = I[t u] = sum_k c[k] t^k."""
-    top = max([2, *nl.F_coeffs])
-    c = np.zeros(top + 1)
+    c = np.zeros(max(nl.F_coeffs) + 1)
     c[2] = 0.5 * Buu
     for k, a in nl.F_coeffs.items():
         c[k] -= a * P[k]
@@ -190,71 +178,61 @@ def ray_slope(c, t):
     return np.polynomial.polynomial.polyval(t, dc)
 
 
-def ray_from_moments(nl, Buu, P):
-    """(t*, c) of the ray t -> I[t u] from B[u, u] and the moments P of u
-    (a dict power -> int u^k dx); see ``ray_data``."""
-    if Buu <= 0.0:
-        raise ZeroDirection("direction carries no bilinear-form energy")
-    c = ray_coefficients(nl, Buu, P)
-    closed = nl.t_star_closed(Buu, P)
-    if closed is not None:
-        return closed, c
-    # critical points of g: roots of the polynomial g'(t)/t
-    coeffs = c.tolist()[::-1]
-    best_t, best_g = None, 0.0
-    for t in _real_roots(c[2:] * np.arange(2, c.size)):
-        if not t > 0.0:
-            continue
-        # g(t) by Horner's rule, the operations of ``ray_energy``
-        g = 0.0
-        for cj in coeffs:
-            g = g * t + cj
-        # prefer the global maximum; break ties toward larger t
-        if best_t is None or g > best_g + 1e-15 * abs(best_g) \
-                or (abs(g - best_g) <= 1e-15 * abs(best_g) and t > best_t):
-            best_t, best_g = t, g
-    if best_t is None or best_g <= 0.0:
-        raise ZeroDirection("ray energy has no positive critical point")
-    return best_t, c
+def ray_max(nl, Buu, c):
+    """(t*, g(t*)) for the rays g(t) = sum_k c[i, k] t^k, one per row i of
+    c, of functions u_i with B[u_i, u_i] = Buu[i]; both are NaN where a ray
+    has no positive maximum (B[u, u] <= 0, or no positive critical point
+    with g > 0).
+
+    When F = a_k t^k (+ a_2 t^2) the slope vanishes at t*^(k-2) =
+    -2 c[2] / (k c[k]), and there g(t*) = (1 - 2/k) c[2] t*^2.  Otherwise
+    t* is the positive real root of g'(t)/t = sum_j (j+2) c[j+2] t^j
+    (``_real_roots``) with the largest g.
+    """
+    k = nl._ray_rule
+    with np.errstate(all="ignore"):
+        if k is not None:
+            c2, ck = c[:, 2], c[:, k]
+            r = -2.0 * c2 / (k * ck)
+            ts = np.sqrt(r) if k == 4 else r ** (1.0 / (k - 2))
+            g = np.where((c2 > 0.0) & (ck < 0.0),
+                         (1.0 - 2.0 / k) * c2 * r ** (2.0 / (k - 2)), np.nan)
+        else:
+            roots = _real_roots(c[:, 2:] * np.arange(2, c.shape[1]))
+            g = np.zeros_like(roots)
+            for cj in c.T[::-1]:
+                g = g * roots + cj[:, None]
+            g = np.where(roots > 0.0, g, -np.inf)
+            best = np.arange(len(g)), g.argmax(axis=1)
+            ts, g = roots[best], g[best]
+        ok = (Buu > 0.0) & (g > 0.0)
+    return np.where(ok, ts, np.nan), np.where(ok, g, np.nan)
 
 
 def _real_roots(q):
-    """Real roots of sum_j q[j] t^j for one coefficient vector q (a list
-    of floats) or for every row of a 2-D q (an array, one row each); NaN
-    stands in place of a root further than 1e-10 off the real axis or
-    not finite.
+    """Real roots of sum_j q[i, j] t^j for every row i of q, which has at
+    least 3 columns (F has two powers above 2 when ``ray_max`` needs
+    roots); NaN stands in place of a root further than 1e-10 off the real
+    axis or not finite.
 
     Up to degree 2 the roots come from the cancellation-free quadratic
     formula: with s = -(q1 + sign(q1) sqrt(disc)) / 2 they are s / q2 and
     q0 / s.  A complex pair lies sqrt(-disc) / (2 |q2|) off the axis;
-    within the tolerance it counts as the double root -q1 / (2 q2).  One
-    vector takes the formula on Python floats, rows take it on arrays.
+    within the tolerance it counts as the double root -q1 / (2 q2).
     Above degree 2 the roots are the eigenvalues of the companion
     matrices.
     """
-    if q.shape[-1] > 3:
-        d = q.shape[-1] - 1
+    if q.shape[1] > 3:
+        d = q.shape[1] - 1
         with np.errstate(all="ignore"):
-            comp = np.zeros(q.shape[:-1] + (d, d))
-            comp[..., np.arange(1, d), np.arange(d - 1)] = 1.0
-            comp[..., :, -1] = -q[..., :-1] / q[..., -1:]
-        ok = np.isfinite(comp).all(axis=(-2, -1))[..., None]
+            comp = np.zeros((len(q), d, d))
+            comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+            comp[:, :, -1] = -q[:, :-1] / q[:, -1:]
+        ok = np.isfinite(comp).all(axis=(1, 2))[:, None]
         roots = np.linalg.eigvals(np.where(ok[..., None], comp, 0.0)
-                                  [..., ::-1, ::-1])
-        roots = np.where(ok & (np.abs(roots.imag) <= 1e-10), roots.real,
-                         np.nan)
-        return roots if q.ndim > 1 else roots.tolist()
-    if q.ndim == 1:
-        q0, q1, q2 = q.tolist() + [0.0] * (3 - q.size)
-        disc = q1 * q1 - 4.0 * q0 * q2
-        if not -disc <= 4e-20 * q2 * q2:
-            return [math.nan, math.nan]
-        s = -0.5 * (q1 + math.copysign(math.sqrt(max(disc, 0.0)), q1))
-        r1 = s / q2 if q2 else math.nan
-        r2 = r1 if disc < 0.0 else (q0 / s if s else math.nan)
-        return [r if math.isfinite(r) else math.nan for r in (r1, r2)]
-    if q.shape[1] < 3:
-        q = np.hstack([q, np.zeros((len(q), 3 - q.shape[1]))])
+                                  [:, ::-1, ::-1])
+        return np.where(ok & (np.abs(roots.imag) <= 1e-10), roots.real,
+                        np.nan)
     q0, q1, q2 = q.T
     with np.errstate(all="ignore"):
         disc = q1 * q1 - 4.0 * q0 * q2
@@ -266,37 +244,36 @@ def _real_roots(q):
 
 
 def ray_data(form, nl, u_unknown):
-    """(t*, c): the maximizer t* of t -> I[t u] over t > 0 and the
-    coefficients c of that ray polynomial (see ``ray_coefficients``).
+    """(t*, c): the maximizer t* of t -> I[t u] over t > 0 by ``ray_max``
+    and the coefficients c of that ray polynomial (see
+    ``ray_coefficients``).
 
     ``u_unknown`` holds the unknown-node values of u; the constraint
     fixes the rest.  Raises ZeroDirection when the ray has no positive
     maximum.
     """
-    u_full = form.full_values(u_unknown)
     Buu = float(u_unknown @ form.B @ u_unknown)
-    P = moments(form, u_full, nl.moment_powers)
-    return ray_from_moments(nl, Buu, P)
+    c = ray_coefficients(nl, Buu, moments(form, form.full_values(u_unknown),
+                                          nl.moment_powers))
+    ts = float(ray_max(nl, np.array([Buu]), c[None])[0][0])
+    if math.isnan(ts):
+        raise ZeroDirection("ray energy has no positive maximum")
+    return ts, c
 
 
 def step_polynomial(nl, B_step, x, weights):
-    """Screened ray energies of the steps u = w + s v, for an array of s.
+    """Ray maxima of the steps u = w + s v, for an array of s.
 
     ``B_step`` holds B[w, w], B[w, v] and B[v, v], and the two rows of x
     the values of w and v at the domain Gauss points, whose weights are
     ``weights``.  B[u, u] = B[w,w] + 2s B[w,v] + s^2 B[v,v] and int u^k dx
     = sum_j C(k,j) s^j int w^(k-j) v^j dx; the mixed moments come from one
     (k+1) x (k+1) product of the power vectors of w and v.  The returned
-    function maps steps to max_t I[t u] by the rule of
-    ``ray_from_moments``: the closed form when there is one, else the
-    largest ray value at the positive real roots of g'(t)/t, taken for
-    every step at once: by the quadratic formula on arrays up to degree 2,
-    by one batched eigenvalue call on the stacked companion matrices above
-    it.  An entry is NaN where the ray has no positive maximum.  Its
-    round-off differs from that of ``ray_from_moments`` on the moments of
-    w + s v.
+    function maps an array of steps to (t*, g(t*), c): ``ray_max`` of the
+    ray coefficients c of w + s v, one row per step, taken for every step
+    at once.
     """
-    n = max(3, max(nl.moment_powers) + 1)
+    n = max(nl.moment_powers) + 1
     # pw[a] = (w^a, v^a) at the Gauss points
     pw = np.array(_powers(x, n - 1))
     mixed = ((pw[:, 0] * weights) @ pw[:, 1].T).tolist()
@@ -310,28 +287,12 @@ def step_polynomial(nl, B_step, x, weights):
         coeffs[:k + 1, 1 + k] -= [a * math.comb(k, j) * mixed[k - j][j]
                                   for j in range(k + 1)]
 
-    def screen(steps):
+    def rays(steps):
         m = np.vander(steps, n, increasing=True) @ coeffs
-        Buu, c = m[:, 0], m[:, 1:]
-        with np.errstate(all="ignore"):
-            if nl._ray_rule is not None:
-                # t*^(k-2) = -2 c[2] / (k c[k]), g(t*) = (1 - 2/k) c[2] t*^2
-                k = nl._ray_rule[0]
-                c2, ck = c[:, 2], c[:, k]
-                best = np.where((c2 > 0.0) & (ck < 0.0), (1.0 - 2.0 / k) * c2
-                                * (-2.0 * c2 / (k * ck)) ** (2.0 / (k - 2)),
-                                np.nan)
-            else:
-                # roots of g'(t)/t = sum_j (j+2) c[j+2] t^j
-                ts = _real_roots(c[:, 2:] * np.arange(2, n))
-                g = np.zeros_like(ts)
-                for cj in c.T[::-1]:
-                    g = g * ts + cj[:, None]
-                best = np.where(ts > 0.0, g, -np.inf).max(
-                    axis=1, initial=-np.inf)
-        return np.where((Buu > 0.0) & (best > 0.0), best, np.nan)
+        c = m[:, 1:]
+        return (*ray_max(nl, m[:, 0], c), c)
 
-    return screen
+    return rays
 
 
 def t_star(form, nl, u):

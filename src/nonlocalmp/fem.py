@@ -64,32 +64,17 @@ class FeFunction:
                          self.values, left=0.0, right=0.0)
 
 
-def _locate_node(nodes, x, h):
-    idx = int(np.argmin(np.abs(nodes - x)))
-    if abs(nodes[idx] - x) > 1e-9 * max(h, 1.0):
-        raise ValueError(f"domain endpoint {x} does not coincide with a mesh node")
-    return idx
-
-
-def build_mesh(x_left, x_right, h, omega=None):
-    """Uniform mesh on [x_left, x_right] with spacing as close to h as possible.
-
-    ``omega``, when given, is the physical sub-domain; its endpoints must land
-    on mesh nodes (they are snapped within a 1e-9 relative tolerance).
-    """
+def build_mesh(x_left, x_right, h):
+    """Uniform mesh on [x_left, x_right] with spacing as close to h as
+    possible; the whole interval is the physical domain."""
     length = x_right - x_left
     if h <= 0 or length < 2.0 * h:
         raise DegenerateInterval(
             f"interval [{x_left}, {x_right}] too short for spacing {h}")
     n_elements = int(round(length / h))
     nodes = np.linspace(x_left, x_right, n_elements + 1)
-    h_actual = length / n_elements
-    if omega is None:
-        omega = (x_left, x_right)
-    lo = _locate_node(nodes, omega[0], h_actual)
-    hi = _locate_node(nodes, omega[1], h_actual)
-    return Mesh(x_left, x_right, h_actual, nodes, n_elements,
-                (nodes[lo], nodes[hi]), (lo, hi))
+    return Mesh(x_left, x_right, length / n_elements, nodes, n_elements,
+                (nodes[0], nodes[-1]), (0, n_elements))
 
 
 def build_extended_mesh(omega, h, extension):

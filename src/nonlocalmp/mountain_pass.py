@@ -21,17 +21,12 @@ starting from an iterate w sitting on its own ray maximum:
      energy.  Along w + s v1 the pairings B[w,w], B[w,v1], B[v1,v1] and
      B of every trial are sums over the modes, sum lam a b less the
      grounding sigma int u v, and the moments of a trial come from the
-     Gauss values x_w + s x_v.  Every step delta 2^-k, k = 0 ..
-     max_halvings, is first screened in one batched call of its step
-     polynomial (``energy.step_polynomial``, built once per iteration).
-     In order of k, each step whose screened ray energy is not at least
-     e(w) (1 + SCREEN_MARGIN), a NaN (no ray maximum) included, is
-     decided by the exact ray evaluation of the trial; the first one
-     with lower energy is taken.  The screened energy differs from the
-     exact one by round-off only (at most 3.3e-14 relative on the bundled
-     presets), far inside the 1e-8 margin, so the screen only skips
-     exact evaluations that would reject: every decision, and every
-     iterate, comes from the exact ray;
+     Gauss values x_w + s x_v.  The step polynomial of the iteration
+     (``energy.step_polynomial``) gives t* and the ray maximum of every
+     step delta 2^-k, k = 0 .. max_halvings, in one batched call; the
+     first step whose ray maximum is below e(w) is taken (a NaN, no ray
+     maximum, never is).  That call is the iteration's only ray
+     evaluation;
   3. replace w by the re-maximized trial t* (w + s v1) and repeat.
 
 An iteration thus makes two dense n x n products, V^T load and V v^.
@@ -63,17 +58,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (gauss_moments, gradient as energy_gradient, ray_data,
-                     ray_energy, ray_from_moments, step_polynomial)
-from .errors import (ConfigError, InvariantViolation, ZeroDirection,
-                     ZeroGradient, check_finite)
+from .energy import (gradient as energy_gradient, ray_data, ray_energy,
+                     step_polynomial)
+from .errors import (ConfigError, InvariantViolation, ZeroGradient,
+                     check_finite)
 
 __all__ = ["SolverConfig", "IterationRecord", "SolveResult",
            "descent_direction", "check_invariants", "solve"]
-
-# relative margin above e(w) under which a screened step energy sends the
-# step to the exact ray evaluation (see step 2 above)
-SCREEN_MARGIN = 1e-8
 
 
 @dataclass
@@ -128,8 +119,6 @@ class SolveResult:
     final_grad_norm: float
     initial_energy: float
     initial_l2: float
-    # exact ray evaluations made by solve, the initial one included
-    ray_evals: int = 0
     stop_reason: str = None
 
     @property
@@ -200,12 +189,6 @@ def pairing(basis, weights, a, x, b, y):
     return val
 
 
-def modal_ray(nl, basis, weights, a, x):
-    """(t*, c) of ``ray_data`` for u = V a with domain Gauss values x."""
-    return ray_from_moments(nl, pairing(basis, weights, a, x, a, x),
-                            gauss_moments(x, weights, nl.moment_powers))
-
-
 def check_invariants(iteration, g, v1, e_before, e_after, c, ts):
     """Raise InvariantViolation unless the accepted step of ``iteration``
     kept the scheme's guarantees: v1 is a descent direction for the
@@ -242,7 +225,6 @@ def solve(form, nl, u1, cfg=None):
 
     u1_unknown = form.reduce(u1)
     ts, c = ray_data(form, nl, u1_unknown)
-    ray_evals = 1
     # the iterate as nodal values w, modal coordinates a (w = V a, so
     # a = V^T H w) and values x_w at the domain Gauss points
     w = ts * u1_unknown
@@ -261,8 +243,7 @@ def solve(form, nl, u1, cfg=None):
         return SolveResult(solution=form.fe(w), records=records,
                            wall_time=time.perf_counter() - t0,
                            final_grad_norm=grad_norm, initial_energy=e0,
-                           initial_l2=l2_0, ray_evals=ray_evals,
-                           stop_reason=stop_reason)
+                           initial_l2=l2_0, stop_reason=stop_reason)
 
     for it in itertools.count(1):
         g_hat = modal_gradient(form, nl, basis, a, x_w)
@@ -281,27 +262,21 @@ def solve(form, nl, u1, cfg=None):
         B_step = (pairing(basis, weights, a, x_w, a, x_w),
                   pairing(basis, weights, a, x_w, v_hat, x_v),
                   pairing(basis, weights, v_hat, x_v, v_hat, x_v))
-        screened = step_polynomial(nl, B_step, np.vstack([x_w, x_v]),
-                                   weights)(steps)
-        bound = e_w + SCREEN_MARGIN * abs(e_w)
-        for halvings in np.flatnonzero(~(screened >= bound)).tolist():
-            s = steps[halvings]
-            a_u, x_u = a + s * v_hat, x_w + s * x_v
-            ray_evals += 1
-            try:
-                ts, c = modal_ray(nl, basis, weights, a_u, x_u)
-            except ZeroDirection:
-                continue
-            e_trial = float(ray_energy(c, ts))
-            if e_trial < e_w:
-                break
-        else:
+        t_steps, e_steps, c_steps = step_polynomial(
+            nl, B_step, np.vstack([x_w, x_v]), weights)(steps)
+        lower = np.flatnonzero(e_steps < e_w)
+        if not lower.size:
             return result("stall")
 
-        w, a, x_w = ts * (w + s * v), ts * a_u, ts * x_u
+        halvings = int(lower[0])
+        s, ts = steps[halvings], float(t_steps[halvings])
+        e_trial = float(e_steps[halvings])
+        w, a, x_w = ts * (w + s * v), ts * (a + s * v_hat), \
+            ts * (x_w + s * x_v)
         if cfg.check_invariants:
             # g . v1 = g^ . v^
-            check_invariants(it, g_hat, v_hat, e_w, e_trial, c, ts)
+            check_invariants(it, g_hat, v_hat, e_w, e_trial,
+                             c_steps[halvings], ts)
         e_w = e_trial
         records.append(IterationRecord(iteration=it, energy=e_w,
                                        grad_norm_h1=grad_norm, t_star=ts,

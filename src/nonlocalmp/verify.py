@@ -31,7 +31,8 @@ TRIVIAL_CAPTURE_RATIO = 1e-2
 
 @dataclass
 class CaseReport:
-    """One row of a convergence table."""
+    """One row of a convergence table; ``converged``, ``failed`` and
+    ``trivial`` follow from ``stop_reason``, ``error`` and ``l2_ratio``."""
 
     h: float
     n_dof: int
@@ -41,15 +42,24 @@ class CaseReport:
     E_L2: float
     iterations: int
     wall_time_s: float
-    converged: bool = True
-    trivial: bool = False
-    failed: bool = False
     error: str = None
     # SolveResult.stop_reason (None when no descent result exists)
     stop_reason: str = None
     # ||u*|| / ||w1||, the ratio ``is_trivial_capture`` tests (nan when no
     # descent result exists)
     l2_ratio: float = np.nan
+
+    @property
+    def converged(self):
+        return self.stop_reason in ("converged", "zero_gradient")
+
+    @property
+    def failed(self):
+        return self.error is not None
+
+    @property
+    def trivial(self):
+        return self.l2_ratio < TRIVIAL_CAPTURE_RATIO
 
 
 @dataclass
@@ -63,11 +73,9 @@ class SingleRun:
     """Full artifacts of one (spec, h) pipeline run."""
 
     report: CaseReport
-    result: object          # SolveResult or None on assembly failure
+    result: object          # SolveResult or None on a solver fault
     form: object
-    mesh: object
     M: np.ndarray           # form.M, the L2(Omega) mass matrix
-    u_bar: object           # FeFunction reference solution or None
 
 
 def residual_norms(form, nl, u):
@@ -158,26 +166,23 @@ def run_single(spec, h,
             error = (f"MaxIterations: no convergence within "
                      f"{cfg.max_iterations} iterations")
 
-    report = CaseReport(h=mesh.h, n_dof=mesh.n_elements,
-                        R_L1=np.nan, R_L2=np.nan, E_L1=np.nan, E_L2=np.nan,
-                        iterations=0, wall_time_s=0.0,
-                        converged=False, failed=error is not None, error=error)
-    u_bar = None
+    R = E = (np.nan, np.nan)
+    stop_reason, iterations, ratio = None, 0, np.nan
     if result is not None:
-        report.iterations = result.iterations
-        report.converged = result.converged
-        report.stop_reason = result.stop_reason
-        report.l2_ratio = l2_ratio(result, form.M)
-        report.trivial = is_trivial_capture(result, form.M)
+        stop_reason, iterations = result.stop_reason, result.iterations
+        ratio = l2_ratio(result, form.M)
         try:
-            report.R_L1, report.R_L2 = residual_norms(form, nl, result.solution)
-            report.E_L1, report.E_L2, u_bar = reference_errors(
-                form, form.M, nl, result.solution, spec.grounding_rel)
+            R = residual_norms(form, nl, result.solution)
+            E = reference_errors(form, form.M, nl, result.solution,
+                                 spec.grounding_rel)[:2]
         except NonlocalMPError as exc:
-            report.failed = True
-            report.error = (report.error or "") + f" verify: {exc}"
-    report.wall_time_s = time.perf_counter() - t0
-    return SingleRun(report, result, form, mesh, form.M, u_bar)
+            error = (error or "") + f" verify: {exc}"
+    report = CaseReport(h=mesh.h, n_dof=mesh.n_elements, R_L1=R[0],
+                        R_L2=R[1], E_L1=E[0], E_L2=E[1],
+                        iterations=iterations,
+                        wall_time_s=time.perf_counter() - t0, error=error,
+                        stop_reason=stop_reason, l2_ratio=ratio)
+    return SingleRun(report, result, form, form.M)
 
 
 def _study_row(args):

@@ -185,16 +185,20 @@ def per_entry_dump(path, B):
 
 
 def halving_solve(form, nl, u1, cfg):
-    """The descent with an exact ray evaluation at every step halving.
+    """The descent with a direct ray evaluation at every step halving.
 
     It runs the modal arithmetic of ``mountain_pass.solve`` (gradient,
-    direction, pairings and exact rays in the form's modal basis) in a
-    plain halving loop with no screen.  Returns the iteration records and
-    the final full nodal values.
+    direction and pairings in the form's modal basis) in a plain halving
+    loop.  Each trial's ray comes from its own pairing and Gauss-point
+    moments, not from a step polynomial, and its energy is the ray
+    polynomial evaluated at t*.  Returns the iteration records, the
+    final full nodal values and the stop reason (converged or
+    zero_gradient); raises RuntimeError on a stall or at the iteration
+    budget.
     """
     from nonlocalmp import energy as en
     from nonlocalmp import mountain_pass as mp
-    from nonlocalmp.errors import ZeroDirection, ZeroGradient
+    from nonlocalmp.errors import ZeroGradient
 
     basis = form.modal_basis(cfg.grounding_rel)
     _, lam, V = basis
@@ -212,19 +216,20 @@ def halving_solve(form, nl, u1, cfg):
             grad_norm, v_hat = mp.modal_direction(g_hat, lam,
                                                   cfg.direction_reg)
         except ZeroGradient:
-            break
+            return records, form.full_values(w), "zero_gradient"
         if grad_norm <= cfg.epsilon:
-            break
+            return records, form.full_values(w), "converged"
         v = V @ v_hat
         x_v = form.values_at_omega_quad(form.full_values(v))
         step, halvings = cfg.delta, 0
         while True:
             a_u, x_u = a + step * v_hat, x_w + step * x_v
-            try:
-                ts, c = mp.modal_ray(nl, basis, weights, a_u, x_u)
-                e_trial = float(en.ray_energy(c, ts))
-            except ZeroDirection:
-                e_trial = np.inf
+            Buu = mp.pairing(basis, weights, a_u, x_u, a_u, x_u)
+            c = en.ray_coefficients(nl, Buu, en.gauss_moments(
+                x_u, weights, nl.moment_powers))
+            ts = float(en.ray_max(nl, np.array([Buu]), c[None])[0][0])
+            e_trial = np.inf if math.isnan(ts) \
+                else float(en.ray_energy(c, ts))
             if e_trial < e_w:
                 break
             halvings += 1
@@ -236,6 +241,4 @@ def halving_solve(form, nl, u1, cfg):
         records.append(mp.IterationRecord(iteration=it, energy=e_w,
                                           grad_norm_h1=grad_norm, t_star=ts,
                                           halvings_used=halvings))
-    else:
-        raise RuntimeError("iteration budget exhausted")
-    return records, form.full_values(w)
+    raise RuntimeError("iteration budget exhausted")

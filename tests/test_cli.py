@@ -219,12 +219,13 @@ def test_study_run_writes_report(tmp_path, capsys):
 def test_exit_code_mapping():
     from nonlocalmp.verify import CaseReport
     ok = CaseReport(h=0.1, n_dof=1, R_L1=0, R_L2=0, E_L1=0, E_L2=0,
-                    iterations=1, wall_time_s=0, converged=True)
+                    iterations=1, wall_time_s=0, stop_reason="converged")
     triv = CaseReport(h=0.1, n_dof=1, R_L1=0, R_L2=0, E_L1=0, E_L2=0,
-                      iterations=1, wall_time_s=0, converged=True,
-                      trivial=True)
+                      iterations=1, wall_time_s=0, stop_reason="converged",
+                      l2_ratio=1e-4)
     bad = CaseReport(h=0.1, n_dof=1, R_L1=0, R_L2=0, E_L1=0, E_L2=0,
-                     iterations=1, wall_time_s=0, failed=True)
+                     iterations=1, wall_time_s=0, stop_reason="stall",
+                     error="StallError: no energy decrease")
     assert cli._exit_code([ok]) == 0
     assert cli._exit_code([ok, triv]) == 2
     assert cli._exit_code([ok, triv, bad]) == 3

@@ -28,6 +28,14 @@ def step_screen(form, nl, w, v):
     return en.step_polynomial(nl, B_step, x, form.omega_quad_weights())
 
 
+def ray_max_one(nl, Buu, P):
+    """(t*, g(t*)) of ``ray_max`` for the one ray with B[u, u] = Buu and
+    the moments P (a dict power -> int u^k dx)."""
+    c = en.ray_coefficients(nl, Buu, P)
+    ts, g = en.ray_max(nl, np.array([Buu]), c[None])
+    return ts[0], g[0]
+
+
 def test_pointwise_values():
     cubic, quintic, cml, ac = ALL_NL
     assert cubic.f(2.0) == 8.0 and cubic.F(2.0) == 4.0
@@ -165,11 +173,20 @@ def test_gradient_against_central_differences(nl, case1_coarse):
 def test_t_star_closed_formulas():
     # direct arithmetic on injected moments
     cubic, quintic, cml, ac = ALL_NL
-    assert cubic.t_star_closed(2.0, {4: 8.0}) == pytest.approx(0.5)
-    assert quintic.t_star_closed(1.0, {6: 16.0}) == pytest.approx(0.5)
-    assert cml.t_star_closed(1.0, {2: 1.0, 4: 8.0}) \
+    assert ray_max_one(cubic, 2.0, {4: 8.0})[0] == pytest.approx(0.5)
+    assert ray_max_one(quintic, 1.0, {6: 16.0})[0] == pytest.approx(0.5)
+    assert ray_max_one(cml, 1.0, {2: 1.0, 4: 8.0})[0] \
         == pytest.approx(0.5)
-    assert ac.t_star_closed(1.0, {2: 1.0, 3: 1.0, 4: 8.0}) is None
+    assert ac._ray_rule is None
+
+
+@pytest.mark.parametrize("F", [{}, {2: 1.0}, {1: 1.0, 4: 1.0}],
+                         ids=["empty", "quadratic", "linear_term"])
+def test_nonlinearity_needs_powers_above_linear(F):
+    # F vanishes to second order at zero and has a power above 2, so every
+    # ray polynomial has a t^2 term and a higher one
+    with pytest.raises(ValueError, match="powers of F"):
+        en.Nonlinearity("bad", F)
 
 
 @pytest.mark.parametrize("nl", ALL_NL, ids=lambda nl: nl.name)
@@ -238,13 +255,14 @@ def test_t_star_zero_direction(case1_coarse):
 @pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
 @pytest.mark.parametrize("nl", SCREEN_NL, ids=lambda nl: nl.name)
 def test_step_polynomial_matches_ray_data(nl, setup, request):
-    # the screened ray energies of w + s v against the exact ones, from an
-    # iterate w on its ray maximum along its descent direction v
+    # the step polynomial's ray energies of w + s v against those of
+    # ray_data on the moments of w + s v, from an iterate w on its ray
+    # maximum along its descent direction v
     mesh, form, M, S, u1 = request.getfixturevalue(setup)
     u = form.reduce(u1)
     w = en.t_star(form, nl, u) * u
     v = mp.descent_direction(form, nl, w)[1]
-    screened = step_screen(form, nl, w, v)(STEPS)
+    _, screened, _ = step_screen(form, nl, w, v)(STEPS)
     assert screened.shape == STEPS.shape
     for s, got in zip(STEPS, screened):
         try:
@@ -263,7 +281,8 @@ def test_step_polynomial_zero_direction(nl, setup, request):
     zero = np.zeros(form.n_unknowns)
     with pytest.raises(ZeroDirection):
         en.ray_data(form, nl, zero)
-    assert np.isnan(step_screen(form, nl, zero, zero)(STEPS)).all()
+    ts, g, _ = step_screen(form, nl, zero, zero)(STEPS)
+    assert np.isnan(ts).all() and np.isnan(g).all()
 
 
 @pytest.mark.parametrize("nl", [
@@ -277,21 +296,22 @@ def test_step_polynomial_no_ray_maximum(nl, case1_coarse):
     u = form.reduce(u1)
     with pytest.raises(ZeroDirection):
         en.ray_data(form, nl, u)
-    assert np.isnan(step_screen(form, nl, u, u)(STEPS)).all()
+    ts, g, _ = step_screen(form, nl, u, u)(STEPS)
+    assert np.isnan(ts).all() and np.isnan(g).all()
 
 
 def _assert_matches_companion_rule(nl, Buu, P, screened):
-    """t* and g(t*) of ``ray_from_moments``, and the screened g(t*), against
-    the companion-matrix rule; both paths find no maximum where it does."""
+    """t* and g(t*) of ``ray_max`` on the direct moments, g(t*) at that t*
+    and the screened g(t*) against the companion-matrix rule; both paths
+    find no maximum where it does."""
     c = en.ray_coefficients(nl, Buu, P)
     ref = companion_ray_max(c)
+    ts, g = ray_max_one(nl, Buu, P)
     if ref is None:
-        with pytest.raises(ZeroDirection):
-            en.ray_from_moments(nl, Buu, P)
-        assert np.isnan(screened)
+        assert np.isnan(ts) and np.isnan(g) and np.isnan(screened)
         return
-    ts, c = en.ray_from_moments(nl, Buu, P)
     assert ts == pytest.approx(ref[0], rel=1e-12, abs=0.0)
+    assert g == pytest.approx(ref[1], rel=1e-12, abs=0.0)
     assert en.ray_energy(c, ts) == pytest.approx(ref[1], rel=1e-12, abs=0.0)
     assert screened == pytest.approx(ref[1], rel=1e-12, abs=0.0)
 
@@ -305,7 +325,7 @@ def test_quadratic_rule_matches_companion_rule(neumann_coarse):
     found = 0
     for _ in range(20):
         w, v = rng.standard_normal((2, form.n_unknowns))
-        screened = step_screen(form, nl, w, v)(steps)
+        _, screened, _ = step_screen(form, nl, w, v)(steps)
         for s, got in zip(steps, screened):
             u = w + s * v
             Buu = float(u @ form.B @ u)
@@ -320,7 +340,7 @@ def point_screen(nl, b):
     unit-weight Gauss point holding its value: B[u, u] = b and every
     moment equals 1."""
     return en.step_polynomial(nl, (b, 0.0, 0.0), np.array([[1.0], [0.0]]),
-                              np.ones(1))(np.zeros(1))[0]
+                              np.ones(1))(np.zeros(1))[1][0]
 
 
 @pytest.mark.parametrize("F, b, has_max", [
@@ -339,7 +359,7 @@ def point_screen(nl, b):
         "complex_double_root", "q1_zero"])
 def test_quadratic_rule_hand_built(F, b, has_max):
     nl = en.Nonlinearity("hand_built", F)
-    assert nl.t_star_closed(b, {k: 1.0 for k in F}) is None
+    assert nl._ray_rule is None
     P = {k: 1.0 for k in nl.moment_powers}
     screened = point_screen(nl, b)
     assert (companion_ray_max(en.ray_coefficients(nl, b, P)) is not None) \
@@ -354,7 +374,8 @@ def test_quadratic_rule_is_cancellation_free():
     nl = en.Nonlinearity("hand_built", {3: 1.0, 4: -0.1})
     b = 1e-9
     root = 2.0 * b / (3.0 + math.sqrt(9.0 - 1.6 * b))
-    ts, c = en.ray_from_moments(nl, b, {3: 1.0, 4: 1.0})
+    c = en.ray_coefficients(nl, b, {3: 1.0, 4: 1.0})
+    ts = ray_max_one(nl, b, {3: 1.0, 4: 1.0})[0]
     assert ts == pytest.approx(root, rel=1e-14, abs=0.0)
     screened = point_screen(nl, b)
     assert screened == pytest.approx(en.ray_energy(c, root), rel=1e-12,
@@ -377,7 +398,7 @@ def test_nonlinearity_given_as_data(case1_coarse):
     np.testing.assert_allclose(nl.f(ts), ts**3 + ts**5, rtol=1e-14)
     np.testing.assert_allclose(nl.F(ts), ts**4 / 4 + ts**6 / 6, rtol=1e-14)
     assert nl.moment_powers == (4, 6)
-    assert nl.t_star_closed(1.0, {4: 1.0, 6: 1.0}) is None
+    assert nl._ray_rule is None
 
     rng = np.random.default_rng(5)
     for _ in range(10):

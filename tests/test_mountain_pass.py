@@ -36,15 +36,6 @@ def test_converges_with_certificate(case1_solved):
     assert 5 <= result.iterations <= 42
 
 
-def test_ray_evals_counted(case1_solved):
-    # one exact ray per accepted step plus the initial one, and few more:
-    # the step polynomial screens out most halvings
-    result = case1_solved[-1]
-    halvings = sum(r.halvings_used for r in result.records)
-    assert result.ray_evals >= result.iterations + 1
-    assert result.ray_evals <= (result.iterations + halvings + 1) / 2
-
-
 @pytest.fixture(scope="module")
 def case5_h03():
     mesh = nm.build_extended_mesh((0.0, 3.0), 0.3, 1.5)
@@ -73,15 +64,21 @@ def form_and_start(request, fixture):
     ("case1_coarse", en.NONLINEARITIES["allen_cahn"]),
     ("case1_coarse", CUBIC_PLUS_QUINTIC),
 ], ids=lambda x: x if isinstance(x, str) else x.name)
-def test_screened_descent_equals_halving_loop(fixture, nl, request):
-    # the screen only skips exact rays that would reject: records and
-    # solution equal those of the loop with an exact ray per halving
+def test_descent_matches_halving_loop(fixture, nl, request):
+    # the descent that takes every ray from the step polynomial stops
+    # where the loop with a direct ray per halving does, at the same
+    # critical point within the stopping tolerance, and its recorded
+    # energy is that of its solution
     form, u1 = form_and_start(request, fixture)
     cfg = mp.SolverConfig()
     result = mp.solve(form, nl, u1, cfg)
-    records, values = halving_solve(form, nl, u1, cfg)
-    assert result.records == records
-    assert np.array_equal(result.solution.values, values)
+    _, values, stop_reason = halving_solve(form, nl, u1, cfg)
+    assert result.stop_reason == stop_reason
+    diff = result.solution.values - values
+    assert math.sqrt(diff @ form.M @ diff) \
+        <= cfg.epsilon * math.sqrt(values @ form.M @ values)
+    assert result.records[-1].energy == pytest.approx(
+        en.energy(form, nl, result.solution), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("fixture, nl, companion", [
@@ -90,8 +87,9 @@ def test_screened_descent_equals_halving_loop(fixture, nl, request):
 ], ids=["allen_cahn", "cubic_plus_quintic"])
 def test_eigenvalue_roots_only_above_degree_two(fixture, nl, companion,
                                                 request, monkeypatch):
-    # a quadratic g'(t)/t (Allen-Cahn) is solved by formula in the exact
-    # ray and in the screen; degree 4 (t^4/4 + t^6/6) needs eigenvalues
+    # a quadratic g'(t)/t (Allen-Cahn) is solved by formula for the initial
+    # ray and in the step polynomial; degree 4 (t^4/4 + t^6/6) needs
+    # eigenvalues
     form, u1 = form_and_start(request, fixture)
     calls = []
     for owner, name in ((np.linalg, "eigvals"),
@@ -118,6 +116,27 @@ def test_screened_descent_stalls_with_halving_loop(case2_20):
     result = mp.solve(form, nl, u1, cfg)
     assert result.iterations == stalled_at - 1
     assert result.stop_reason == "stall"
+
+
+def test_one_ray_evaluation_per_iteration(monkeypatch):
+    # the initial ray and one step-polynomial call per iteration are the
+    # descent's only ray evaluations
+    mesh = nm.build_mesh(-math.pi, math.pi, h_for(20))
+    form = nm.assemble_dirichlet(mesh, nm.Exponential())
+    calls = []
+    ray_max = en.ray_max
+
+    def counted(nl, Buu, c):
+        calls.append(len(c))
+        return ray_max(nl, Buu, c)
+
+    monkeypatch.setattr(en, "ray_max", counted)
+    cfg = mp.SolverConfig()
+    result = mp.solve(form, en.NONLINEARITIES["cubic"],
+                      nm.interpolate(mesh, math.sin, constraint="dirichlet"),
+                      cfg)
+    assert result.converged
+    assert calls == [1] + [cfg.max_halvings + 1] * result.iterations
 
 
 def test_strict_energy_descent(case1_solved):

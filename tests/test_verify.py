@@ -103,13 +103,25 @@ def test_trivial_capture_detector(case1_run):
     run = case1_run
     res = run.result
     assert not verify.is_trivial_capture(res, run.M)
-    shrunk = type(res)(solution=nm.FeFunction(run.mesh,
+    shrunk = type(res)(solution=nm.FeFunction(run.form.mesh,
                                               1e-4 * res.solution.values),
                        stop_reason="converged", records=res.records,
                        wall_time=res.wall_time, final_grad_norm=0.0,
                        initial_energy=res.initial_energy,
                        initial_l2=res.initial_l2)
     assert verify.is_trivial_capture(shrunk, run.M)
+
+
+def test_report_flags_follow_from_its_fields(case1_run):
+    # a report with no descent result claims nothing
+    bare = verify.CaseReport(h=0.1, n_dof=1, R_L1=np.nan, R_L2=np.nan,
+                             E_L1=np.nan, E_L2=np.nan, iterations=0,
+                             wall_time_s=0.0)
+    assert not (bare.converged or bare.failed or bare.trivial)
+    rep = case1_run.report
+    assert rep.converged and rep.stop_reason == "converged"
+    assert not rep.failed and not rep.trivial
+    assert rep.l2_ratio == verify.l2_ratio(case1_run.result, case1_run.M)
 
 
 def test_fit_orders_excludes_degenerate_rows():
@@ -121,7 +133,7 @@ def test_fit_orders_excludes_degenerate_rows():
     ]
     reports.append(verify.CaseReport(h=0.025, n_dof=0, R_L1=1e-9, R_L2=1e-9,
                                      E_L1=np.nan, E_L2=np.nan, iterations=1,
-                                     wall_time_s=0.0, trivial=True))
+                                     wall_time_s=0.0, l2_ratio=1e-4))
     orders = verify.fit_orders(reports)
     assert orders["R_L1"] == pytest.approx(1.0, abs=1e-10)
     assert orders["R_L2"] == pytest.approx(0.5, abs=1e-10)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Import cost and per-row descent counts and seconds of source trees.
 
-    python3 tools/bench_descent.py BENCH_12.json parent=OLD/src change=src
+    python3 tools/bench_descent.py BENCH_14.json parent=OLD/src change=src
 
 Each LABEL=SRC names a source tree holding the ``nonlocalmp`` package.
 For every tree the script runs, in a fresh process with BLAS/OpenMP
@@ -12,10 +12,11 @@ threads pinned to 1, the descent of these rows from their preset starts:
 - case 1 at 160 and 320 elements;
 - case 1 at 640 elements, cut at a budget of 300 iterations.
 
-It records per row the iterations, the exact ray evaluations
-(``SolveResult.ray_evals``), the stop reason, the solve seconds
-(``SolveResult.wall_time``, which includes building whatever the descent
-factors) and the microseconds per iteration.  Trees take turns, one
+It records per row the iterations, the step halvings taken over the
+whole descent (the sum of ``halvings_used`` over its records), the stop
+reason, the solve seconds (``SolveResult.wall_time``, which includes
+building whatever the descent factors) and the microseconds per
+iteration.  Trees take turns, one
 process per tree and repeat; the counts must repeat exactly.  Per row it
 keeps the median seconds over ``--repeats`` and the minimum microseconds
 per iteration (``us_per_iteration_min``).  The minimum is the figure that
@@ -109,7 +110,8 @@ def measure():
             result = exc.result
         records.append({"row": label, "unknowns": int(form.n_unknowns),
                         "iterations": result.iterations,
-                        "ray_evals": result.ray_evals,
+                        "halvings": sum(r.halvings_used
+                                        for r in result.records),
                         "stop_reason": result.stop_reason,
                         "solve_s": result.wall_time})
     return records
@@ -143,7 +145,7 @@ def summarize(runs):
         first = per_repeat[0]
         for rec in per_repeat[1:]:
             if any(rec[k] != first[k] for k in ("row", "iterations",
-                                                 "ray_evals", "stop_reason")):
+                                                 "halvings", "stop_reason")):
                 raise RuntimeError(f"counts differ between repeats on "
                                    f"{first['row']}")
         repeats = [r["solve_s"] for r in per_repeat]
@@ -204,7 +206,7 @@ def main(argv=None):
               f"{imp['rss_mb']:.1f} MiB, {imp['modules']} modules")
         for r in rows_out:
             print(f"  {r['row']:<32} {r['iterations']:>6} it "
-                  f"{r['ray_evals']:>6} rays {r['solve_s']:8.3f} s "
+                  f"{r['halvings']:>6} halvings {r['solve_s']:8.3f} s "
                   f"{r['us_per_iteration']:7.0f} us/it "
                   f"(min {r['us_per_iteration_min']:.0f})")
     return 0
