@@ -14,8 +14,7 @@ from .fem import (FeFunction, Mesh, build_extended_mesh, build_mesh,
                   interpolate, norms, omega_norm_matrices, step_function)
 from .kernels import (Exponential, Gaussian, InvertedMexicanHat, Logistic,
                       PowerLaw, builtin_kernels, kernel_from_name)
-from .mountain_pass import (IterationRecord, SolveResult, SolverConfig,
-                            descent_direction, solve)
+from .mountain_pass import IterationRecord, SolveResult, SolverConfig, solve
 from .verify import (CaseReport, convergence_study, fit_orders,
                      reference_errors, residual_norms)
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
-from scipy.linalg import lapack
 
 from . import fem
 from .errors import (ConfigError, ExtensionMarginWarning, OutsideDomain,
@@ -297,7 +296,11 @@ class NonlocalForm:
     # -- linear solves --------------------------------------------------------
 
     def grounding_shift(self, grounding_rel):
-        """Mass-matrix shift used to remove the Neumann constant null mode."""
+        """Mass-matrix shift used to remove the Neumann constant null mode.
+
+        A Neumann form needs ``grounding_rel`` > 0: its B annihilates
+        constants, so the ungrounded system is singular up to round-off.
+        """
         if self.constraint != "neumann" or grounding_rel == 0.0:
             return 0.0
         m_diag = self.M.diagonal()[self.unknown_idx]
@@ -310,7 +313,7 @@ class NonlocalForm:
         return self.B + sigma * self.M[np.ix_(self.unknown_idx,
                                               self.unknown_idx)]
 
-    def modal_basis(self, grounding_rel=0.0):
+    def modal_basis(self, grounding_rel):
         """(sigma, lam, V) of the pencil (B + sigma M_u, H), H = ``h1_gram``.
 
         V^T H V = I and V^T (B + sigma M_u) V = diag(lam), lam ascending, so
@@ -334,13 +337,13 @@ class NonlocalForm:
             self._basis = (sigma, lam, V)
         return self._basis
 
-    def solve_spd(self, rhs, grounding_rel=0.0):
+    def solve_spd(self, rhs, grounding_rel):
         """Solve (B + sigma M) x = rhs by Cholesky.
 
         sigma M is the mass shift grounding the Neumann null mode.  The
-        factor of the last grounding asked for is cached on the form.
-        ``rhs`` is a vector or a matrix of right-hand-side columns; a
-        non-finite entry raises ValueError.
+        factor of the last grounding asked for is cached on the form and
+        solved by ``linalg.cho_solve``.  ``rhs`` is a vector or a matrix
+        of right-hand-side columns; a non-finite entry raises ValueError.
         """
         sigma = self.grounding_shift(grounding_rel)
         if self._factor is None or self._factor[0] != sigma:
@@ -351,17 +354,7 @@ class NonlocalForm:
                     "system not positive definite (grounding shift "
                     f"{sigma:.3g})") from exc
             self._factor = (sigma, fact)
-        # LAPACK potrs on the cached factor: the bits of linalg.cho_solve
-        # without its per-call wrapper cost, and with its two checks
-        rhs = np.asarray(rhs, dtype=float)
-        if not np.isfinite(rhs).all():
-            raise ValueError("right-hand side must contain only finite "
-                             "numbers")
-        c, lower = self._factor[1]
-        x, info = lapack.dpotrs(c, rhs, lower=lower)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of potrs")
-        return x
+        return linalg.cho_solve(self._factor[1], rhs)
 
     # -- the operator -L u --------------------------------------------------
 

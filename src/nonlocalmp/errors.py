@@ -28,10 +28,6 @@ class ZeroDirection(NonlocalMPError):
     """Ray maximizer is undefined: the direction has no energy content."""
 
 
-class ZeroGradient(NonlocalMPError):
-    """Descent direction requested at a point where the gradient vanishes."""
-
-
 class SingularSystem(NonlocalMPError):
     """Linear solve failed even after grounding."""
 

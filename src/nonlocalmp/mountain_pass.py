@@ -10,18 +10,21 @@ updated linearly: its nodal values, its modal coordinates a (w = V a)
 and its values at the domain Gauss points.  One outer iteration,
 starting from an iterate w sitting on its own ray maximum:
 
-  1. take the modal gradient g^ = V^T I'[w] = lam a - V^T load, where the
-     load holds int (f(w) + sigma w) phi_i dx (sigma int w phi_i is
-     (M w)_i, the Gauss rule being exact for P1 products).  The Riesz
-     representative b of the gradient, (B + sigma M) b = I'[w], is
-     V (g^ / lam), so its H1 norm over the physical domain is
-     |g^ / lam|; stop when it is at most the tolerance;
-  2. step along the normalized descent direction v1 = V v^, halving the
-     step until the re-maximized trial t*(w~) w~ has strictly lower
-     energy.  Along w + s v1 the pairings B[w,w], B[w,v1], B[v1,v1] and
-     B of every trial are sums over the modes, sum lam a b less the
-     grounding sigma int u v, and the moments of a trial come from the
-     Gauss values x_w + s x_v.  The step polynomial of the iteration
+  1. take the modal gradient g^ = V^T I'[w] = lam a - V^T load
+     (``modal_gradient``), where the load holds
+     int (f(w) + sigma w) phi_i dx (sigma int w phi_i is (M w)_i, the
+     Gauss rule being exact for P1 products).  The Riesz representative
+     b of the gradient, (B + sigma M) b = I'[w], is V (g^ / lam), so its
+     H1 norm over the physical domain is |g^ / lam|; stop when it is at
+     most the tolerance (a vanishing gradient included), or when the
+     iteration budget is spent;
+  2. form the normalized descent direction v1 = V v^ from the nonzero
+     g^ (``modal_direction``) and step along it, halving the step until
+     the re-maximized trial t*(w~) w~ has strictly lower energy.  Along
+     w + s v1 the pairings B[w,w], B[w,v1], B[v1,v1] and B of every
+     trial are sums over the modes, sum lam a b less the grounding
+     sigma int u v, and the moments of a trial come from the Gauss
+     values x_w + s x_v.  The step polynomial of the iteration
      (``energy.step_polynomial``) gives t* and the ray maximum of every
      step delta 2^-k, k = 0 .. max_halvings, in one batched call; the
      first step whose ray maximum is below e(w) is taken (a NaN, no ray
@@ -58,13 +61,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (gradient as energy_gradient, ray_data, ray_energy,
-                     step_polynomial)
-from .errors import (ConfigError, InvariantViolation, ZeroGradient,
-                     check_finite)
+from .energy import ray_data, ray_energy, step_polynomial
+from .errors import ConfigError, InvariantViolation, check_finite
 
 __all__ = ["SolverConfig", "IterationRecord", "SolveResult",
-           "descent_direction", "check_invariants", "solve"]
+           "check_invariants", "solve"]
 
 
 @dataclass
@@ -89,7 +90,7 @@ class SolverConfig:
             ("delta", self.delta > 0, "positive"),
             ("max_iterations", self.max_iterations >= 1, "at least 1"),
             ("max_halvings", self.max_halvings >= 0, "non-negative"),
-            ("grounding_rel", self.grounding_rel >= 0, "non-negative"),
+            ("grounding_rel", self.grounding_rel > 0, "positive"),
             ("direction_reg", self.direction_reg >= 0, "non-negative"))
         check_finite((name, getattr(self, name)) for name, _, _ in rules)
         for name, ok, rule in rules:
@@ -123,7 +124,7 @@ class SolveResult:
 
     @property
     def converged(self):
-        return self.stop_reason in ("converged", "zero_gradient")
+        return self.stop_reason == "converged"
 
     @property
     def iterations(self):
@@ -131,38 +132,14 @@ class SolveResult:
 
 
 def modal_direction(g_hat, lam, tau):
-    """(|b|_H1, v^) from the modal gradient g^ = V^T g.
+    """v^ of the normalized descent direction v1 = V v^ from the modal
+    gradient g^ = V^T g, which must not vanish.
 
-    b = V (g^ / lam) solves the grounded system and d = V (g^ / (lam + tau))
-    the regularized one; V is H-orthonormal, so their H1 norms are the
-    Euclidean norms of the modal coordinates, and v^ = -d^ / |d^| holds
-    those of the normalized direction v1 = V v^.  Raises ZeroGradient
-    when g^ vanishes.
+    d = V (g^ / (lam + tau)) solves the regularized system; V is
+    H-orthonormal, so |d|_H1 = |d^| and v^ = -d^ / |d^|.
     """
-    if not g_hat.any():
-        raise ZeroGradient("gradient vanishes; w is already critical")
-    b_hat = g_hat / lam
     d_hat = g_hat / (lam + tau)
-    return (math.sqrt(float(b_hat @ b_hat)),
-            d_hat / -math.sqrt(float(d_hat @ d_hat)))
-
-
-def descent_direction(form, nl, w, cfg=None):
-    """Gradient representative and descent direction at the iterate w.
-
-    Returns ``(b, v1, b_h1, g)`` over unknown nodes: g is the energy
-    gradient, b solves the (grounded) bilinear-form system B b = g and
-    b_h1 = |b|_H1 is the stopping quantity, and v1 is the normalized
-    regularized descent direction with g . v1 < 0 strictly.  Both come
-    from the form's modal basis, by the rule of ``modal_direction``.
-    Raises ZeroGradient at a critical point.
-    """
-    cfg = cfg or SolverConfig()
-    _, lam, V = form.modal_basis(cfg.grounding_rel)
-    g = energy_gradient(form, nl, w)
-    g_hat = V.T @ g
-    b_h1, v_hat = modal_direction(g_hat, lam, cfg.direction_reg)
-    return V @ (g_hat / lam), V @ v_hat, b_h1, g
+    return d_hat / -math.sqrt(float(d_hat @ d_hat))
 
 
 def modal_gradient(form, nl, basis, a, x):
@@ -211,11 +188,11 @@ def solve(form, nl, u1, cfg=None):
 
     The H1 stopping norm is taken over the physical domain (see
     ``NonlocalForm.h1_gram``).  Every stop returns the SolveResult and
-    names itself in ``stop_reason``: converged, zero_gradient (the
-    gradient vanished), max_iterations (``cfg.max_iterations`` steps
-    reached an iterate still above epsilon) or stall (no step of the
-    halving budget lowered the energy).  Only faults raise: ZeroDirection
-    when u1 has no ray maximum, SingularSystem, InvariantViolation.
+    names itself in ``stop_reason``: converged (a vanishing gradient
+    too), max_iterations (``cfg.max_iterations`` steps reached an
+    iterate still above epsilon) or stall (no step of the halving budget
+    lowered the energy).  Only faults raise: ZeroDirection when u1 has
+    no ray maximum, SingularSystem, InvariantViolation.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
@@ -247,16 +224,14 @@ def solve(form, nl, u1, cfg=None):
 
     for it in itertools.count(1):
         g_hat = modal_gradient(form, nl, basis, a, x_w)
-        try:
-            grad_norm, v_hat = modal_direction(g_hat, lam, cfg.direction_reg)
-        except ZeroGradient:
-            grad_norm = 0.0
-            return result("zero_gradient")
+        b_hat = g_hat / lam
+        grad_norm = math.sqrt(float(b_hat @ b_hat))
         if grad_norm <= cfg.epsilon:
             return result("converged")
         if it > cfg.max_iterations:
             return result("max_iterations")
 
+        v_hat = modal_direction(g_hat, lam, cfg.direction_reg)
         v = V @ v_hat
         x_v = form.values_at_omega_quad(form.full_values(v))
         B_step = (pairing(basis, weights, a, x_w, a, x_w),

@@ -19,7 +19,7 @@ from . import assembly, mountain_pass
 from .errors import NonlocalMPError
 
 __all__ = ["CaseReport", "StudyResult", "residual_norms", "reference_errors",
-           "l1_norm_p1", "l2_ratio", "is_trivial_capture", "run_single",
+           "l1_norm_p1", "l2_ratio", "run_single",
            "convergence_study", "fit_orders", "report_line",
            "write_report_csv", "write_plot_data", "REPORT_COLUMNS"]
 
@@ -45,13 +45,13 @@ class CaseReport:
     error: str = None
     # SolveResult.stop_reason (None when no descent result exists)
     stop_reason: str = None
-    # ||u*|| / ||w1||, the ratio ``is_trivial_capture`` tests (nan when no
-    # descent result exists)
+    # ||u*|| / ||w1||, the ratio ``trivial`` tests (nan when no descent
+    # result exists)
     l2_ratio: float = np.nan
 
     @property
     def converged(self):
-        return self.stop_reason in ("converged", "zero_gradient")
+        return self.stop_reason == "converged"
 
     @property
     def failed(self):
@@ -128,11 +128,6 @@ def l2_ratio(result, M):
     guess, ||u*|| / ||w1||."""
     v = result.solution.values
     return float(np.sqrt(max(v @ M @ v, 0.0))) / result.initial_l2
-
-
-def is_trivial_capture(result, M):
-    """True when the iterate collapsed far below its rescaled initial guess."""
-    return l2_ratio(result, M) < TRIVIAL_CAPTURE_RATIO
 
 
 def run_single(spec, h,

@@ -70,3 +70,25 @@ def random_interior(form, rng, scale=1.0):
     """Random unknown-node vector as a constrained FeFunction."""
     vec = scale * rng.standard_normal(form.n_unknowns)
     return form.fe(vec)
+
+
+def modal_direction_at(form, nl, w, cfg=None):
+    """(b, v1, |b|_H1, g) at the iterate w (unknown-node values) from the
+    descent's own ``modal_gradient`` and ``modal_direction``.
+
+    g is the nodal gradient ``energy.gradient``; the modal gradient must
+    equal V^T g within 1e-12 relative.  b = V (g^ / lam) is the Riesz
+    representative of g, and v1 = V v^ the normalized descent direction.
+    """
+    mp = nm.mountain_pass
+    cfg = cfg or mp.SolverConfig()
+    basis = _, lam, V = form.modal_basis(cfg.grounding_rel)
+    a = V.T @ (form.h1_gram @ w)
+    x = form.values_at_omega_quad(form.full_values(w))
+    g_hat = mp.modal_gradient(form, nl, basis, a, x)
+    g = nm.energy.gradient(form, nl, w)
+    ref = V.T @ g
+    assert np.linalg.norm(g_hat - ref) <= 1e-12 * np.linalg.norm(ref)
+    b_hat = g_hat / lam
+    return (V @ b_hat, V @ mp.modal_direction(g_hat, lam, cfg.direction_reg),
+            math.sqrt(b_hat @ b_hat), g)

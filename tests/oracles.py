@@ -192,13 +192,11 @@ def halving_solve(form, nl, u1, cfg):
     loop.  Each trial's ray comes from its own pairing and Gauss-point
     moments, not from a step polynomial, and its energy is the ray
     polynomial evaluated at t*.  Returns the iteration records, the
-    final full nodal values and the stop reason (converged or
-    zero_gradient); raises RuntimeError on a stall or at the iteration
-    budget.
+    final full nodal values and the stop reason (converged); raises
+    RuntimeError on a stall or at the iteration budget.
     """
     from nonlocalmp import energy as en
     from nonlocalmp import mountain_pass as mp
-    from nonlocalmp.errors import ZeroGradient
 
     basis = form.modal_basis(cfg.grounding_rel)
     _, lam, V = basis
@@ -212,13 +210,10 @@ def halving_solve(form, nl, u1, cfg):
     records = []
     for it in range(1, cfg.max_iterations + 1):
         g_hat = mp.modal_gradient(form, nl, basis, a, x_w)
-        try:
-            grad_norm, v_hat = mp.modal_direction(g_hat, lam,
-                                                  cfg.direction_reg)
-        except ZeroGradient:
-            return records, form.full_values(w), "zero_gradient"
+        grad_norm = math.sqrt(float((g_hat / lam) @ (g_hat / lam)))
         if grad_norm <= cfg.epsilon:
             return records, form.full_values(w), "converged"
+        v_hat = mp.modal_direction(g_hat, lam, cfg.direction_reg)
         v = V @ v_hat
         x_v = form.values_at_omega_quad(form.full_values(v))
         step, halvings = cfg.delta, 0

@@ -1,3 +1,4 @@
+import inspect
 import math
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ from scipy import linalg
 import nonlocalmp as nm
 from nonlocalmp import assembly
 from nonlocalmp.errors import OutsideDomain
+from nonlocalmp.mountain_pass import SolverConfig
 from oracles import (brute_force_quadratic_form, dense_convolution,
                      per_entry_dump)
 
@@ -191,9 +193,9 @@ def test_dump_matrix_bytes_match_per_entry_writer(setup, request, tmp_path):
 
 @pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
 def test_solve_spd_equals_cho_solve(setup, request):
-    # the direct LAPACK solve on the cached grounded factor gives the bits
-    # of scipy's cho_solve on a factor of the same matrix, for one
-    # right-hand side and for several columns
+    # the solve on the cached grounded factor gives the bits of scipy's
+    # cho_solve on a factor of the same matrix, for one right-hand side
+    # and for several columns
     form = request.getfixturevalue(setup)[1]
     grounding_rel = 1e-4
     sigma = form.grounding_shift(grounding_rel)
@@ -215,7 +217,22 @@ def test_solve_spd_rejects_non_finite_rhs(case1_coarse, bad):
     rhs = np.ones(form.n_unknowns)
     rhs[3] = bad
     with pytest.raises(ValueError):
-        form.solve_spd(rhs)
+        form.solve_spd(rhs, SolverConfig.grounding_rel)
+
+
+def test_neumann_form_needs_grounding(neumann_coarse):
+    # B of a Neumann form annihilates constants: ungrounded, its smallest
+    # modal eigenvalue is round-off that passes the lam > 0 test, and
+    # grounded by the default shift it is that shift.  So neither the
+    # basis nor the solve has a default grounding
+    form = neumann_coarse[1]
+    for method in (form.modal_basis, form.solve_spd):
+        assert inspect.signature(method).parameters["grounding_rel"].default \
+            is inspect.Parameter.empty
+    lam0 = form.modal_basis(0.0)[1]
+    assert 0.0 < lam0[0] <= 1e-12 * lam0[-1]
+    sigma, lam, _ = form.modal_basis(SolverConfig.grounding_rel)
+    assert lam[0] == pytest.approx(sigma, rel=1e-9)
 
 
 def test_extension_margin_warning():

@@ -371,6 +371,19 @@ def test_bad_mesh_or_start_exits_4(tmp_path, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
+def test_ungrounded_neumann_case_exits_4(tmp_path, capsys):
+    # an ungrounded Neumann system is singular up to round-off (the
+    # case-5 descent stalls on it), so grounding_rel = 0 is rejected
+    # before anything is assembled
+    cfg = tmp_path / "case5.cfg"
+    cfg.write_text(case_config_text("case5") + "solver.grounding_rel = 0\n")
+    assert cli.main(["--config", str(cfg)]) == 4
+    assert "grounding_rel must be positive, got 0.0" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="grounding_rel") as info:
+        SolverConfig(grounding_rel=0.0)
+    assert info.value.key == "grounding_rel"
+
+
 NON_FINITE_IN_CODE = [
     ("epsilon", dict(epsilon=math.inf)),
     ("delta", dict(delta=-math.inf)),

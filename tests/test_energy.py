@@ -9,7 +9,7 @@ from nonlocalmp import mountain_pass as mp
 from nonlocalmp.errors import ZeroDirection
 from oracles import central_difference, companion_ray_max, grid_ray_argmax
 
-from conftest import CUBIC_PLUS_QUINTIC, h_for
+from conftest import CUBIC_PLUS_QUINTIC, h_for, modal_direction_at
 
 ALL_NL = [en.NONLINEARITIES[name] for name in
           ("cubic", "quintic", "cubic_minus_linear", "allen_cahn")]
@@ -261,7 +261,7 @@ def test_step_polynomial_matches_ray_data(nl, setup, request):
     mesh, form, M, S, u1 = request.getfixturevalue(setup)
     u = form.reduce(u1)
     w = en.t_star(form, nl, u) * u
-    v = mp.descent_direction(form, nl, w)[1]
+    v = modal_direction_at(form, nl, w)[1]
     _, screened, _ = step_screen(form, nl, w, v)(STEPS)
     assert screened.shape == STEPS.shape
     for s, got in zip(STEPS, screened):

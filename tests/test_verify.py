@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -102,14 +103,15 @@ def test_l1_norm_exact_piecewise():
 def test_trivial_capture_detector(case1_run):
     run = case1_run
     res = run.result
-    assert not verify.is_trivial_capture(res, run.M)
+    assert not run.report.trivial
     shrunk = type(res)(solution=nm.FeFunction(run.form.mesh,
                                               1e-4 * res.solution.values),
                        stop_reason="converged", records=res.records,
                        wall_time=res.wall_time, final_grad_norm=0.0,
                        initial_energy=res.initial_energy,
                        initial_l2=res.initial_l2)
-    assert verify.is_trivial_capture(shrunk, run.M)
+    assert dataclasses.replace(
+        run.report, l2_ratio=verify.l2_ratio(shrunk, run.M)).trivial
 
 
 def test_report_flags_follow_from_its_fields(case1_run):

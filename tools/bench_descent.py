@@ -16,13 +16,17 @@ It records per row the iterations, the step halvings taken over the
 whole descent (the sum of ``halvings_used`` over its records), the stop
 reason, the solve seconds (``SolveResult.wall_time``, which includes
 building whatever the descent factors) and the microseconds per
-iteration.  Trees take turns, one
-process per tree and repeat; the counts must repeat exactly.  Per row it
-keeps the median seconds over ``--repeats`` and the minimum microseconds
-per iteration (``us_per_iteration_min``).  The minimum is the figure that
-backs a per-row speed claim: on a shared machine other load only ever
+iteration.  Trees take turns, one process per tree and repeat; the
+counts must repeat exactly.  Per row it keeps the median seconds over
+``--repeats`` and the minimum microseconds per iteration
+(``us_per_iteration_min``).  On a shared machine other load only ever
 adds time, and the median of a few repeats can move by 40% between runs
-of one tree.  The environment record comes from ``benchmark/run.py``.
+of one tree.  The minimum is steadier on the long rows, but a row of
+about 10 ms or less is short enough that one scheduler stall is a large
+share of every repeat: on a shared 2-core VM, two 5-repeat runs of one
+tree read 107 and 184 us per iteration on case3/20.  On such rows the
+minimum backs no claim.  The environment record comes from
+``benchmark/run.py``.
 
 Before the descent it times ``import nonlocalmp`` in fresh processes,
 ``IMPORT_REPEATS`` per tree with the trees taking turns, and records
@@ -83,7 +87,7 @@ def measure():
     """Run every row on the importable package; one record per row."""
     import nonlocalmp as nm
     from nonlocalmp import cases, config
-    from nonlocalmp.errors import ExtensionMarginWarning, NonlocalMPError
+    from nonlocalmp.errors import ExtensionMarginWarning
 
     warnings.simplefilter("ignore", ExtensionMarginWarning)
     records = []
@@ -100,14 +104,8 @@ def measure():
         cfg = spec.solver_config()
         if budget is not None:
             cfg.max_iterations = budget
-        try:
-            result = nm.mountain_pass.solve(form, spec.make_nonlinearity(),
-                                            spec.initial_guess_fe(mesh), cfg)
-        except NonlocalMPError as exc:
-            # a tree whose solve raises at a budget stop attaches the result
-            if getattr(exc, "result", None) is None:
-                raise
-            result = exc.result
+        result = nm.mountain_pass.solve(form, spec.make_nonlinearity(),
+                                        spec.initial_guess_fe(mesh), cfg)
         records.append({"row": label, "unknowns": int(form.n_unknowns),
                         "iterations": result.iterations,
                         "halvings": sum(r.halvings_used
