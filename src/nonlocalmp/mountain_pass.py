@@ -19,17 +19,21 @@ starting from an iterate w sitting on its own ray maximum:
      most the tolerance (a vanishing gradient included), or when the
      iteration budget is spent;
   2. form the normalized descent direction v1 = V v^ from the nonzero
-     g^ (``modal_direction``) and step along it, halving the step until
-     the re-maximized trial t*(w~) w~ has strictly lower energy.  Along
-     w + s v1 the pairings B[w,w], B[w,v1], B[v1,v1] and B of every
-     trial are sums over the modes, sum lam a b less the grounding
-     sigma int u v, and the moments of a trial come from the Gauss
-     values x_w + s x_v.  The step polynomial of the iteration
-     (``energy.step_polynomial``) gives t* and the ray maximum of every
-     step delta 2^-k, k = 0 .. max_halvings, in one batched call; the
-     first step whose ray maximum is below e(w) is taken (a NaN, no ray
-     maximum, never is).  That call is the iteration's only ray
-     evaluation;
+     g^ (``modal_direction``) and step along it by one of the halved
+     steps delta 2^-k, k = 0 .. max_halvings, whose re-maximized trial
+     t*(w~) w~ has strictly lower energy.  Along w + s v1 the pairings
+     B[w,w], B[w,v1], B[v1,v1] and B of every trial are sums over the
+     modes, sum lam a b less the grounding sigma int u v, and the
+     moments of a trial come from the Gauss values x_w + s x_v.  The
+     step polynomial of the iteration (``energy.step_polynomial``)
+     gives t* and the ray maximum of every halved step in one batched
+     call; of the steps whose ray maximum is below e(w), the one with
+     the lowest ray maximum is taken, ties going to the longer step (a
+     NaN, no ray maximum, never is).  Along a near-quadratic ray the
+     energy falls on (0, 2 s_opt), so the first halving below e(w) may
+     lie anywhere in [s_opt, 2 s_opt) and lower the energy by almost
+     nothing, while the lowest lies within a factor sqrt(2) of s_opt.
+     That call is the iteration's only ray evaluation;
   3. replace w by the re-maximized trial t* (w + s v1) and repeat.
 
 An iteration thus makes two dense n x n products, V^T load and V v^.
@@ -243,7 +247,7 @@ def solve(form, nl, u1, cfg=None):
         if not lower.size:
             return result("stall")
 
-        halvings = int(lower[0])
+        halvings = int(lower[np.argmin(e_steps[lower])])
         s, ts = steps[halvings], float(t_steps[halvings])
         e_trial = float(e_steps[halvings])
         w, a, x_w = ts * (w + s * v), ts * (a + s * v_hat), \

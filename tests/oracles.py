@@ -188,12 +188,14 @@ def halving_solve(form, nl, u1, cfg):
     """The descent with a direct ray evaluation at every step halving.
 
     It runs the modal arithmetic of ``mountain_pass.solve`` (gradient,
-    direction and pairings in the form's modal basis) in a plain halving
-    loop.  Each trial's ray comes from its own pairing and Gauss-point
-    moments, not from a step polynomial, and its energy is the ray
-    polynomial evaluated at t*.  Returns the iteration records, the
-    final full nodal values and the stop reason (converged); raises
-    RuntimeError on a stall or at the iteration budget.
+    direction and pairings in the form's modal basis) in a plain loop
+    over the steps delta 2^-k, k = 0 .. max_halvings.  Each trial's ray
+    comes from its own pairing and Gauss-point moments, not from a step
+    polynomial, and its energy is the ray polynomial evaluated at t*.
+    Of the trials below e(w) the lowest is taken, ties going to the
+    longer step.  Returns the iteration records, the final full nodal
+    values and the stop reason (converged); raises RuntimeError when no
+    trial is below e(w) or at the iteration budget.
     """
     from nonlocalmp import energy as en
     from nonlocalmp import mountain_pass as mp
@@ -216,23 +218,23 @@ def halving_solve(form, nl, u1, cfg):
         v_hat = mp.modal_direction(g_hat, lam, cfg.direction_reg)
         v = V @ v_hat
         x_v = form.values_at_omega_quad(form.full_values(v))
-        step, halvings = cfg.delta, 0
-        while True:
+        best = None
+        for halvings in range(cfg.max_halvings + 1):
+            step = cfg.delta * 0.5 ** halvings
             a_u, x_u = a + step * v_hat, x_w + step * x_v
             Buu = mp.pairing(basis, weights, a_u, x_u, a_u, x_u)
             c = en.ray_coefficients(nl, Buu, en.gauss_moments(
                 x_u, weights, nl.moment_powers))
             ts = float(en.ray_max(nl, np.array([Buu]), c[None])[0][0])
-            e_trial = np.inf if math.isnan(ts) \
-                else float(en.ray_energy(c, ts))
-            if e_trial < e_w:
-                break
-            halvings += 1
-            if halvings > cfg.max_halvings:
-                raise RuntimeError(f"stalled at iteration {it}")
-            step *= 0.5
+            if math.isnan(ts):
+                continue
+            e_trial = float(en.ray_energy(c, ts))
+            if e_trial < (e_w if best is None else best[0]):
+                best = e_trial, halvings, step, ts, a_u, x_u
+        if best is None:
+            raise RuntimeError(f"stalled at iteration {it}")
+        e_w, halvings, step, ts, a_u, x_u = best
         w, a, x_w = ts * (w + step * v), ts * a_u, ts * x_u
-        e_w = e_trial
         records.append(mp.IterationRecord(iteration=it, energy=e_w,
                                           grad_norm_h1=grad_norm, t_star=ts,
                                           halvings_used=halvings))

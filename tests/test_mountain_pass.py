@@ -45,7 +45,7 @@ def case5_h03():
 
 @pytest.fixture(scope="module")
 def case2_20():
-    # the Mexican-hat preset ends in a one-node spike: up to 12 halvings
+    # the Mexican-hat preset ends in a one-node spike: up to 13 halvings
     spec = nm.config.parse_config_text(nm.cases.case_config_text("case2"))
     mesh = spec.build_mesh(h_for(20))
     form = nm.assemble_dirichlet(mesh, spec.make_kernel(), spec.quad_order)
@@ -104,7 +104,7 @@ def test_eigenvalue_roots_only_above_degree_two(fixture, nl, companion,
 
 
 def test_screened_descent_stalls_with_halving_loop(case2_20):
-    # with at most 6 halvings the case-2 descent stalls at iteration 40;
+    # with at most 6 halvings the case-2 descent stalls at iteration 37;
     # the screened descent stalls where the halving loop does
     form, u1 = case2_20
     nl = en.NONLINEARITIES["cubic"]
@@ -137,6 +137,32 @@ def test_one_ray_evaluation_per_iteration(monkeypatch):
                       cfg)
     assert result.converged
     assert calls == [1] + [cfg.max_halvings + 1] * result.iterations
+
+
+def test_lowest_halving_below_energy_is_taken(case1_coarse, monkeypatch):
+    # of the halvings whose ray maximum is below e(w), each iteration takes
+    # the one with the lowest ray maximum, and records its energy
+    mesh, form, M, S, u1 = case1_coarse
+    energies = []
+    step_polynomial = mp.step_polynomial
+
+    def recorded(*args):
+        rays = step_polynomial(*args)
+
+        def recorded_rays(steps):
+            out = rays(steps)
+            energies.append(out[1])
+            return out
+        return recorded_rays
+
+    monkeypatch.setattr(mp, "step_polynomial", recorded)
+    result = mp.solve(form, en.NONLINEARITIES["cubic"], u1)
+    assert result.converged and len(energies) == result.iterations
+    e_before = [result.initial_energy] + [r.energy for r in result.records]
+    for rec, e_steps, e_w in zip(result.records, energies, e_before):
+        lower = np.flatnonzero(e_steps < e_w)
+        assert rec.halvings_used == lower[np.argmin(e_steps[lower])]
+        assert rec.energy == e_steps[lower].min()
 
 
 def test_strict_energy_descent(case1_solved):
@@ -307,12 +333,12 @@ def test_modal_coordinates_carry_the_form(setup, request):
 
 
 def test_final_grad_norm_survives_long_descent():
-    # the case-4 preset at 80 elements takes over 2,000 iterations with
-    # the iterate carried in three linearly updated forms; |b|_H1
-    # recomputed from the returned nodal values by Cholesky matches the
-    # reported one, which the stopping test trusts
+    # the case-4 preset at 160 elements converges after over 2,000
+    # iterations with the iterate carried in three linearly updated forms;
+    # |b|_H1 recomputed from the returned nodal values by Cholesky matches
+    # the reported one, which the stopping test trusts
     spec = nm.config.parse_config_text(nm.cases.case_config_text("case4"))
-    mesh = spec.build_mesh(h_for(80))
+    mesh = spec.build_mesh(h_for(160))
     form = nm.assemble_dirichlet(mesh, spec.make_kernel(), spec.quad_order)
     nl = spec.make_nonlinearity()
     cfg = spec.solver_config()

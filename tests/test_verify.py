@@ -195,11 +195,14 @@ def test_convergence_study_parallel_rows():
 
 
 def test_case1_monotone_refinement():
+    # R falls as the mesh is refined; E does not measure the mesh: for a
+    # Dirichlet row u* - ubar is the Riesz representative b of I'(u*), so
+    # each row's E_L2 = |b|_L2 is bounded by its |b|_H1
     spec = RunSpec(domain=(-math.pi, math.pi), kernel_name="exponential",
                    nonlinearity_name="cubic",
                    h_list=(h_for(20), h_for(40), h_for(80)))
-    study = verify.convergence_study(spec)
-    r1 = [r.R_L1 for r in study.reports]
-    e1 = [r.E_L1 for r in study.reports]
+    runs = [verify.run_single(spec, h) for h in spec.h_list]
+    r1 = [run.report.R_L1 for run in runs]
     assert all(b < a for a, b in zip(r1, r1[1:]))
-    assert all(b < a for a, b in zip(e1, e1[1:]))
+    for run in runs:
+        assert run.report.E_L2 <= run.result.final_grad_norm

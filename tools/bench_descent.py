@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Import cost and per-row descent counts and seconds of source trees.
 
-    python3 tools/bench_descent.py BENCH_14.json parent=OLD/src change=src
+    python3 tools/bench_descent.py BENCH_16.json parent=OLD/src change=src
 
 Each LABEL=SRC names a source tree holding the ``nonlocalmp`` package.
 For every tree the script runs, in a fresh process with BLAS/OpenMP
@@ -9,8 +9,10 @@ threads pinned to 1, the descent of these rows from their preset starts:
 
 - the 15 preset rows of the benchmark studies: cases 1-4 at 20, 40 and
   80 elements and case 5 at h = 0.3, 0.15 and 0.075;
-- case 1 at 160 and 320 elements;
-- case 1 at 640 elements, cut at a budget of 300 iterations.
+- case 1 at 160, 320 and 640 elements;
+- case 4 at 160 elements.
+
+Every row runs to its own stop under its preset's solver settings.
 
 It records per row the iterations, the step halvings taken over the
 whole descent (the sum of ``halvings_used`` over its records), the stop
@@ -47,7 +49,6 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FINE_BUDGET = 300
 IMPORT_REPEATS = 9
 # run by ``python -c`` so that nothing but the interpreter precedes the import
 IMPORT_PROBE = """
@@ -72,14 +73,13 @@ def _benchmark_run():
 
 
 def rows():
-    """(label, case, n_elements or h, iteration budget or None)."""
-    out = [(f"{case}/{n}", case, n, None)
+    """(label, case, n_elements or h)."""
+    out = [(f"{case}/{n}", case, n)
            for case in ("case1", "case2", "case3", "case4")
            for n in (20, 40, 80)]
-    out += [(f"case5/h={h:g}", "case5", h, None) for h in (0.3, 0.15, 0.075)]
-    out += [(f"case1/{n}", "case1", n, None) for n in (160, 320)]
-    out += [(f"case1/640 (first {FINE_BUDGET} iterations)", "case1", 640,
-             FINE_BUDGET)]
+    out += [(f"case5/h={h:g}", "case5", h) for h in (0.3, 0.15, 0.075)]
+    out += [(f"case1/{n}", "case1", n) for n in (160, 320, 640)]
+    out.append(("case4/160", "case4", 160))
     return out
 
 
@@ -91,7 +91,7 @@ def measure():
 
     warnings.simplefilter("ignore", ExtensionMarginWarning)
     records = []
-    for label, case, size, budget in rows():
+    for label, case, size in rows():
         spec = config.parse_config_text(cases.case_config_text(case))
         h = size if spec.constraint == "neumann" else 2 * math.pi / size
         mesh = spec.build_mesh(h)
@@ -101,11 +101,9 @@ def measure():
         else:
             form = nm.assemble_neumann(mesh, spec.make_kernel(),
                                        spec.quad_order)
-        cfg = spec.solver_config()
-        if budget is not None:
-            cfg.max_iterations = budget
         result = nm.mountain_pass.solve(form, spec.make_nonlinearity(),
-                                        spec.initial_guess_fe(mesh), cfg)
+                                        spec.initial_guess_fe(mesh),
+                                        spec.solver_config())
         records.append({"row": label, "unknowns": int(form.n_unknowns),
                         "iterations": result.iterations,
                         "halvings": sum(r.halvings_used
@@ -191,7 +189,6 @@ def main(argv=None):
                 "per source tree",
         "repeats": args.repeats,
         "import_repeats": IMPORT_REPEATS,
-        "fine_budget": FINE_BUDGET,
         "environment": bench_run.environment(),
         "imports": {label: summarize_imports(r)
                     for label, r in imports.items()},
