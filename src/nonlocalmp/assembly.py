@@ -20,13 +20,19 @@ All double integrals use tensor Gauss-Legendre rules of a configurable
 order per element pair.  Inner integrals over the element containing the
 outer evaluation point are split at that point, which restores full
 accuracy for kernels with a kink at the origin (exponential, power law).
+
+The dense linear algebra is numpy's: the generalized eigendecomposition
+of the pencil (B + sigma M, H) behind the descent's modal basis, the
+Cholesky factor of B + sigma M behind the reference resolve (both cached
+on the form) and one Cholesky solve of the Neumann exterior elimination.
+A non-finite matrix or right-hand side raises ValueError, and a
+factorization that fails raises SingularSystem or SingularExteriorBlock.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from . import fem
 from .errors import (ConfigError, ExtensionMarginWarning, OutsideDomain,
@@ -37,6 +43,7 @@ __all__ = ["QUAD_ORDER", "NonlocalForm", "assemble_dirichlet",
 
 QUAD_ORDER = 4          # Gauss points per element, the default rule
 _CHUNK_FLOATS = 2_000_000
+_TRI_BLOCK = 32         # rows per block of the triangular solves
 
 
 @dataclass
@@ -219,13 +226,10 @@ class NonlocalForm:
 
         B_EE = self.B_tilde[np.ix_(idx_ext, idx_ext)]
         B_EI = self.B_tilde[np.ix_(idx_ext, idx_in)]
-        try:
-            fact = linalg.cho_factor(B_EE)
-            ext_map = -linalg.cho_solve(fact, B_EI)
-        except linalg.LinAlgError as exc:
-            raise SingularExteriorBlock(
-                "exterior block not positive definite; increase the "
-                "extension or check the kernel sign") from exc
+        L = _cholesky(B_EE, SingularExteriorBlock(
+            "exterior block not positive definite; increase the "
+            "extension or check the kernel sign"))
+        ext_map = -_cho_solve(L, B_EI)
         if not np.all(np.isfinite(ext_map)):
             raise SingularExteriorBlock("exterior elimination produced "
                                         "non-finite values")
@@ -318,18 +322,17 @@ class NonlocalForm:
 
         V^T H V = I and V^T (B + sigma M_u) V = diag(lam), lam ascending, so
         (B + sigma M_u + tau H)^-1 = V diag(1 / (lam + tau)) V^T for every
-        tau >= 0.  Built on first use (one generalized eigendecomposition)
-        and cached for the last grounding asked for (sigma = 0 for
-        Dirichlet forms).  Raises SingularSystem unless the grounded form
-        is positive definite (lam > 0).
+        tau >= 0.  Built on first use (one ``_eigh_pencil``) and cached for
+        the last grounding asked for (sigma = 0 for Dirichlet forms).  A
+        non-finite matrix raises ValueError; raises SingularSystem unless
+        the grounded form is positive definite (lam > 0).
         """
         sigma = self.grounding_shift(grounding_rel)
         if self._basis is None or self._basis[0] != sigma:
-            try:
-                lam, V = linalg.eigh(self._grounded(sigma), self.h1_gram)
-            except linalg.LinAlgError as exc:
-                raise SingularSystem("generalized eigenproblem failed "
-                                     f"(grounding shift {sigma:.3g})") from exc
+            lam, V = _eigh_pencil(self._grounded(sigma), self.h1_gram,
+                                  SingularSystem(
+                                      "generalized eigenproblem failed "
+                                      f"(grounding shift {sigma:.3g})"))
             if not lam[0] > 0.0:
                 raise SingularSystem(
                     "system not positive definite (grounding shift "
@@ -341,20 +344,18 @@ class NonlocalForm:
         """Solve (B + sigma M) x = rhs by Cholesky.
 
         sigma M is the mass shift grounding the Neumann null mode.  The
-        factor of the last grounding asked for is cached on the form and
-        solved by ``linalg.cho_solve``.  ``rhs`` is a vector or a matrix
-        of right-hand-side columns; a non-finite entry raises ValueError.
+        lower Cholesky factor of the last grounding asked for is cached on
+        the form and solved by ``_cho_solve``.  ``rhs`` is a vector or a
+        matrix of right-hand-side columns; a non-finite entry raises
+        ValueError.
         """
         sigma = self.grounding_shift(grounding_rel)
         if self._factor is None or self._factor[0] != sigma:
-            try:
-                fact = linalg.cho_factor(self._grounded(sigma))
-            except linalg.LinAlgError as exc:
-                raise SingularSystem(
+            self._factor = (sigma, _cholesky(
+                self._grounded(sigma), SingularSystem(
                     "system not positive definite (grounding shift "
-                    f"{sigma:.3g})") from exc
-            self._factor = (sigma, fact)
-        return linalg.cho_solve(self._factor[1], rhs)
+                    f"{sigma:.3g})")))
+        return _cho_solve(self._factor[1], rhs)
 
     # -- the operator -L u --------------------------------------------------
 
@@ -428,6 +429,79 @@ class NonlocalForm:
         return raw, raw / scale
 
 
+def _check_finite(a):
+    """a as a float array; raises ValueError on a non-finite entry."""
+    a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("array must not contain infs or NaNs")
+    return a
+
+
+def _cholesky(A, failed):
+    """Lower Cholesky factor L of the symmetric matrix A, A = L L^T.
+
+    A non-finite entry raises ValueError; a matrix that is not positive
+    definite raises the exception ``failed``.
+    """
+    try:
+        return np.linalg.cholesky(_check_finite(A))
+    except np.linalg.LinAlgError as exc:
+        raise failed from exc
+
+
+def _solve_triangular(L, B, transpose=False):
+    """X with L X = B, or L^T X = B with ``transpose``, for lower-triangular L.
+
+    Block forward substitution, ``_TRI_BLOCK`` rows at a time: a block
+    subtracts the product of its rows of L with the rows of X already
+    solved, reading those rows of L only from their first nonzero column,
+    and then multiplies by the inverse of its diagonal block.  So a banded
+    factor costs O(_TRI_BLOCK n) products per column of B.  L^T X = B is
+    solved as the lower-triangular system J L^T J (J X) = J B, J reversing
+    the order of the unknowns.  X is C-contiguous.
+    """
+    if transpose:
+        rev = _solve_triangular(np.ascontiguousarray(L.T[::-1, ::-1]),
+                                np.asarray(B)[::-1])
+        return np.ascontiguousarray(rev[::-1])
+    X = np.array(B, dtype=float)
+    first = np.argmax(L != 0.0, axis=1)
+    for k in range(0, L.shape[0], _TRI_BLOCK):
+        rows = slice(k, k + _TRI_BLOCK)
+        lo = first[rows].min()
+        if lo < k:
+            X[rows] -= L[rows, lo:k] @ X[lo:k]
+        X[rows] = np.linalg.inv(L[rows, rows]) @ X[rows]
+    return X
+
+
+def _eigh_pencil(A, H, failed):
+    """(lam, V) of the symmetric-definite pencil (A, H), lam ascending.
+
+    V^T H V = I and V^T A V = diag(lam), by the reduction to a standard
+    eigenproblem (Golub & Van Loan, *Matrix Computations*, sec. 8.7):
+    H = L L^T, the eigenpairs (lam, Y) of L^-1 A L^-T, and V = L^-T Y.
+    For the tridiagonal H1 Gram matrix L is bidiagonal, so the three
+    triangular solves cost O(n^2) next to the O(n^3) ``eigh``.  A
+    non-finite entry raises ValueError; an H that is not positive
+    definite, or an eigensolver that fails, raises ``failed``.
+    """
+    A = _check_finite(A)
+    L = _cholesky(H, failed)
+    try:
+        lam, Y = np.linalg.eigh(
+            _solve_triangular(L, _solve_triangular(L, A).T))
+    except np.linalg.LinAlgError as exc:
+        raise failed from exc
+    return lam, _solve_triangular(L, Y, transpose=True)
+
+
+def _cho_solve(L, rhs):
+    """x with L L^T x = rhs; a non-finite entry of rhs raises ValueError."""
+    return _solve_triangular(L, _solve_triangular(L, _check_finite(rhs)),
+                             transpose=True)
+
+
 def check_quad_order(quad_order):
     """Raise ConfigError unless quad_order is a usable Gauss rule size."""
     if quad_order < 2:
@@ -453,17 +527,16 @@ def assemble_neumann(mesh, kernel, quad_order=QUAD_ORDER):
 def dump_matrix(path, form):
     """Write the reduced matrix B in coordinate text format (row col value).
 
-    Each distinct value is formatted once: the text is cached on the bit
-    pattern, so -0.0 and 0.0 keep their own text.
+    Each distinct value is formatted once: one ``np.unique`` of the bit
+    patterns indexes the texts, so -0.0 and 0.0 keep their own text.
+    Rows are converted to text one at a time.
     """
     B = form.B
+    bits, idx = np.unique(B.view(np.int64), return_inverse=True)
+    text = [f"{v:.17g}\n" for v in bits.view(float).tolist()]
     cols = [f" {j} " for j in range(B.shape[1])]
-    text = {}
     with open(path, "w") as fh:
-        for i, bits in enumerate(B.view(np.int64)):
-            keys = bits.tolist()
-            new = list(set(keys).difference(text))
-            vals = np.array(new, dtype=np.int64).view(float).tolist()
-            text.update(zip(new, [f"{v:.17g}\n" for v in vals]))
+        for i, keys in enumerate(idx.reshape(B.shape)):
             row = str(i)
-            fh.write("".join([row + c + text[k] for c, k in zip(cols, keys)]))
+            fh.write("".join([row + c + text[k]
+                              for c, k in zip(cols, keys.tolist())]))

@@ -37,6 +37,9 @@ starting from an iterate w sitting on its own ray maximum:
   3. replace w by the re-maximized trial t* (w + s v1) and repeat.
 
 An iteration thus makes two dense n x n products, V^T load and V v^.
+Building the basis is the descent's one O(n^3) cost: numpy's ``eigh``
+of the pencil reduced by the bidiagonal Cholesky factor of H (see
+``NonlocalForm.modal_basis``).  The descent factors no other matrix.
 
 The direction v1 comes from the H1-regularized system
 

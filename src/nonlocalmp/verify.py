@@ -10,7 +10,6 @@ and fitting log-log slopes gives the observed convergence orders.
 """
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,6 +192,9 @@ def convergence_study(spec, jobs=1):
     excluded from the order fits, as are trivial-capture rows.
     """
     if jobs > 1:
+        # imported here: it costs about 15 ms of every start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_study_row,
                                     [(spec, h) for h in spec.h_list]))

@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,8 @@ from scipy import linalg
 
 import nonlocalmp as nm
 from nonlocalmp import assembly
-from nonlocalmp.errors import OutsideDomain
+from nonlocalmp.errors import (ExtensionMarginWarning, OutsideDomain,
+                               SingularExteriorBlock)
 from nonlocalmp.mountain_pass import SolverConfig
 from oracles import (brute_force_quadratic_form, dense_convolution,
                      per_entry_dump)
@@ -193,22 +195,26 @@ def test_dump_matrix_bytes_match_per_entry_writer(setup, request, tmp_path):
 
 @pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
 def test_solve_spd_equals_cho_solve(setup, request):
-    # the solve on the cached grounded factor gives the bits of scipy's
-    # cho_solve on a factor of the same matrix, for one right-hand side
-    # and for several columns
+    # the solve on the cached grounded factor gives the bits of the
+    # package's Cholesky solve on a fresh factor of the same matrix, and
+    # agrees with scipy's cho_solve, for one right-hand side and for
+    # several columns
     form = request.getfixturevalue(setup)[1]
     grounding_rel = 1e-4
     sigma = form.grounding_shift(grounding_rel)
     mat = form.B
     if sigma:
         mat = mat + sigma * form.M[np.ix_(form.unknown_idx, form.unknown_idx)]
-    fact = linalg.cho_factor(mat)
+    L = assembly._cholesky(mat, AssertionError("not positive definite"))
+    oracle = linalg.cho_factor(mat)
     rng = np.random.default_rng(8)
     for rhs in (rng.standard_normal(form.n_unknowns),
                 rng.standard_normal((form.n_unknowns, 3))):
         x = form.solve_spd(rhs, grounding_rel)
         assert x.shape == rhs.shape
-        assert np.array_equal(x, linalg.cho_solve(fact, rhs))
+        assert np.array_equal(x, assembly._cho_solve(L, rhs))
+        ref = linalg.cho_solve(oracle, rhs)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -218,6 +224,31 @@ def test_solve_spd_rejects_non_finite_rhs(case1_coarse, bad):
     rhs[3] = bad
     with pytest.raises(ValueError):
         form.solve_spd(rhs, SolverConfig.grounding_rel)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrix_raises_value_error(case1_coarse, bad):
+    # the modal basis and the Cholesky solve check the matrix they factor
+    mesh = case1_coarse[0]
+    for build in ("modal_basis", "solve_spd"):
+        form = nm.assemble_dirichlet(mesh, nm.Exponential())
+        form.B = form.B.copy()
+        form.B[2, 3] = bad
+        args = (np.ones(form.n_unknowns),) if build == "solve_spd" else ()
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            getattr(form, build)(*args, SolverConfig.grounding_rel)
+
+
+def test_negative_kernel_has_singular_exterior_block():
+    class NegatedExponential(nm.Exponential):
+        def gamma(self, r):
+            return -super().gamma(r)
+
+    mesh = nm.build_extended_mesh((0.0, 3.0), 0.3, 1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtensionMarginWarning)
+        with pytest.raises(SingularExteriorBlock, match="not positive"):
+            nm.assemble_neumann(mesh, NegatedExponential())
 
 
 def test_neumann_form_needs_grounding(neumann_coarse):

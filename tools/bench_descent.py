@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Import cost and per-row descent counts and seconds of source trees.
 
-    python3 tools/bench_descent.py BENCH_16.json parent=OLD/src change=src
+    python3 tools/bench_descent.py BENCH_17.json parent=OLD/src change=src
 
 Each LABEL=SRC names a source tree holding the ``nonlocalmp`` package.
 For every tree the script runs, in a fresh process with BLAS/OpenMP
@@ -32,9 +32,15 @@ minimum backs no claim.  The environment record comes from
 
 Before the descent it times ``import nonlocalmp`` in fresh processes,
 ``IMPORT_REPEATS`` per tree with the trees taking turns, and records
-the median seconds of the import itself, the median peak RSS after it
-and the number of modules it loads.  The result is written as JSON to
-OUT.
+the median seconds of the import itself, the median peak RSS after it,
+the number of modules it loads and how many of those are scipy's.
+
+It also times the form's two dense factorizations per call, best of
+``LINALG_REPEATS``, on the case-1 forms of 80, 320 and 640 elements
+(79, 319 and 639 unknowns): ``modal_basis`` (the generalized
+eigendecomposition) and ``solve_spd`` with one right-hand side
+(Cholesky factor and solve), each on a fresh copy of the form so that
+no cached factor is reused.  The result is written as JSON to OUT.
 """
 
 import argparse
@@ -50,6 +56,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 IMPORT_REPEATS = 9
+LINALG_REPEATS = 7
 # run by ``python -c`` so that nothing but the interpreter precedes the import
 IMPORT_PROBE = """
 import json, resource, sys, time
@@ -59,7 +66,9 @@ import nonlocalmp
 print(json.dumps({"import_s": time.perf_counter() - t0,
                   "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                   / 1024.0,
-                  "modules": len(sys.modules) - before}))
+                  "modules": len(sys.modules) - before,
+                  "scipy_modules": sum(m.split(".")[0] == "scipy"
+                                       for m in sys.modules)}))
 """
 
 
@@ -113,6 +122,36 @@ def measure():
     return records
 
 
+def measure_linalg():
+    """Best-of-``LINALG_REPEATS`` milliseconds of the form's modal basis
+    and Cholesky solve, per size, on the importable package."""
+    import copy
+    import time
+
+    import numpy as np
+
+    import nonlocalmp as nm
+
+    rel = nm.mountain_pass.SolverConfig.grounding_rel
+    records = []
+    for n in (80, 320, 640):
+        mesh = nm.build_mesh(-math.pi, math.pi, 2 * math.pi / n)
+        form = nm.assemble_dirichlet(mesh, nm.Exponential())
+        rhs = np.ones(form.n_unknowns)
+        record = {"unknowns": int(form.n_unknowns)}
+        for name, call in (("basis_ms", lambda f: f.modal_basis(rel)),
+                           ("spd_solve_ms", lambda f: f.solve_spd(rhs, rel))):
+            times = []
+            for _ in range(LINALG_REPEATS):
+                fresh = copy.copy(form)
+                t0 = time.perf_counter()
+                call(fresh)
+                times.append(1e3 * (time.perf_counter() - t0))
+            record[name] = min(times)
+        records.append(record)
+    return records
+
+
 def run_tree(src, bench_run, args):
     """One measuring process on the package under ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -124,12 +163,13 @@ def run_tree(src, bench_run, args):
 
 def summarize_imports(runs):
     """Median import seconds and RSS; the module count must repeat."""
-    if len({r["modules"] for r in runs}) != 1:
+    if len({(r["modules"], r["scipy_modules"]) for r in runs}) != 1:
         raise RuntimeError("import loads a different number of modules "
                            "between repeats")
     return {"import_s": statistics.median(r["import_s"] for r in runs),
             "rss_mb": statistics.median(r["rss_mb"] for r in runs),
             "modules": runs[0]["modules"],
+            "scipy_modules": runs[0]["scipy_modules"],
             "import_s_repeats": [r["import_s"] for r in runs],
             "rss_mb_repeats": [r["rss_mb"] for r in runs]}
 
@@ -161,9 +201,15 @@ def main(argv=None):
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--measure", action="store_true",
                    help="measure the importable package and print JSON")
+    p.add_argument("--measure-linalg", action="store_true",
+                   help="time the importable package's factorizations and "
+                        "print JSON")
     args = p.parse_args(argv)
     if args.measure:
         print(json.dumps(measure()))
+        return 0
+    if args.measure_linalg:
+        print(json.dumps(measure_linalg()))
         return 0
     if not args.out or not args.trees:
         p.error("give OUT and at least one LABEL=SRC")
@@ -179,6 +225,8 @@ def main(argv=None):
         for label, src in trees:
             imports[label].append(run_tree(src, bench_run,
                                            ["-c", IMPORT_PROBE]))
+    linalg = {label: run_tree(src, bench_run, [__file__, "--measure-linalg"])
+              for label, src in trees}
     runs = {label: [] for label, _ in trees}
     for _ in range(args.repeats):
         for label, src in trees:
@@ -192,13 +240,19 @@ def main(argv=None):
         "environment": bench_run.environment(),
         "imports": {label: summarize_imports(r)
                     for label, r in imports.items()},
+        "linalg": linalg,
         "trees": {label: summarize(r) for label, r in runs.items()},
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     for label, rows_out in record["trees"].items():
         imp = record["imports"][label]
         print(f"{label}: import {imp['import_s']:.3f} s, "
-              f"{imp['rss_mb']:.1f} MiB, {imp['modules']} modules")
+              f"{imp['rss_mb']:.1f} MiB, {imp['modules']} modules "
+              f"({imp['scipy_modules']} scipy)")
+        for r in record["linalg"][label]:
+            print(f"  {r['unknowns']:>4} unknowns: basis "
+                  f"{r['basis_ms']:.1f} ms, SPD solve "
+                  f"{r['spd_solve_ms']:.2f} ms")
         for r in rows_out:
             print(f"  {r['row']:<32} {r['iterations']:>6} it "
                   f"{r['halvings']:>6} halvings {r['solve_s']:8.3f} s "
