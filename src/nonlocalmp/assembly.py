@@ -16,10 +16,18 @@ annihilate constants exactly, mirroring the continuous volume constraint.
 Exterior unknowns are then eliminated by a Schur complement of the rows
 that impose the constraint (operator = 0 at exterior nodes).
 
-All double integrals use tensor Gauss-Legendre rules of a configurable
-order per element pair.  Inner integrals over the element containing the
-outer evaluation point are split at that point, which restores full
-accuracy for kernels with a kink at the origin (exponential, power law).
+Every mesh is uniform and every kernel radial, so the integral of
+gamma(|x - y|) phi(y) dy over one element, for a hat phi of that
+element, depends only on the local coordinate rho of x in its element
+and on how many elements apart the two lie.  One offset table holds
+these integrals for every offset d: the Gauss rule of a configurable
+order over the element d places away, split at x when d = 0, which
+restores full accuracy for kernels with a kink at the origin
+(exponential, power law).  At the Gauss points rho_k the table gives K
+as four Toeplitz matrices of its hat-weighted sums; the local kernel
+mass g and the convolution inside -L u are ``np.convolve`` of its
+columns with nodal values.  So a form evaluates gamma at (2 n_e - 1) q^2
+distances, not at every pair of its n_e q Gauss points.
 
 The dense linear algebra is numpy's: the generalized eigendecomposition
 of the pencil (B + sigma M, H) behind the descent's modal basis, the
@@ -42,7 +50,6 @@ __all__ = ["QUAD_ORDER", "NonlocalForm", "assemble_dirichlet",
            "assemble_neumann", "check_quad_order", "dump_matrix"]
 
 QUAD_ORDER = 4          # Gauss points per element, the default rule
-_CHUNK_FLOATS = 2_000_000
 _TRI_BLOCK = 32         # rows per block of the triangular solves
 
 
@@ -50,35 +57,24 @@ _TRI_BLOCK = 32         # rows per block of the triangular solves
 class _Quadrature:
     """Cached Gauss data for one (mesh, order) pair."""
 
-    X: np.ndarray            # (n_e, q) points
-    W: np.ndarray            # (n_e, q) weights
     ref_pts: np.ndarray      # (q,) on [0, 1]
     ref_wts: np.ndarray
-    Xf: np.ndarray           # flattened points, (N,)
+    Xf: np.ndarray           # every element's points, flattened (n_e q,)
     Wf: np.ndarray
     pb: np.ndarray           # (2, q) local basis at the reference points
     wpb: np.ndarray          # (2, q) pb times one element's Gauss weights
-
-    def hats(self, rows=slice(None)):
-        """(i, i + 1, phi_i, phi_i+1) at the flattened points ``rows``:
-        i is the left node of the point's element and phi_i, phi_i+1 are
-        the element's two hat values at the point."""
-        n_e, q = self.X.shape
-        i = np.repeat(np.arange(n_e), q)[rows]
-        phi = np.tile(self.pb, n_e)[:, rows]
-        return i, i + 1, phi[0], phi[1]
 
 
 def _make_quadrature(mesh, order):
     X, W, ref_pts, ref_wts = fem.element_quadrature(mesh, order)
     pb = np.vstack([1.0 - ref_pts, ref_pts])
-    return _Quadrature(X, W, ref_pts, ref_wts, X.ravel(), W.ravel(), pb,
-                       W[0] * pb)
+    return _Quadrature(ref_pts, ref_wts, X.ravel(), W.ravel(), pb, W[0] * pb)
 
 
 def _p1_values(u, hats):
-    """Values of the P1 function with nodal values u at the points of
-    ``hats`` (see ``_Quadrature.hats``)."""
+    """Values of the P1 function with nodal values u at points given by
+    ``hats`` = (i, i + 1, phi_i, phi_i+1): i is the left node of each
+    point's element and phi_i, phi_i+1 its two hat values there."""
     i0, i1, phi0, phi1 = hats
     return u[i0] * phi0 + u[i1] * phi1
 
@@ -124,54 +120,49 @@ class NonlocalForm:
 
     # -- assembly -----------------------------------------------------------
 
-    def _split_delta(self, x, elem):
-        """Split minus plain rule for int gamma(|x - y|) phi_j(y) dy over
-        the element ``elem`` = [x_l, x_r] holding each point x, for its two
-        hats j.  The split rule is the Gauss rule on each of [x_l, x] and
-        [x, x_r].
+    def _offset_table(self, rho):
+        """T[n_e - 1 + d, k, b] = int gamma(|x - y|) phi_b(y) dy over the
+        element d places away from the one holding x = x_e + h rho_k, with
+        phi_0, phi_1 that element's two hats, for d = 1 - n_e .. n_e - 1.
 
-        Returns shape x.shape + (2,).
+        The rule is the Gauss rule on the element, and on each of its two
+        sides of x when d = 0.  Shape (2 n_e - 1, rho.size, 2).
         """
-        quad, gamma = self._quad, self.kernel.gamma
-        xl = self.mesh.nodes[elem][..., None]
-        xr = self.mesh.nodes[elem + 1][..., None]
-        x = x[..., None]
-        ref, wts_ref = quad.ref_pts, quad.ref_wts
-        pts = np.concatenate([xl + (x - xl) * ref, x + (xr - x) * ref], -1)
-        wts = np.concatenate([(x - xl) * wts_ref, (xr - x) * wts_ref], -1)
-        phi1 = (pts - xl) / self.mesh.h
-        phi0 = 1.0 - phi1
-        gam_split = gamma(np.abs(x - pts)) * wts
-        gam_plain = gamma(np.abs(x - quad.X[elem])) * quad.W[elem]
-        return np.stack([(gam_split * phi0).sum(axis=-1)
-                         - (gam_plain * quad.pb[0]).sum(axis=-1),
-                         (gam_split * phi1).sum(axis=-1)
-                         - (gam_plain * quad.pb[1]).sum(axis=-1)], axis=-1)
+        quad, h, n_e = self._quad, self.mesh.h, self.mesh.n_elements
+        r, w = quad.ref_pts, quad.ref_wts
+        # coordinates relative to the left node of x's element
+        x = h * rho[:, None]
+        y = h * np.arange(1 - n_e, n_e)[:, None, None] + h * r
+        T = self.kernel.gamma(np.abs(y - x)) * (h * w) @ quad.pb.T
+        # x's own element: the Gauss rule on each side of x
+        ys = np.concatenate([x * r, x + (h - x) * r], axis=1)
+        gw = self.kernel.gamma(np.abs(x - ys)) * np.concatenate(
+            [x * w, (h - x) * w], axis=1)
+        T[n_e - 1] = np.stack([(gw * (1.0 - ys / h)).sum(axis=1),
+                               (gw * ys / h).sum(axis=1)], axis=1)
+        return T
+
+    def _convolve(self, T, u_full):
+        """int gamma(|x - y|) u(y) dy at the points x = x_e + h rho_k of
+        the offset table T, for every element e (rows) and every k
+        (columns), u the P1 function with nodal values ``u_full``."""
+        n_e = self.mesh.n_elements
+        return np.stack([sum(np.convolve(T[::-1, k, b], u_full[b:b + n_e],
+                                         "valid") for b in (0, 1))
+                         for k in range(T.shape[1])], axis=1)
 
     def _assemble_common(self):
-        quad = self._quad
-        Xf, Wf = quad.Xf, quad.Wf
-        n_e, q = quad.X.shape
-        N = Xf.size
-        # dI[k]: split minus plain inner integral over the element of point k
-        dI = self._split_delta(quad.X, np.arange(n_e)[:, None]).reshape(N, 2)
-
-        # C[r, j] = int gamma(|x_r - y|) phi_j(y) dy for a block of whole
-        # elements' points x_r; K gathers its rows against the hats
+        quad, n_e = self._quad, self.mesh.n_elements
+        T = self._offset_table(quad.ref_pts)
+        # A[n_e - 1 + d, a, b]: the (a, b) hat entry of the element pair
+        # (e, e + d), the same for every e; row e of its Toeplitz matrix
+        # holds the offsets -e .. n_e - 1 - e
+        A = quad.wpb @ T
         K = np.zeros((self.mesh.n_nodes, self.mesh.n_nodes))
-        g = dI.sum(axis=1)
-        block = max(1, _CHUNK_FLOATS // (q * N))
-        for e0 in range(0, n_e, block):
-            e1 = min(e0 + block, n_e)
-            rows = slice(e0 * q, e1 * q)
-            G = self.kernel.gamma(np.abs(Xf[rows, None] - Xf[None, :]))
-            g[rows] += G @ Wf
-            C = _hat_sums(G, quad.wpb)
-            r = np.arange(C.shape[0])
-            i0, i1 = quad.hats(rows)[:2]
-            C[r, i0] += dI[rows, 0]
-            C[r, i1] += dI[rows, 1]
-            K[e0:e1 + 1] += _hat_sums(C.T, quad.wpb).T
+        for a in range(2):
+            for b in range(2):
+                K[a:a + n_e, b:b + n_e] += np.lib.stride_tricks \
+                    .sliding_window_view(A[:, a, b], n_e)[::-1]
         self.K = 0.5 * (K + K.T)
 
         lo, hi = self.mesh.interior_range
@@ -189,25 +180,28 @@ class NonlocalForm:
             self.exterior_map = None
             self.exterior_idx = np.array([0, self.mesh.n_nodes - 1])
         else:
-            self._assemble_neumann_reduction(g)
+            self._assemble_neumann_reduction(
+                self._convolve(T, np.ones(self.mesh.n_nodes)))
 
         unknown = np.ix_(self.unknown_idx, self.unknown_idx)
         self.h1_gram = (self.M + S)[unknown]    # H1(Omega) Gram matrix M + S
+        q = self.quad_order
         self._omega_rows = slice(lo * q, hi * q)
-        self._omega_hats = quad.hats(self._omega_rows)
+        i = np.repeat(np.arange(lo, hi), q)
+        phi = np.tile(quad.pb, hi - lo)
+        self._omega_hats = (i, i + 1, phi[0], phi[1])
 
     def _assemble_neumann_reduction(self, g):
-        """B~ and its Schur reduction; g = int_D gamma(|x - y|) dy at x_q."""
+        """B~ and its Schur reduction; g[e, k] = int_D gamma(|x - y|) dy at
+        the k-th Gauss point x of element e."""
         mesh = self.mesh
         quad = self._quad
-        n_e, q = quad.X.shape
-        elems = np.arange(n_e)
-        g = g.reshape(n_e, q)
+        elems = np.arange(mesh.n_elements)
 
         Wmat = np.zeros((mesh.n_nodes, mesh.n_nodes))
         for a in range(2):
             for b in range(2):
-                vals = (quad.W * quad.pb[a] * quad.pb[b] * g).sum(axis=1)
+                vals = (quad.wpb[a] * quad.pb[b] * g).sum(axis=1)
                 np.add.at(Wmat, (elems + a, elems + b), vals)
         B_tilde = Wmat - self.K
         self.B_tilde = 0.5 * (B_tilde + B_tilde.T)
@@ -359,36 +353,23 @@ class NonlocalForm:
 
     # -- the operator -L u --------------------------------------------------
 
-    def _minus_L(self, u_full, x, hats):
-        """(-L u)(x) = m(x) u(x) - int gamma(|x-y|) u(y) dy at points x.
+    def _minus_L(self, u_full, elems, rho, u_x):
+        """(-L u)(x) = m(x) u(x) - int gamma(|x-y|) u(y) dy at the points
+        x = x_e + h rho_k of the elements ``elems`` (rows), for every k
+        (columns); ``u_x`` holds u(x) there.
 
-        ``hats`` are the (i, i + 1, phi_i, phi_i+1) of each point's element
-        (see ``_Quadrature.hats``).  The convolution uses the assembly rule:
-        Gauss points everywhere plus the split correction of the element
-        holding x.  m(x) is Gamma for Dirichlet forms (u is extended by
-        zero) and for Neumann forms the convolution of 1 over the
-        computational interval, taken in the same pass, so that the
+        The convolution is the assembly's offset table.  m(x) is Gamma for
+        Dirichlet forms (u is extended by zero) and for Neumann forms the
+        same convolution of 1 over the computational interval, so that the
         operator annihilates constants as the assembled form does.
         """
-        quad = self._quad
-        cols = [quad.Wf * _p1_values(u_full, quad.hats())]
-        if self.constraint == "neumann":
-            cols.append(quad.Wf)
-        conv = np.empty((len(cols), x.size))
-        chunk = max(1, _CHUNK_FLOATS // quad.Xf.size)
-        for start in range(0, x.size, chunk):
-            stop = min(start + chunk, x.size)
-            G = self.kernel.gamma(np.abs(x[start:stop, None] - quad.Xf))
-            # a matvec per column, as for the assembled g: the same bits
-            for c, col in zip(conv, cols):
-                c[start:stop] = G @ col
-        dI = self._split_delta(x, hats[0])
-        conv_u = conv[0] + _p1_values(u_full, hats[:2] + (dI[:, 0], dI[:, 1]))
+        T = self._offset_table(rho)
+        conv = self._convolve(T, u_full)[elems]
         if self.constraint == "dirichlet":
             m = self.kernel_mass
         else:
-            m = conv[1] + dI.sum(axis=1)
-        return m * _p1_values(u_full, hats) - conv_u
+            m = self._convolve(T, np.ones_like(u_full))[elems]
+        return m * u_x - conv
 
     def apply_operator(self, u, x):
         """Pointwise (-L u)(x) at one point x of the physical domain, by
@@ -397,11 +378,12 @@ class NonlocalForm:
         o_left, o_right = mesh.omega
         if not (o_left <= x <= o_right):
             raise OutsideDomain(f"x = {x} lies outside the physical domain")
-        e = np.clip(np.searchsorted(mesh.nodes, [x], side="right") - 1,
-                    0, mesh.n_elements - 1)
-        phi1 = (x - mesh.nodes[e]) / mesh.h
-        hats = (e, e + 1, 1.0 - phi1, phi1)
-        return float(self._minus_L(self.as_full(u), np.array([x]), hats)[0])
+        e = min(int(np.searchsorted(mesh.nodes, x, side="right")) - 1,
+                mesh.n_elements - 1)
+        rho = (x - mesh.nodes[e]) / mesh.h
+        u_full = self.as_full(u)
+        u_x = _p1_values(u_full, (e, e + 1, 1.0 - rho, rho))
+        return float(self._minus_L(u_full, e, np.array([rho]), u_x)[0])
 
     def operator_at_omega_quad(self, u_full):
         """(-L u) at every domain Gauss point, vectorized.
@@ -409,8 +391,10 @@ class NonlocalForm:
         Uses exactly the assembly quadrature (including the self-element
         splits), so a Neumann constant gives zero to round-off.
         """
-        return self._minus_L(u_full, self.omega_quad_points(),
-                             self._omega_hats)
+        lo, hi = self.mesh.interior_range
+        u_x = self.values_at_omega_quad(u_full).reshape(hi - lo, -1)
+        return self._minus_L(u_full, slice(lo, hi), self._quad.ref_pts,
+                             u_x).ravel()
 
     # -- diagnostics ------------------------------------------------------------
 

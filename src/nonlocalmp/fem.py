@@ -182,7 +182,11 @@ def write_function_csv(path, u):
 
 
 def read_function_csv(path, mesh):
-    """Read nodal values written by :func:`write_function_csv` onto ``mesh``."""
+    """Read nodal values written by :func:`write_function_csv` onto ``mesh``.
+
+    Raises ValueError unless the CSV has one row per node, at the node's
+    coordinate, and every value is finite.
+    """
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     data = np.atleast_2d(data)
     if data.shape[0] != mesh.n_nodes:
@@ -190,4 +194,6 @@ def read_function_csv(path, mesh):
             f"CSV has {data.shape[0]} rows but the mesh has {mesh.n_nodes} nodes")
     if not np.allclose(data[:, 0], mesh.nodes, atol=1e-9 * max(mesh.h, 1.0)):
         raise ValueError("CSV node coordinates do not match the mesh")
+    if not np.all(np.isfinite(data[:, 1])):
+        raise ValueError("CSV values must be finite")
     return FeFunction(mesh, data[:, 1])

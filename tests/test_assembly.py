@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -253,15 +254,16 @@ def test_negative_kernel_has_singular_exterior_block():
 
 def test_neumann_form_needs_grounding(neumann_coarse):
     # B of a Neumann form annihilates constants: ungrounded, its smallest
-    # modal eigenvalue is round-off that passes the lam > 0 test, and
-    # grounded by the default shift it is that shift.  So neither the
-    # basis nor the solve has a default grounding
+    # modal eigenvalue is round-off of either sign, and grounded by the
+    # default shift it is that shift.  So neither the basis nor the solve
+    # has a default grounding
     form = neumann_coarse[1]
     for method in (form.modal_basis, form.solve_spd):
         assert inspect.signature(method).parameters["grounding_rel"].default \
             is inspect.Parameter.empty
-    lam0 = form.modal_basis(0.0)[1]
-    assert 0.0 < lam0[0] <= 1e-12 * lam0[-1]
+    lam0, _ = assembly._eigh_pencil(form.B, form.h1_gram,
+                                    AssertionError("pencil failed"))
+    assert abs(lam0[0]) <= 1e-12 * lam0[-1]
     sigma, lam, _ = form.modal_basis(SolverConfig.grounding_rel)
     assert lam[0] == pytest.approx(sigma, rel=1e-9)
 
@@ -309,3 +311,31 @@ def test_no_array_grows_as_points_times_nodes(setup, request):
     owned = list(vars(form).values()) + list(vars(form._quad).values())
     arrays = [a for a in owned if isinstance(a, np.ndarray)]
     assert arrays and max(a.size for a in arrays) < limit
+
+
+@pytest.mark.parametrize("constraint", ["dirichlet", "neumann"])
+def test_traced_peak_stays_below_dense_node_matrices(constraint):
+    # 641 nodes either way: assembly holds a few dense node matrices at a
+    # time and -L u at the Gauss points less than one; a kernel block of
+    # (Gauss points x nodes) or (Gauss points x Gauss points) exceeds both
+    if constraint == "dirichlet":
+        mesh = nm.build_mesh(-math.pi, math.pi, h_for(640))
+    else:
+        mesh = nm.build_extended_mesh((0.0, 3.0), 3 / 320, 1.5)
+    matrix = 8 * mesh.n_nodes ** 2
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtensionMarginWarning)
+            form = assembly.NonlocalForm(mesh, nm.Exponential(), constraint,
+                                         assembly.QUAD_ORDER)
+        assembly_peak = tracemalloc.get_traced_memory()[1]
+        u = form.full_values(np.ones(form.n_unknowns))
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        form.operator_at_omega_quad(u)
+        operator_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert assembly_peak < 16 * matrix
+    assert operator_peak < matrix

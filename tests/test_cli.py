@@ -334,6 +334,7 @@ BAD_MESH_OR_START = [
     ("h_list", "0.3 0 0.1"),
     ("neumann.extension", "-1"),
     ("initial_guess", "two-rows.csv"),
+    ("initial_guess", "nan-value.csv"),
     # single-run outputs on a study, which would ignore them
     ("output.solution", "u.csv"),
     ("output.log", "log.csv"),
@@ -363,7 +364,14 @@ def test_bad_mesh_or_start_exits_4(tmp_path, capsys, key, value):
         text += f"neumann.extension = {value}\n"
     else:
         start = tmp_path / value
-        start.write_text("x,u\n0.0,0.0\n1.0,0.0\n")
+        if value == "nan-value.csv":
+            # the run's own node coordinates, one value not a number
+            u = nm.interpolate(nm.build_mesh(-math.pi, math.pi, h_for(20)),
+                               math.sin, constraint="dirichlet")
+            u.values[5] = np.nan
+            fem.write_function_csv(start, u)
+        else:
+            start.write_text("x,u\n0.0,0.0\n1.0,0.0\n")
         text = text.replace("initial_guess = sine", f"initial_guess = {start}")
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Import cost and per-row descent counts and seconds of source trees.
 
-    python3 tools/bench_descent.py BENCH_17.json parent=OLD/src change=src
+    python3 tools/bench_descent.py BENCH_18.json parent=OLD/src change=src
 
 Each LABEL=SRC names a source tree holding the ``nonlocalmp`` package.
 For every tree the script runs, in a fresh process with BLAS/OpenMP
@@ -30,6 +30,13 @@ tree read 107 and 184 us per iteration on case3/20.  On such rows the
 minimum backs no claim.  The environment record comes from
 ``benchmark/run.py``.
 
+Where a descent stops moves with round-off, so one process per tree
+also runs every row from ``ROUNDOFF_STARTS`` starts whose nodal values
+are scaled by 1 + 1e-13 z (z standard normal, seeds 1, 2, ...) and
+records the spread (min, median, max) of the iterations and halvings
+over those starts and the preset's.  A change of counts between trees
+that stays inside both trees' spreads is round-off, not a gain or loss.
+
 Before the descent it times ``import nonlocalmp`` in fresh processes,
 ``IMPORT_REPEATS`` per tree with the trees taking turns, and records
 the median seconds of the import itself, the median peak RSS after it,
@@ -40,7 +47,11 @@ It also times the form's two dense factorizations per call, best of
 (79, 319 and 639 unknowns): ``modal_basis`` (the generalized
 eigendecomposition) and ``solve_spd`` with one right-hand side
 (Cholesky factor and solve), each on a fresh copy of the form so that
-no cached factor is reused.  The result is written as JSON to OUT.
+no cached factor is reused.  In the same way it times assembly:
+``assemble_dirichlet`` on the case-1 meshes of 80, 320 and 640 elements
+and ``assemble_neumann`` on the case-5 mesh of h = 3/320 (641 nodes),
+and ``operator_at_omega_quad`` on each of those forms.  The result is
+written as JSON to OUT.
 """
 
 import argparse
@@ -51,12 +62,14 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 IMPORT_REPEATS = 9
 LINALG_REPEATS = 7
+ROUNDOFF_STARTS = 4
 # run by ``python -c`` so that nothing but the interpreter precedes the import
 IMPORT_PROBE = """
 import json, resource, sys, time
@@ -92,33 +105,79 @@ def rows():
     return out
 
 
-def measure():
-    """Run every row on the importable package; one record per row."""
+def _row_setup(case, size):
+    """(spec, mesh, assemble) of a preset row: ``size`` is the element
+    count on the Dirichlet presets and the spacing h otherwise."""
     import nonlocalmp as nm
     from nonlocalmp import cases, config
+
+    spec = config.parse_config_text(cases.case_config_text(case))
+    h = size if spec.constraint == "neumann" else 2 * math.pi / size
+    assemble = nm.assemble_dirichlet if spec.constraint == "dirichlet" \
+        else nm.assemble_neumann
+    return spec, spec.build_mesh(h), assemble
+
+
+def _preset(case, size):
+    """(form, nonlinearity, start, solver config) of a preset row."""
+    spec, mesh, assemble = _row_setup(case, size)
+    form = assemble(mesh, spec.make_kernel(), spec.quad_order)
+    return (form, spec.make_nonlinearity(), spec.initial_guess_fe(mesh),
+            spec.solver_config())
+
+
+def _descend(form, nl, start, cfg):
+    import nonlocalmp as nm
+
+    result = nm.mountain_pass.solve(form, nl, start, cfg)
+    return result, sum(r.halvings_used for r in result.records)
+
+
+def measure():
+    """Run every row on the importable package; one record per row."""
     from nonlocalmp.errors import ExtensionMarginWarning
 
     warnings.simplefilter("ignore", ExtensionMarginWarning)
     records = []
     for label, case, size in rows():
-        spec = config.parse_config_text(cases.case_config_text(case))
-        h = size if spec.constraint == "neumann" else 2 * math.pi / size
-        mesh = spec.build_mesh(h)
-        if spec.constraint == "dirichlet":
-            form = nm.assemble_dirichlet(mesh, spec.make_kernel(),
-                                         spec.quad_order)
-        else:
-            form = nm.assemble_neumann(mesh, spec.make_kernel(),
-                                       spec.quad_order)
-        result = nm.mountain_pass.solve(form, spec.make_nonlinearity(),
-                                        spec.initial_guess_fe(mesh),
-                                        spec.solver_config())
+        form, nl, start, cfg = _preset(case, size)
+        result, halvings = _descend(form, nl, start, cfg)
         records.append({"row": label, "unknowns": int(form.n_unknowns),
                         "iterations": result.iterations,
-                        "halvings": sum(r.halvings_used
-                                        for r in result.records),
+                        "halvings": halvings,
                         "stop_reason": result.stop_reason,
                         "solve_s": result.wall_time})
+    return records
+
+
+def measure_spread():
+    """Per row, (min, median, max) iterations and halvings over the preset
+    start and ``ROUNDOFF_STARTS`` starts perturbed at round-off level."""
+    import numpy as np
+
+    import nonlocalmp as nm
+    from nonlocalmp.errors import ExtensionMarginWarning
+
+    warnings.simplefilter("ignore", ExtensionMarginWarning)
+    records = []
+    for label, case, size in rows():
+        form, nl, start, cfg = _preset(case, size)
+        counts = []
+        for seed in range(ROUNDOFF_STARTS + 1):
+            values = start.values
+            if seed:
+                z = np.random.default_rng(seed).standard_normal(values.size)
+                values = values * (1.0 + 1e-13 * z)
+            result, halvings = _descend(form, nl,
+                                        nm.FeFunction(form.mesh, values), cfg)
+            counts.append((result.iterations, halvings))
+        its, halv = zip(*counts)
+        records.append({"row": label,
+                        "iterations": [min(its), statistics.median(its),
+                                       max(its)],
+                        "halvings": [min(halv), statistics.median(halv),
+                                     max(halv)],
+                        "iterations_per_start": list(its)})
     return records
 
 
@@ -126,7 +185,6 @@ def measure_linalg():
     """Best-of-``LINALG_REPEATS`` milliseconds of the form's modal basis
     and Cholesky solve, per size, on the importable package."""
     import copy
-    import time
 
     import numpy as np
 
@@ -139,16 +197,46 @@ def measure_linalg():
         form = nm.assemble_dirichlet(mesh, nm.Exponential())
         rhs = np.ones(form.n_unknowns)
         record = {"unknowns": int(form.n_unknowns)}
-        for name, call in (("basis_ms", lambda f: f.modal_basis(rel)),
-                           ("spd_solve_ms", lambda f: f.solve_spd(rhs, rel))):
-            times = []
-            for _ in range(LINALG_REPEATS):
-                fresh = copy.copy(form)
-                t0 = time.perf_counter()
-                call(fresh)
-                times.append(1e3 * (time.perf_counter() - t0))
-            record[name] = min(times)
+        # each call on a fresh copy of the form: no cached factor is reused
+        record["basis_ms"] = _best_ms(
+            lambda: copy.copy(form).modal_basis(rel))
+        record["spd_solve_ms"] = _best_ms(
+            lambda: copy.copy(form).solve_spd(rhs, rel))
         records.append(record)
+    return records
+
+
+def _best_ms(call):
+    times = []
+    for _ in range(LINALG_REPEATS):
+        t0 = time.perf_counter()
+        call()
+        times.append(1e3 * (time.perf_counter() - t0))
+    return min(times)
+
+
+def measure_assembly():
+    """Best-of-``LINALG_REPEATS`` milliseconds of assembling a form and of
+    ``operator_at_omega_quad`` on it, per mesh, on the importable package."""
+    import numpy as np
+
+    from nonlocalmp.errors import ExtensionMarginWarning
+
+    warnings.simplefilter("ignore", ExtensionMarginWarning)
+    records = []
+    for label, case, size in ([(f"case1/{n}", "case1", n)
+                               for n in (80, 320, 640)]
+                              + [("case5/h=3/320", "case5", 3 / 320)]):
+        spec, mesh, assemble = _row_setup(case, size)
+        kernel = spec.make_kernel()
+        form = assemble(mesh, kernel, spec.quad_order)
+        u = form.full_values(np.random.default_rng(0).standard_normal(
+            form.n_unknowns))
+        records.append({
+            "row": label, "nodes": int(mesh.n_nodes),
+            "assemble_ms": _best_ms(
+                lambda: assemble(mesh, kernel, spec.quad_order)),
+            "operator_ms": _best_ms(lambda: form.operator_at_omega_quad(u))})
     return records
 
 
@@ -204,12 +292,24 @@ def main(argv=None):
     p.add_argument("--measure-linalg", action="store_true",
                    help="time the importable package's factorizations and "
                         "print JSON")
+    p.add_argument("--measure-assembly", action="store_true",
+                   help="time the importable package's assembly and -L u "
+                        "and print JSON")
+    p.add_argument("--measure-spread", action="store_true",
+                   help="count the importable package's iterations from "
+                        "round-off perturbed starts and print JSON")
     args = p.parse_args(argv)
     if args.measure:
         print(json.dumps(measure()))
         return 0
     if args.measure_linalg:
         print(json.dumps(measure_linalg()))
+        return 0
+    if args.measure_assembly:
+        print(json.dumps(measure_assembly()))
+        return 0
+    if args.measure_spread:
+        print(json.dumps(measure_spread()))
         return 0
     if not args.out or not args.trees:
         p.error("give OUT and at least one LABEL=SRC")
@@ -225,22 +325,27 @@ def main(argv=None):
         for label, src in trees:
             imports[label].append(run_tree(src, bench_run,
                                            ["-c", IMPORT_PROBE]))
-    linalg = {label: run_tree(src, bench_run, [__file__, "--measure-linalg"])
-              for label, src in trees}
+    linalg, assembly, spreads = (
+        {label: run_tree(src, bench_run, [__file__, flag])
+         for label, src in trees}
+        for flag in ("--measure-linalg", "--measure-assembly",
+                     "--measure-spread"))
     runs = {label: [] for label, _ in trees}
     for _ in range(args.repeats):
         for label, src in trees:
             runs[label].append(run_tree(src, bench_run,
                                         [__file__, "--measure"]))
     record = {
-        "what": "import nonlocalmp and descent of preset rows, "
-                "per source tree",
+        "what": "import nonlocalmp, assembly and factorization times and "
+                "descent of preset rows, per source tree",
         "repeats": args.repeats,
         "import_repeats": IMPORT_REPEATS,
         "environment": bench_run.environment(),
         "imports": {label: summarize_imports(r)
                     for label, r in imports.items()},
         "linalg": linalg,
+        "assembly": assembly,
+        "spreads": spreads,
         "trees": {label: summarize(r) for label, r in runs.items()},
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
@@ -253,6 +358,12 @@ def main(argv=None):
             print(f"  {r['unknowns']:>4} unknowns: basis "
                   f"{r['basis_ms']:.1f} ms, SPD solve "
                   f"{r['spd_solve_ms']:.2f} ms")
+        for r in record["assembly"][label]:
+            print(f"  {r['row']:<14} assemble {r['assemble_ms']:.1f} ms, "
+                  f"-Lu at the Gauss points {r['operator_ms']:.2f} ms")
+        for r in record["spreads"][label]:
+            print(f"  {r['row']:<32} iterations (min, median, max) "
+                  f"{r['iterations']}, halvings {r['halvings']}")
         for r in rows_out:
             print(f"  {r['row']:<32} {r['iterations']:>6} it "
                   f"{r['halvings']:>6} halvings {r['solve_s']:8.3f} s "
