@@ -190,6 +190,10 @@ class NonlocalForm:
         i = np.repeat(np.arange(lo, hi), q)
         phi = np.tile(quad.pb, hi - lo)
         self._omega_hats = (i, i + 1, phi[0], phi[1])
+        # the unknowns are one range of nodes: Omega's own for Neumann
+        # forms, Omega's less its two end nodes for Dirichlet forms
+        first = self.unknown_idx[0] - lo
+        self._load_rows = slice(first, first + self.n_unknowns)
 
     def _assemble_neumann_reduction(self, g):
         """B~ and its Schur reduction; g[e, k] = int_D gamma(|x - y|) dy at
@@ -288,8 +292,7 @@ class NonlocalForm:
 
     def load_vector(self, f_at_quad):
         """Unknown-node load vector int f(x) phi_i(x) dx over the domain."""
-        lo = self.mesh.interior_range[0]
-        return _hat_sums(f_at_quad, self._quad.wpb)[self.unknown_idx - lo]
+        return _hat_sums(f_at_quad, self._quad.wpb)[self._load_rows]
 
     # -- linear solves --------------------------------------------------------
 
@@ -513,14 +516,18 @@ def dump_matrix(path, form):
 
     Each distinct value is formatted once: one ``np.unique`` of the bit
     patterns indexes the texts, so -0.0 and 0.0 keep their own text.
-    Rows are converted to text one at a time.
+    Rows are converted to text one at a time, into one list of pieces
+    (row, " j ", value) per entry whose column pieces are set once.
     """
     B = form.B
+    m = B.shape[1]
     bits, idx = np.unique(B.view(np.int64), return_inverse=True)
-    text = [f"{v:.17g}\n" for v in bits.view(float).tolist()]
-    cols = [f" {j} " for j in range(B.shape[1])]
+    text = np.array([f"{v:.17g}\n" for v in bits.view(float).tolist()],
+                    dtype=object)
+    pieces = [""] * (3 * m)
+    pieces[1::3] = [f" {j} " for j in range(m)]
     with open(path, "w") as fh:
         for i, keys in enumerate(idx.reshape(B.shape)):
-            row = str(i)
-            fh.write("".join([row + c + text[k]
-                              for c, k in zip(cols, keys.tolist())]))
+            pieces[::3] = [str(i)] * m
+            pieces[2::3] = text[keys].tolist()
+            fh.write("".join(pieces))

@@ -17,15 +17,20 @@ formula; above that from the eigenvalues of its companion matrices.
 
 Along a step u = w + s v the same data are polynomials in s as well:
 B[u, u] from B[w, w], B[w, v] and B[v, v], and every moment from the
-mixed moments int w^a v^b dx.  ``step_polynomial`` takes the three
-pairings and the Gauss-point values of w and v, computes the mixed
-moments once and then gives the ray maxima of any array of steps in a
-few vectorized operations.
+mixed moments int w^a v^b dx.  ``step_polynomial`` is that rule, built
+once per descent from the nonlinearity, the steps and the Gauss weights:
+it holds the Vandermonde matrix of the steps and the binomial weights of
+F's terms, so that each call, given the three pairings and the power
+tables of w and v, makes one mixed-moment product and one product with
+the Vandermonde matrix and then gives the ray maxima of every step at
+once.
 
 Every integer power (in f, F, the moments and the mixed moments) comes
 from one power table, u^0 ... u^top by repeated multiplication
-(``_powers``).  It agrees with numpy's general ``u**k`` to round-off, not
-bitwise, and costs a fraction of it on negative values.
+(``power_table``).  It agrees with numpy's general ``u**k`` to round-off,
+not bitwise, and costs a fraction of it on negative values.  The descent
+fills one table of w per iteration and takes both f(w)
+(``Nonlinearity.f_from_powers``) and the mixed moments from it.
 """
 
 import math
@@ -40,6 +45,7 @@ __all__ = [
     "Nonlinearity",
     "NONLINEARITIES",
     "nonlinearity_from_name",
+    "power_table",
     "moments",
     "gauss_moments",
     "ray_coefficients",
@@ -54,20 +60,24 @@ __all__ = [
 ]
 
 
-def _powers(x, top):
-    """[x^0, x^1, ..., x^top] by repeated multiplication (numpy's general
-    ``x**k`` costs 10-20 times as much on negative values)."""
+def power_table(x, top, out=None):
+    """The power table x^0, x^1, ..., x^top of x, stacked along a new
+    first axis, by repeated multiplication (numpy's general ``x**k``
+    costs 10-20 times as much on negative values); written into ``out``
+    when given."""
     x = np.asarray(x, dtype=float)
-    pw = [np.ones(x.shape), x]
-    for _ in range(top - 1):
-        pw.append(pw[-1] * x)
-    return pw[:top + 1]
+    if out is None:
+        out = np.empty((top + 1,) + x.shape)
+    out[0] = 1.0
+    for k in range(1, top + 1):
+        np.multiply(out[k - 1], x, out=out[k, ...])
+    return out
 
 
-def _power_sum(terms, t):
-    """sum c t^k over the (c, k) terms, added in order from a zero array."""
-    pw = _powers(t, max([k for _, k in terms], default=0))
-    out = np.zeros(pw[0].shape)
+def _power_sum(terms, pw):
+    """sum c x^k over the (c, k) terms, added in order from a zero array,
+    from the power table pw of x."""
+    out = np.zeros(pw.shape[1:])
     for c, k in terms:
         out = out + c * pw[k]
     return out if out.ndim else float(out)
@@ -97,11 +107,17 @@ class Nonlinearity:
                              f"must be at least 2, one above 2; got {powers}")
 
     def f(self, t):
-        terms = [(k * a, k - 1) for k, a in self.F_coeffs.items()]
-        return _power_sum(terms, t)
+        return self.f_from_powers(power_table(t, max(self.F_coeffs) - 1))
+
+    def f_from_powers(self, pw):
+        """f(x) from the power table pw of x (``power_table``), which reaches
+        at least the top power of f; the same bits as ``f``."""
+        return _power_sum([(k * a, k - 1) for k, a in self.F_coeffs.items()],
+                          pw)
 
     def F(self, t):
-        return _power_sum([(a, k) for k, a in self.F_coeffs.items()], t)
+        return _power_sum([(a, k) for k, a in self.F_coeffs.items()],
+                          power_table(t, max(self.F_coeffs)))
 
     @property
     def moment_powers(self):
@@ -156,7 +172,7 @@ def moments(form, u_full, powers):
 def gauss_moments(x, weights, powers):
     """int u^k dx for every requested power, from the values x of u at the
     domain Gauss points and their weights."""
-    pw = _powers(x, max(powers, default=0))
+    pw = power_table(x, max(powers, default=0))
     return {k: float(weights @ pw[k]) for k in powers}
 
 
@@ -261,34 +277,40 @@ def ray_data(form, nl, u_unknown):
     return ts, c
 
 
-def step_polynomial(nl, B_step, x, weights):
-    """Ray maxima of the steps u = w + s v, for an array of s.
+def step_polynomial(nl, steps, weights):
+    """The rule giving the ray maxima of the steps u = w + s v, s in
+    ``steps``, built once per descent for domain Gauss weights
+    ``weights``.
 
-    ``B_step`` holds B[w, w], B[w, v] and B[v, v], and the two rows of x
-    the values of w and v at the domain Gauss points, whose weights are
-    ``weights``.  B[u, u] = B[w,w] + 2s B[w,v] + s^2 B[v,v] and int u^k dx
-    = sum_j C(k,j) s^j int w^(k-j) v^j dx; the mixed moments come from one
-    (k+1) x (k+1) product of the power vectors of w and v.  The returned
-    function maps an array of steps to (t*, g(t*), c): ``ray_max`` of the
-    ray coefficients c of w + s v, one row per step, taken for every step
-    at once.
+    The rule maps ``B_step`` and ``pw`` to (t*, g(t*), c): ``ray_max`` of
+    the ray coefficients c of w + s v, one row per step, taken for every
+    step at once.  ``B_step`` holds B[w, w], B[w, v] and B[v, v], and pw
+    is the power table (``power_table``, up to the top power of F) of the
+    values of w (pw[:, 0]) and v (pw[:, 1]) at the domain Gauss points.
+    B[u, u] = B[w,w] + 2s B[w,v] + s^2 B[v,v] and int u^k dx =
+    sum_j C(k,j) s^j int w^(k-j) v^j dx; a call makes one (k+1) x (k+1)
+    product of the two tables for the mixed moments and one product with
+    the Vandermonde matrix of the steps, which is built here, as are the
+    weights a_k C(k,j) of F's terms.
     """
     n = max(nl.moment_powers) + 1
-    # pw[a] = (w^a, v^a) at the Gauss points
-    pw = np.array(_powers(x, n - 1))
-    mixed = ((pw[:, 0] * weights) @ pw[:, 1].T).tolist()
-    # coefficients of s^j (row j) of B[u, u] (column 0) and of the ray
-    # coefficients c[0], c[1], ... of ``ray_coefficients`` (columns 1, ...)
-    coeffs = np.zeros((n, 1 + n))
-    Bww, Bwv, Bvv = B_step
-    coeffs[:3, 0] = (Bww, 2.0 * Bwv, Bvv)
-    coeffs[:3, 3] = 0.5 * coeffs[:3, 0]
-    for k, a in nl.F_coeffs.items():
-        coeffs[:k + 1, 1 + k] -= [a * math.comb(k, j) * mixed[k - j][j]
-                                  for j in range(k + 1)]
+    vander = np.vander(steps, n, increasing=True)
+    # the term -a_k C(k,j) int w^(k-j) v^j dx of the coefficient of s^j
+    # (row j) of c[k] (column 1 + k)
+    rows, mixed_rows, cols, binom = (np.array(t) for t in zip(*[
+        (j, k - j, 1 + k, a * math.comb(k, j))
+        for k, a in nl.F_coeffs.items() for j in range(k + 1)]))
 
-    def rays(steps):
-        m = np.vander(steps, n, increasing=True) @ coeffs
+    def rays(B_step, pw):
+        mixed = (pw[:, 0] * weights) @ pw[:, 1].T
+        # coefficients of s^j (row j) of B[u, u] (column 0) and of the ray
+        # coefficients c[0], c[1], ... of ``ray_coefficients`` (columns 1, ...)
+        coeffs = np.zeros((n, 1 + n))
+        Bww, Bwv, Bvv = B_step
+        coeffs[:3, 0] = (Bww, 2.0 * Bwv, Bvv)
+        coeffs[:3, 3] = 0.5 * coeffs[:3, 0]
+        coeffs[rows, cols] -= binom * mixed[mixed_rows, rows]
+        m = vander @ coeffs
         c = m[:, 1:]
         return (*ray_max(nl, m[:, 0], c), c)
 

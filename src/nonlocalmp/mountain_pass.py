@@ -13,27 +13,31 @@ starting from an iterate w sitting on its own ray maximum:
   1. take the modal gradient g^ = V^T I'[w] = lam a - V^T load
      (``modal_gradient``), where the load holds
      int (f(w) + sigma w) phi_i dx (sigma int w phi_i is (M w)_i, the
-     Gauss rule being exact for P1 products).  The Riesz representative
-     b of the gradient, (B + sigma M) b = I'[w], is V (g^ / lam), so its
-     H1 norm over the physical domain is |g^ / lam|; stop when it is at
-     most the tolerance (a vanishing gradient included), or when the
-     iteration budget is spent;
+     Gauss rule being exact for P1 products) and f(w) comes from the
+     power table of the Gauss values x_w, filled once per iteration.
+     The Riesz representative b of the gradient, (B + sigma M) b = I'[w],
+     is V (g^ / lam), so its H1 norm over the physical domain is
+     |g^ / lam|; stop when it is at most the tolerance (a vanishing
+     gradient included), or when the iteration budget is spent;
   2. form the normalized descent direction v1 = V v^ from the nonzero
      g^ (``modal_direction``) and step along it by one of the halved
      steps delta 2^-k, k = 0 .. max_halvings, whose re-maximized trial
      t*(w~) w~ has strictly lower energy.  Along w + s v1 the pairings
      B[w,w], B[w,v1], B[v1,v1] and B of every trial are sums over the
-     modes, sum lam a b less the grounding sigma int u v, and the
-     moments of a trial come from the Gauss values x_w + s x_v.  The
-     step polynomial of the iteration (``energy.step_polynomial``)
-     gives t* and the ray maximum of every halved step in one batched
-     call; of the steps whose ray maximum is below e(w), the one with
-     the lowest ray maximum is taken, ties going to the longer step (a
-     NaN, no ray maximum, never is).  Along a near-quadratic ray the
-     energy falls on (0, 2 s_opt), so the first halving below e(w) may
-     lie anywhere in [s_opt, 2 s_opt) and lower the energy by almost
-     nothing, while the lowest lies within a factor sqrt(2) of s_opt.
-     That call is the iteration's only ray evaluation;
+     modes, sum lam a b less the grounding sigma int u v (lam a is the
+     gradient's), and the moments of a trial come from the Gauss values
+     x_w + s x_v.  The step rule (``energy.step_polynomial``), built
+     once per descent with the Vandermonde matrix of the steps, takes
+     the pairings and the power
+     tables of x_w (the one f(w) came from) and x_v and gives t* and the
+     ray maximum of every halved step in one batched call; of the steps
+     whose ray maximum is below e(w), the one with the lowest ray
+     maximum is taken, ties going to the longer step (a NaN, no ray
+     maximum, never is).  Along a near-quadratic ray the energy falls on
+     (0, 2 s_opt), so the first halving below e(w) may lie anywhere in
+     [s_opt, 2 s_opt) and lower the energy by almost nothing, while the
+     lowest lies within a factor sqrt(2) of s_opt.  That call is the
+     iteration's only ray evaluation;
   3. replace w by the re-maximized trial t* (w + s v1) and repeat.
 
 An iteration thus makes two dense n x n products, V^T load and V v^.
@@ -68,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import ray_data, ray_energy, step_polynomial
+from .energy import power_table, ray_data, ray_energy, step_polynomial
 from .errors import ConfigError, InvariantViolation, check_finite
 
 __all__ = ["SolverConfig", "IterationRecord", "SolveResult",
@@ -149,25 +153,28 @@ def modal_direction(g_hat, lam, tau):
     return d_hat / -math.sqrt(float(d_hat @ d_hat))
 
 
-def modal_gradient(form, nl, basis, a, x):
-    """V^T g at the iterate with modal coordinates a and domain Gauss
-    values x, where ``basis`` is the form's ``modal_basis``.
+def modal_gradient(form, nl, basis, lam_a, pw):
+    """V^T g at the iterate w = V a, where ``basis`` is the form's
+    ``modal_basis``, lam_a = lam a and pw is the power table
+    (``energy.power_table``) of the values x of w at the domain Gauss
+    points, up to the top power of f at least (pw[1] = x).
 
     V^T B w = lam a - sigma V^T M w, and (M w)_i = int w phi_i dx joins
     the load: the Gauss rule is exact for products of P1 functions.
     """
-    sigma, lam, V = basis
-    f = nl.f(x)
+    sigma, _, V = basis
+    f = nl.f_from_powers(pw)
     if sigma:
-        f = f + sigma * x
-    return lam * a - V.T @ form.load_vector(f)
+        f = f + sigma * pw[1]
+    return lam_a - V.T @ form.load_vector(f)
 
 
-def pairing(basis, weights, a, x, b, y):
-    """B[u, v] of u = V a and v = V b, whose domain Gauss values are x and
-    y: sum lam a b less the grounding sigma int u v dx."""
-    sigma, lam, _ = basis
-    val = float((lam * a) @ b)
+def pairing(basis, weights, lam_a, x, b, y):
+    """B[u, v] of u = V a and v = V b, given lam_a = lam a, whose domain
+    Gauss values are x and y: lam_a . b less the grounding
+    sigma int u v dx."""
+    sigma = basis[0]
+    val = float(lam_a @ b)
     if sigma:
         val -= sigma * float(weights @ (x * y))
     return val
@@ -222,6 +229,11 @@ def solve(form, nl, u1, cfg=None):
     records = []
     # every step the halving may try: the floats of repeated halving
     steps = cfg.delta * 0.5 ** np.arange(cfg.max_halvings + 1)
+    rays = step_polynomial(nl, steps, weights)
+    # the power tables of x_w (column 0) and x_v (column 1), refilled in
+    # place every iteration; f(w) and the mixed moments share them
+    top = max(nl.moment_powers)
+    pw = np.empty((top + 1, 2, weights.size))
 
     def result(stop_reason):
         return SolveResult(solution=form.fe(w), records=records,
@@ -230,7 +242,9 @@ def solve(form, nl, u1, cfg=None):
                            initial_l2=l2_0, stop_reason=stop_reason)
 
     for it in itertools.count(1):
-        g_hat = modal_gradient(form, nl, basis, a, x_w)
+        power_table(x_w, top, out=pw[:, 0])
+        lam_a = lam * a
+        g_hat = modal_gradient(form, nl, basis, lam_a, pw[:, 0])
         b_hat = g_hat / lam
         grad_norm = math.sqrt(float(b_hat @ b_hat))
         if grad_norm <= cfg.epsilon:
@@ -241,18 +255,19 @@ def solve(form, nl, u1, cfg=None):
         v_hat = modal_direction(g_hat, lam, cfg.direction_reg)
         v = V @ v_hat
         x_v = form.values_at_omega_quad(form.full_values(v))
-        B_step = (pairing(basis, weights, a, x_w, a, x_w),
-                  pairing(basis, weights, a, x_w, v_hat, x_v),
-                  pairing(basis, weights, v_hat, x_v, v_hat, x_v))
-        t_steps, e_steps, c_steps = step_polynomial(
-            nl, B_step, np.vstack([x_w, x_v]), weights)(steps)
-        lower = np.flatnonzero(e_steps < e_w)
-        if not lower.size:
+        power_table(x_v, top, out=pw[:, 1])
+        B_step = (pairing(basis, weights, lam_a, x_w, a, x_w),
+                  pairing(basis, weights, lam_a, x_w, v_hat, x_v),
+                  pairing(basis, weights, lam * v_hat, x_v, v_hat, x_v))
+        t_steps, e_steps, c_steps = rays(B_step, pw)
+        # the lowest ray maximum below e(w); ties go to the longer step
+        # and NaN (no ray maximum) never wins
+        halvings = int(np.where(e_steps < e_w, e_steps, np.inf).argmin())
+        e_trial = float(e_steps[halvings])
+        if not e_trial < e_w:
             return result("stall")
 
-        halvings = int(lower[np.argmin(e_steps[lower])])
         s, ts = steps[halvings], float(t_steps[halvings])
-        e_trial = float(e_steps[halvings])
         w, a, x_w = ts * (w + s * v), ts * (a + s * v_hat), \
             ts * (x_w + s * x_v)
         if cfg.check_invariants:

@@ -85,7 +85,8 @@ def modal_direction_at(form, nl, w, cfg=None):
     basis = _, lam, V = form.modal_basis(cfg.grounding_rel)
     a = V.T @ (form.h1_gram @ w)
     x = form.values_at_omega_quad(form.full_values(w))
-    g_hat = mp.modal_gradient(form, nl, basis, a, x)
+    g_hat = mp.modal_gradient(form, nl, basis, lam * a,
+                              nm.energy.power_table(x, max(nl.F_coeffs)))
     g = nm.energy.gradient(form, nl, w)
     ref = V.T @ g
     assert np.linalg.norm(g_hat - ref) <= 1e-12 * np.linalg.norm(ref)

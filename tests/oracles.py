@@ -184,6 +184,53 @@ def per_entry_dump(path, B):
                 fh.write(f"{i} {j} {B[i, j]:.17g}\n")
 
 
+def _powers(x, top):
+    """[x^0, x^1, ..., x^top] by repeated multiplication."""
+    x = np.asarray(x, dtype=float)
+    pw = [np.ones(x.shape), x]
+    for _ in range(top - 1):
+        pw.append(pw[-1] * x)
+    return pw[:top + 1]
+
+
+def per_call_step_polynomial(nl, B_step, x, weights):
+    """Ray maxima of the steps u = w + s v, for an array of s, with
+    everything built per call: the step rule before it was built once per
+    descent.
+
+    ``B_step`` holds B[w, w], B[w, v] and B[v, v], and the two rows of x
+    the values of w and v at the domain Gauss points, whose weights are
+    ``weights``.  B[u, u] = B[w,w] + 2s B[w,v] + s^2 B[v,v] and int u^k dx
+    = sum_j C(k,j) s^j int w^(k-j) v^j dx; the mixed moments come from one
+    (k+1) x (k+1) product of the power vectors of w and v.  The returned
+    function maps an array of steps to (t*, g(t*), c): ``ray_max`` of the
+    ray coefficients c of w + s v, one row per step, taken for every step
+    at once.
+    """
+    from nonlocalmp import energy as en
+
+    n = max(nl.moment_powers) + 1
+    # pw[a] = (w^a, v^a) at the Gauss points
+    pw = np.array(_powers(x, n - 1))
+    mixed = ((pw[:, 0] * weights) @ pw[:, 1].T).tolist()
+    # coefficients of s^j (row j) of B[u, u] (column 0) and of the ray
+    # coefficients c[0], c[1], ... of ``ray_coefficients`` (columns 1, ...)
+    coeffs = np.zeros((n, 1 + n))
+    Bww, Bwv, Bvv = B_step
+    coeffs[:3, 0] = (Bww, 2.0 * Bwv, Bvv)
+    coeffs[:3, 3] = 0.5 * coeffs[:3, 0]
+    for k, a in nl.F_coeffs.items():
+        coeffs[:k + 1, 1 + k] -= [a * math.comb(k, j) * mixed[k - j][j]
+                                  for j in range(k + 1)]
+
+    def rays(steps):
+        m = np.vander(steps, n, increasing=True) @ coeffs
+        c = m[:, 1:]
+        return (*en.ray_max(nl, m[:, 0], c), c)
+
+    return rays
+
+
 def halving_solve(form, nl, u1, cfg):
     """The descent with a direct ray evaluation at every step halving.
 
@@ -211,7 +258,8 @@ def halving_solve(form, nl, u1, cfg):
     e_w = float(en.ray_energy(c, ts))
     records = []
     for it in range(1, cfg.max_iterations + 1):
-        g_hat = mp.modal_gradient(form, nl, basis, a, x_w)
+        g_hat = mp.modal_gradient(form, nl, basis, lam * a, en.power_table(
+            x_w, max(nl.F_coeffs)))
         grad_norm = math.sqrt(float((g_hat / lam) @ (g_hat / lam)))
         if grad_norm <= cfg.epsilon:
             return records, form.full_values(w), "converged"
@@ -222,7 +270,7 @@ def halving_solve(form, nl, u1, cfg):
         for halvings in range(cfg.max_halvings + 1):
             step = cfg.delta * 0.5 ** halvings
             a_u, x_u = a + step * v_hat, x_w + step * x_v
-            Buu = mp.pairing(basis, weights, a_u, x_u, a_u, x_u)
+            Buu = mp.pairing(basis, weights, lam * a_u, x_u, a_u, x_u)
             c = en.ray_coefficients(nl, Buu, en.gauss_moments(
                 x_u, weights, nl.moment_powers))
             ts = float(en.ray_max(nl, np.array([Buu]), c[None])[0][0])

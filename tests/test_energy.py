@@ -7,7 +7,8 @@ import nonlocalmp as nm
 from nonlocalmp import energy as en
 from nonlocalmp import mountain_pass as mp
 from nonlocalmp.errors import ZeroDirection
-from oracles import central_difference, companion_ray_max, grid_ray_argmax
+from oracles import (central_difference, companion_ray_max,
+                     grid_ray_argmax, per_call_step_polynomial)
 
 from conftest import CUBIC_PLUS_QUINTIC, h_for, modal_direction_at
 
@@ -18,14 +19,29 @@ SCREEN_NL = ALL_NL + [CUBIC_PLUS_QUINTIC]
 STEPS = 2.0 ** -np.arange(61)
 
 
-def step_screen(form, nl, w, v):
-    """``step_polynomial`` of the steps w + s v, with the pairings taken
-    by products with the assembled B."""
+def step_args(form, w, v):
+    """(B_step, x) of the steps w + s v: the pairings taken by products
+    with the assembled B, and the Gauss values of w and v as two rows."""
     x = np.vstack([form.values_at_omega_quad(form.full_values(u))
                    for u in (w, v)])
     B_step = (float(w @ form.B @ w), float(w @ form.B @ v),
               float(v @ form.B @ v))
-    return en.step_polynomial(nl, B_step, x, form.omega_quad_weights())
+    return B_step, x
+
+
+def screen(nl, B_step, x, weights, steps):
+    """(t*, g(t*), c) of the steps w + s v by ``step_polynomial``, from
+    the pairings ``B_step`` and the Gauss values x of w and v."""
+    rule = en.step_polynomial(nl, steps, weights)
+    return rule(B_step, en.power_table(x, max(nl.moment_powers)))
+
+
+def step_screen(form, nl, w, v):
+    """``step_polynomial`` of the steps w + s v as a function of the
+    steps, with the pairings taken by products with the assembled B."""
+    B_step, x = step_args(form, w, v)
+    return lambda steps: screen(nl, B_step, x, form.omega_quad_weights(),
+                                steps)
 
 
 def ray_max_one(nl, Buu, P):
@@ -275,6 +291,25 @@ def test_step_polynomial_matches_ray_data(nl, setup, request):
 
 @pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
 @pytest.mark.parametrize("nl", SCREEN_NL, ids=lambda nl: nl.name)
+def test_step_polynomial_built_once_matches_per_call_rule(nl, setup,
+                                                          request):
+    # the rule built once per descent gives the bits of the rule that built
+    # its Vandermonde matrix, binomial weights and power tables per call
+    mesh, form, M, S, u1 = request.getfixturevalue(setup)
+    u = form.reduce(u1)
+    w = en.t_star(form, nl, u) * u
+    v = modal_direction_at(form, nl, w)[1]
+    B_step, x = step_args(form, w, v)
+    weights = form.omega_quad_weights()
+    got = screen(nl, B_step, x, weights, STEPS)
+    ref = per_call_step_polynomial(nl, B_step, x, weights)(STEPS)
+    assert not np.isnan(got[1]).all()
+    for g, r in zip(got, ref):
+        assert np.array_equal(g, r, equal_nan=True)
+
+
+@pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
+@pytest.mark.parametrize("nl", SCREEN_NL, ids=lambda nl: nl.name)
 def test_step_polynomial_zero_direction(nl, setup, request):
     # the screen keeps ray_data's rule: no bilinear-form energy, no ray
     mesh, form, M, S, u1 = request.getfixturevalue(setup)
@@ -339,8 +374,8 @@ def point_screen(nl, b):
     """The screened ray of u = 1 at step 0, for one unknown and one
     unit-weight Gauss point holding its value: B[u, u] = b and every
     moment equals 1."""
-    return en.step_polynomial(nl, (b, 0.0, 0.0), np.array([[1.0], [0.0]]),
-                              np.ones(1))(np.zeros(1))[1][0]
+    return screen(nl, (b, 0.0, 0.0), np.array([[1.0], [0.0]]), np.ones(1),
+                  np.zeros(1))[1][0]
 
 
 @pytest.mark.parametrize("F, b, has_max", [

@@ -158,8 +158,8 @@ def test_lowest_halving_below_energy_is_taken(case1_coarse, monkeypatch):
     def recorded(*args):
         rays = step_polynomial(*args)
 
-        def recorded_rays(steps):
-            out = rays(steps)
+        def recorded_rays(*rays_args):
+            out = rays(*rays_args)
             energies.append(out[1])
             return out
         return recorded_rays
@@ -339,7 +339,7 @@ def test_modal_coordinates_carry_the_form(setup, request):
         assert float(lam @ (a * a)) == pytest.approx(
             wBw + sigma * float(w @ M_u @ w), rel=1e-12)
         x = form.values_at_omega_quad(form.full_values(w))
-        assert mp.pairing(basis, weights, a, x, a, x) == pytest.approx(
+        assert mp.pairing(basis, weights, lam * a, x, a, x) == pytest.approx(
             wBw, rel=1e-12)
 
 
