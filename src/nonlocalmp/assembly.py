@@ -23,11 +23,12 @@ and on how many elements apart the two lie.  One offset table holds
 these integrals for every offset d: the Gauss rule of a configurable
 order over the element d places away, split at x when d = 0, which
 restores full accuracy for kernels with a kink at the origin
-(exponential, power law).  At the Gauss points rho_k the table gives K
-as four Toeplitz matrices of its hat-weighted sums; the local kernel
-mass g and the convolution inside -L u are ``np.convolve`` of its
-columns with nodal values.  So a form evaluates gamma at (2 n_e - 1) q^2
-distances, not at every pair of its n_e q Gauss points.
+(exponential, power law).  The table is taken at the Gauss points
+rho_k and kept on the form.  It gives K as four Toeplitz matrices of its
+hat-weighted sums; the local kernel mass g and the convolution inside
+-L u are ``np.convolve`` of its columns with nodal values.  So a form
+evaluates gamma at (2 n_e - 1) q^2 distances, not at every pair of its
+n_e q Gauss points, and -L u evaluates none.
 
 The dense linear algebra is numpy's: the generalized eigendecomposition
 of the pencil (B + sigma M, H) behind the descent's modal basis, the
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .errors import (ConfigError, ExtensionMarginWarning, OutsideDomain,
+from .errors import (ConfigError, ExtensionMarginWarning,
                      SingularExteriorBlock, SingularSystem)
 
 __all__ = ["QUAD_ORDER", "NonlocalForm", "assemble_dirichlet",
@@ -59,24 +60,15 @@ class _Quadrature:
 
     ref_pts: np.ndarray      # (q,) on [0, 1]
     ref_wts: np.ndarray
-    Xf: np.ndarray           # every element's points, flattened (n_e q,)
-    Wf: np.ndarray
+    Wf: np.ndarray           # every element's weights, flattened (n_e q,)
     pb: np.ndarray           # (2, q) local basis at the reference points
     wpb: np.ndarray          # (2, q) pb times one element's Gauss weights
 
 
 def _make_quadrature(mesh, order):
-    X, W, ref_pts, ref_wts = fem.element_quadrature(mesh, order)
+    _, W, ref_pts, ref_wts = fem.element_quadrature(mesh, order)
     pb = np.vstack([1.0 - ref_pts, ref_pts])
-    return _Quadrature(ref_pts, ref_wts, X.ravel(), W.ravel(), pb, W[0] * pb)
-
-
-def _p1_values(u, hats):
-    """Values of the P1 function with nodal values u at points given by
-    ``hats`` = (i, i + 1, phi_i, phi_i+1): i is the left node of each
-    point's element and phi_i, phi_i+1 its two hat values there."""
-    i0, i1, phi0, phi1 = hats
-    return u[i0] * phi0 + u[i1] * phi1
+    return _Quadrature(ref_pts, ref_wts, W.ravel(), pb, W[0] * pb)
 
 
 def _hat_sums(A, wpb):
@@ -102,7 +94,8 @@ class NonlocalForm:
     (the L2(Omega) mass matrix over all nodes, zero outside Omega),
     ``h1_gram`` (H1(Omega) over unknown nodes) and, for Neumann runs,
     ``exterior_map`` which reconstructs exterior nodal values from the
-    interior ones.
+    interior ones.  The offset table and the Omega mass weight of the
+    assembly stay on the form for ``operator_at_omega_quad``.
     """
 
     def __init__(self, mesh, kernel, constraint, quad_order):
@@ -120,18 +113,19 @@ class NonlocalForm:
 
     # -- assembly -----------------------------------------------------------
 
-    def _offset_table(self, rho):
+    def _offset_table(self):
         """T[n_e - 1 + d, k, b] = int gamma(|x - y|) phi_b(y) dy over the
-        element d places away from the one holding x = x_e + h rho_k, with
-        phi_0, phi_1 that element's two hats, for d = 1 - n_e .. n_e - 1.
+        element d places away from the one holding the Gauss point
+        x = x_e + h rho_k, with phi_0, phi_1 that element's two hats, for
+        d = 1 - n_e .. n_e - 1.
 
         The rule is the Gauss rule on the element, and on each of its two
-        sides of x when d = 0.  Shape (2 n_e - 1, rho.size, 2).
+        sides of x when d = 0.  Shape (2 n_e - 1, q, 2).
         """
         quad, h, n_e = self._quad, self.mesh.h, self.mesh.n_elements
         r, w = quad.ref_pts, quad.ref_wts
         # coordinates relative to the left node of x's element
-        x = h * rho[:, None]
+        x = h * r[:, None]
         y = h * np.arange(1 - n_e, n_e)[:, None, None] + h * r
         T = self.kernel.gamma(np.abs(y - x)) * (h * w) @ quad.pb.T
         # x's own element: the Gauss rule on each side of x
@@ -142,18 +136,18 @@ class NonlocalForm:
                                (gw * ys / h).sum(axis=1)], axis=1)
         return T
 
-    def _convolve(self, T, u_full):
-        """int gamma(|x - y|) u(y) dy at the points x = x_e + h rho_k of
-        the offset table T, for every element e (rows) and every k
-        (columns), u the P1 function with nodal values ``u_full``."""
-        n_e = self.mesh.n_elements
+    def _convolve(self, u_full):
+        """int gamma(|x - y|) u(y) dy at the Gauss points x = x_e + h rho_k
+        for every element e (rows) and every k (columns), u the P1 function
+        with nodal values ``u_full``."""
+        T, n_e = self._table, self.mesh.n_elements
         return np.stack([sum(np.convolve(T[::-1, k, b], u_full[b:b + n_e],
                                          "valid") for b in (0, 1))
                          for k in range(T.shape[1])], axis=1)
 
     def _assemble_common(self):
         quad, n_e = self._quad, self.mesh.n_elements
-        T = self._offset_table(quad.ref_pts)
+        self._table = T = self._offset_table()
         # A[n_e - 1 + d, a, b]: the (a, b) hat entry of the element pair
         # (e, e + d), the same for every e; row e of its Toeplitz matrix
         # holds the offsets -e .. n_e - 1 - e
@@ -173,15 +167,17 @@ class NonlocalForm:
                                  "cover exactly the physical domain")
             self.unknown_idx = np.arange(1, self.mesh.n_nodes - 1)
             # Omega is the whole mesh here, so M is the full mass matrix
+            # K and M are symmetric, so this B is, exactly
             B_full = self.kernel_mass * self.M - self.K
-            B = B_full[np.ix_(self.unknown_idx, self.unknown_idx)]
-            self.B = 0.5 * (B + B.T)
+            self.B = B_full[np.ix_(self.unknown_idx, self.unknown_idx)]
             self.B_tilde = None
             self.exterior_map = None
             self.exterior_idx = np.array([0, self.mesh.n_nodes - 1])
+            self._mass = self.kernel_mass
         else:
-            self._assemble_neumann_reduction(
-                self._convolve(T, np.ones(self.mesh.n_nodes)))
+            g = self._convolve(np.ones(self.mesh.n_nodes))
+            self._assemble_neumann_reduction(g)
+            self._mass = g[lo:hi]
 
         unknown = np.ix_(self.unknown_idx, self.unknown_idx)
         self.h1_gram = (self.M + S)[unknown]    # H1(Omega) Gram matrix M + S
@@ -280,15 +276,13 @@ class NonlocalForm:
 
     # -- quadrature-level accessors ------------------------------------------
 
-    def omega_quad_points(self):
-        return self._quad.Xf[self._omega_rows]
-
     def omega_quad_weights(self):
         return self._quad.Wf[self._omega_rows]
 
     def values_at_omega_quad(self, u_full):
         """P1 values of a full nodal vector at the domain Gauss points."""
-        return _p1_values(u_full, self._omega_hats)
+        i0, i1, phi0, phi1 = self._omega_hats
+        return u_full[i0] * phi0 + u_full[i1] * phi1
 
     def load_vector(self, f_at_quad):
         """Unknown-node load vector int f(x) phi_i(x) dx over the domain."""
@@ -356,48 +350,18 @@ class NonlocalForm:
 
     # -- the operator -L u --------------------------------------------------
 
-    def _minus_L(self, u_full, elems, rho, u_x):
-        """(-L u)(x) = m(x) u(x) - int gamma(|x-y|) u(y) dy at the points
-        x = x_e + h rho_k of the elements ``elems`` (rows), for every k
-        (columns); ``u_x`` holds u(x) there.
-
-        The convolution is the assembly's offset table.  m(x) is Gamma for
-        Dirichlet forms (u is extended by zero) and for Neumann forms the
-        same convolution of 1 over the computational interval, so that the
-        operator annihilates constants as the assembled form does.
-        """
-        T = self._offset_table(rho)
-        conv = self._convolve(T, u_full)[elems]
-        if self.constraint == "dirichlet":
-            m = self.kernel_mass
-        else:
-            m = self._convolve(T, np.ones_like(u_full))[elems]
-        return m * u_x - conv
-
-    def apply_operator(self, u, x):
-        """Pointwise (-L u)(x) at one point x of the physical domain, by
-        the rule of ``operator_at_omega_quad``."""
-        mesh = self.mesh
-        o_left, o_right = mesh.omega
-        if not (o_left <= x <= o_right):
-            raise OutsideDomain(f"x = {x} lies outside the physical domain")
-        e = min(int(np.searchsorted(mesh.nodes, x, side="right")) - 1,
-                mesh.n_elements - 1)
-        rho = (x - mesh.nodes[e]) / mesh.h
-        u_full = self.as_full(u)
-        u_x = _p1_values(u_full, (e, e + 1, 1.0 - rho, rho))
-        return float(self._minus_L(u_full, e, np.array([rho]), u_x)[0])
-
     def operator_at_omega_quad(self, u_full):
-        """(-L u) at every domain Gauss point, vectorized.
+        """(-L u)(x) = m(x) u(x) - int gamma(|x-y|) u(y) dy at every domain
+        Gauss point x, for the full nodal vector ``u_full``.
 
-        Uses exactly the assembly quadrature (including the self-element
-        splits), so a Neumann constant gives zero to round-off.
+        The convolution reads the assembly's offset table, so no kernel is
+        evaluated.  m(x) is Gamma for Dirichlet forms (u is extended by
+        zero) and for Neumann forms the local kernel mass g of the
+        assembly, so that a Neumann constant gives zero to round-off.
         """
         lo, hi = self.mesh.interior_range
         u_x = self.values_at_omega_quad(u_full).reshape(hi - lo, -1)
-        return self._minus_L(u_full, slice(lo, hi), self._quad.ref_pts,
-                             u_x).ravel()
+        return (self._mass * u_x - self._convolve(u_full)[lo:hi]).ravel()
 
     # -- diagnostics ------------------------------------------------------------
 

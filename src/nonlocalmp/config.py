@@ -166,10 +166,15 @@ class RunSpec:
         m = _STEP_RE.match(guess)
         if m:
             try:
-                return ("step", float(m.group(1)), float(m.group(2)))
+                a, b = float(m.group(1)), float(m.group(2))
             except ValueError:
                 raise ConfigError(f"malformed step bounds in {guess!r}",
                                   key="initial_guess") from None
+            if not a < b:
+                # an empty interval is an all-zero start
+                raise ConfigError(f"initial_guess step(a,b) needs a < b, "
+                                  f"got {guess!r}", key="initial_guess")
+            return ("step", a, b)
         if guess.endswith(".csv"):
             return ("csv", guess)
         raise ConfigError(

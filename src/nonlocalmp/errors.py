@@ -20,10 +20,6 @@ class SingularExteriorBlock(NonlocalMPError):
     """Exterior-exterior block of the Neumann operator is numerically singular."""
 
 
-class OutsideDomain(NonlocalMPError):
-    """Point-wise operator evaluation requested outside the physical domain."""
-
-
 class ZeroDirection(NonlocalMPError):
     """Ray maximizer is undefined: the direction has no energy content."""
 

@@ -9,9 +9,8 @@ import pytest
 from scipy import linalg
 
 import nonlocalmp as nm
-from nonlocalmp import assembly
-from nonlocalmp.errors import (ExtensionMarginWarning, OutsideDomain,
-                               SingularExteriorBlock)
+from nonlocalmp import assembly, fem
+from nonlocalmp.errors import ExtensionMarginWarning, SingularExteriorBlock
 from nonlocalmp.mountain_pass import SolverConfig
 from oracles import (brute_force_quadratic_form, dense_convolution,
                      per_entry_dump)
@@ -20,11 +19,11 @@ from conftest import h_for
 
 
 def test_symmetry_all_kernels():
+    # exact: the Dirichlet B is not symmetrized after K, so this pins it
     mesh = nm.build_mesh(-math.pi, math.pi, h_for(40))
     for kernel in nm.builtin_kernels().values():
         form = nm.assemble_dirichlet(mesh, kernel)
-        B = form.B
-        assert np.max(np.abs(B - B.T)) <= 1e-12 * np.max(np.abs(B))
+        assert np.array_equal(form.B, form.B.T)
 
 
 def test_dirichlet_identity_mass_minus_convolution(case1_coarse):
@@ -80,32 +79,50 @@ def test_quad_order_convergence():
     assert abs(vals[4] - vals[6]) <= 1e-8 * abs(vals[6])
 
 
-def test_apply_operator_zero(case1_coarse):
+def test_operator_at_omega_quad_zero(case1_coarse):
     mesh, form, M, S, u1 = case1_coarse
-    zero = nm.FeFunction(mesh)
-    for x in (-2.0, 0.0, 1.3):
-        assert form.apply_operator(zero, x) == 0.0
+    assert np.all(form.operator_at_omega_quad(np.zeros(mesh.n_nodes)) == 0.0)
 
 
-def test_apply_operator_indicator_tail():
-    # all-ones data on (0,3) with zero extension: the operator value at
-    # x=1.5 is the exterior mass of the kernel, exp(-1.5) for this one
+def test_operator_indicator_tail():
+    # all-ones data on (0,3) with zero extension: the operator value at x
+    # is the exterior mass of the kernel, (exp(-x) + exp(-(3-x)))/2 for
+    # this one
     mesh = nm.build_mesh(0.0, 3.0, 0.075)
     form = nm.assemble_dirichlet(mesh, nm.Exponential())
-    u = nm.FeFunction(mesh, np.ones(mesh.n_nodes))
-    val = form.apply_operator(u, 1.5)
-    assert val == pytest.approx(math.exp(-1.5), abs=1e-12)
+    x = fem.element_quadrature(mesh, form.quad_order)[0].ravel()
+    vals = form.operator_at_omega_quad(np.ones(mesh.n_nodes))
+    np.testing.assert_allclose(vals, 0.5 * (np.exp(-x) + np.exp(x - 3.0)),
+                               rtol=0, atol=1e-12)
 
 
-def test_apply_operator_outside_domain(case1_coarse):
-    mesh, form, M, S, u1 = case1_coarse
-    with pytest.raises(OutsideDomain):
-        form.apply_operator(nm.FeFunction(mesh), 2.0 * math.pi)
+@pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
+def test_operator_evaluates_no_kernel(setup, request, monkeypatch):
+    # -L u reads the offset table and mass weight kept by assembly
+    mesh, form, M, S, u1 = request.getfixturevalue(setup)
+    calls = []
+    gamma = type(form.kernel).gamma
+
+    def counted(self, r):
+        calls.append(np.size(r))
+        return gamma(self, r)
+
+    monkeypatch.setattr(type(form.kernel), "gamma", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtensionMarginWarning)
+        fresh = assembly.NonlocalForm(mesh, form.kernel, form.constraint,
+                                      form.quad_order)
+    assert calls
+    calls.clear()
+    for f in (form, fresh):
+        f.operator_at_omega_quad(u1.values)
+    assert calls == []
 
 
 def test_greens_identity_consistency():
-    # nodal operator values converge to the L2 projection of -Lu onto the
-    # full P1 space (coefficients M^{-1}(Gamma M - K)u) at second order
+    # Gauss-point operator values converge to the L2 projection of -Lu
+    # onto the full P1 space (coefficients M^{-1}(Gamma M - K)u) at second
+    # order, measured in the Gauss-weighted L2 norm
     kernel = nm.Exponential()
     errs = []
     for n in (40, 80):
@@ -115,9 +132,9 @@ def test_greens_identity_consistency():
         M_full, _ = nm.omega_norm_matrices(mesh)
         weak = form.kernel_mass * (M_full @ u.values) - form.K @ u.values
         proj = np.linalg.solve(M_full, weak)
-        nodal = np.array([form.apply_operator(u, x) for x in mesh.nodes])
-        diff = nodal - proj
-        errs.append(float(np.sqrt(diff @ M_full @ diff)))
+        diff = form.operator_at_omega_quad(u.values) \
+            - form.values_at_omega_quad(proj)
+        errs.append(float(np.sqrt(form.omega_quad_weights() @ diff**2)))
     assert 2.5 < errs[0] / errs[1] < 6.0
 
 
@@ -132,10 +149,7 @@ def test_neumann_annihilates_constants(neumann_coarse):
 
 def test_neumann_operator_on_constant(neumann_coarse):
     mesh, form, M, S, u1 = neumann_coarse
-    one = nm.FeFunction(mesh, np.ones(mesh.n_nodes))
-    for x in np.linspace(0.0, 3.0, 7):
-        assert form.apply_operator(one, x) == pytest.approx(0.0, abs=1e-14)
-    vals = form.operator_at_omega_quad(one.values)
+    vals = form.operator_at_omega_quad(np.ones(mesh.n_nodes))
     assert np.max(np.abs(vals)) <= 1e-14
 
 
@@ -300,14 +314,12 @@ def test_local_basis_matches_dense_reference(setup, request):
         else C[om].sum(axis=1)
     op = m * (P[om] @ u) - C[om] @ u
     assert _rel_err(form.operator_at_omega_quad(u), op) <= 1e-13
-    pointwise = [form.apply_operator(u, x) for x in form.omega_quad_points()]
-    assert _rel_err(pointwise, op) <= 1e-13
 
 
 @pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
 def test_no_array_grows_as_points_times_nodes(setup, request):
     mesh, form, M, S, u1 = request.getfixturevalue(setup)
-    limit = form._quad.Xf.size * mesh.n_nodes
+    limit = mesh.n_elements * form.quad_order * mesh.n_nodes
     owned = list(vars(form).values()) + list(vars(form._quad).values())
     arrays = [a for a in owned if isinstance(a, np.ndarray)]
     assert arrays and max(a.size for a in arrays) < limit

@@ -335,6 +335,7 @@ BAD_MESH_OR_START = [
     ("neumann.extension", "-1"),
     ("initial_guess", "two-rows.csv"),
     ("initial_guess", "nan-value.csv"),
+    ("initial_guess", "step(2,1)"),     # an empty interval, all-zero start
     # single-run outputs on a study, which would ignore them
     ("output.solution", "u.csv"),
     ("output.log", "log.csv"),
@@ -362,6 +363,8 @@ def test_bad_mesh_or_start_exits_4(tmp_path, capsys, key, value):
     elif key == "neumann.extension":
         text = text.replace("constraint = dirichlet", "constraint = neumann")
         text += f"neumann.extension = {value}\n"
+    elif value.startswith("step("):
+        text = text.replace("initial_guess = sine", f"initial_guess = {value}")
     else:
         start = tmp_path / value
         if value == "nan-value.csv":
