@@ -31,11 +31,11 @@ evaluates gamma at (2 n_e - 1) q^2 distances, not at every pair of its
 n_e q Gauss points, and -L u evaluates none.
 
 The dense linear algebra is numpy's: the generalized eigendecomposition
-of the pencil (B + sigma M, H) behind the descent's modal basis, the
-Cholesky factor of B + sigma M behind the reference resolve (both cached
-on the form) and one Cholesky solve of the Neumann exterior elimination.
-A non-finite matrix or right-hand side raises ValueError, and a
-factorization that fails raises SingularSystem or SingularExteriorBlock.
+of the pencil (B + sigma M, H) behind the modal basis the form caches, a
+Cholesky factor of B + sigma M per reference resolve and one Cholesky
+solve of the Neumann exterior elimination.  K is a temporary of the
+assembly.  A non-finite matrix or right-hand side raises ValueError, and
+a factorization that fails raises SingularSystem or SingularExteriorBlock.
 """
 
 import warnings
@@ -88,11 +88,11 @@ def _hat_sums(A, wpb):
 class NonlocalForm:
     """Assembled nonlocal form with constraint bookkeeping.
 
-    Attributes of interest: ``B`` (matrix over unknown nodes), ``K`` (the
-    raw convolution matrix over all nodes), ``kernel_mass`` (Gamma),
-    ``constraint`` ('dirichlet' or 'neumann'), ``unknown_idx``, ``M``
-    (the L2(Omega) mass matrix over all nodes, zero outside Omega),
-    ``h1_gram`` (H1(Omega) over unknown nodes) and, for Neumann runs,
+    Attributes of interest: ``B`` (matrix over unknown nodes),
+    ``kernel_mass`` (Gamma), ``constraint`` ('dirichlet' or 'neumann'),
+    ``unknown_idx``, ``M`` (the L2(Omega) mass matrix over all nodes, zero
+    outside Omega), ``h1_gram`` (H1(Omega) over unknown nodes) and, for
+    Neumann runs, ``B_tilde`` (the form over all nodes) and
     ``exterior_map`` which reconstructs exterior nodal values from the
     interior ones.  The offset table and the Omega mass weight of the
     assembly stay on the form for ``operator_at_omega_quad``.
@@ -106,8 +106,7 @@ class NonlocalForm:
         self.quad_order = quad_order
         self.kernel_mass = kernel.total_mass
         self._quad = _make_quadrature(mesh, quad_order)
-        # (sigma, ...) of the last grounded factor and modal basis built
-        self._factor = None
+        # (sigma, lam, V) of the last modal basis built
         self._basis = None
         self._assemble_common()
 
@@ -157,7 +156,7 @@ class NonlocalForm:
             for b in range(2):
                 K[a:a + n_e, b:b + n_e] += np.lib.stride_tricks \
                     .sliding_window_view(A[:, a, b], n_e)[::-1]
-        self.K = 0.5 * (K + K.T)
+        K = 0.5 * (K + K.T)
 
         lo, hi = self.mesh.interior_range
         self.M, S = fem.omega_norm_matrices(self.mesh)
@@ -168,7 +167,7 @@ class NonlocalForm:
             self.unknown_idx = np.arange(1, self.mesh.n_nodes - 1)
             # Omega is the whole mesh here, so M is the full mass matrix
             # K and M are symmetric, so this B is, exactly
-            B_full = self.kernel_mass * self.M - self.K
+            B_full = self.kernel_mass * self.M - K
             self.B = B_full[np.ix_(self.unknown_idx, self.unknown_idx)]
             self.B_tilde = None
             self.exterior_map = None
@@ -176,7 +175,7 @@ class NonlocalForm:
             self._mass = self.kernel_mass
         else:
             g = self._convolve(np.ones(self.mesh.n_nodes))
-            self._assemble_neumann_reduction(g)
+            self._assemble_neumann_reduction(g, K)
             self._mass = g[lo:hi]
 
         unknown = np.ix_(self.unknown_idx, self.unknown_idx)
@@ -191,9 +190,9 @@ class NonlocalForm:
         first = self.unknown_idx[0] - lo
         self._load_rows = slice(first, first + self.n_unknowns)
 
-    def _assemble_neumann_reduction(self, g):
+    def _assemble_neumann_reduction(self, g, K):
         """B~ and its Schur reduction; g[e, k] = int_D gamma(|x - y|) dy at
-        the k-th Gauss point x of element e."""
+        the k-th Gauss point x of element e, K the convolution matrix."""
         mesh = self.mesh
         quad = self._quad
         elems = np.arange(mesh.n_elements)
@@ -203,7 +202,7 @@ class NonlocalForm:
             for b in range(2):
                 vals = (quad.wpb[a] * quad.pb[b] * g).sum(axis=1)
                 np.add.at(Wmat, (elems + a, elems + b), vals)
-        B_tilde = Wmat - self.K
+        B_tilde = Wmat - K
         self.B_tilde = 0.5 * (B_tilde + B_tilde.T)
 
         idx_in = np.arange(mesh.interior_range[0], mesh.interior_range[1] + 1)
@@ -334,19 +333,17 @@ class NonlocalForm:
     def solve_spd(self, rhs, grounding_rel):
         """Solve (B + sigma M) x = rhs by Cholesky.
 
-        sigma M is the mass shift grounding the Neumann null mode.  The
-        lower Cholesky factor of the last grounding asked for is cached on
-        the form and solved by ``_cho_solve``.  ``rhs`` is a vector or a
+        sigma M is the mass shift grounding the Neumann null mode.  Each
+        call factors B + sigma M afresh (the factor checks that it is
+        positive definite) and keeps no factor.  ``rhs`` is a vector or a
         matrix of right-hand-side columns; a non-finite entry raises
         ValueError.
         """
         sigma = self.grounding_shift(grounding_rel)
-        if self._factor is None or self._factor[0] != sigma:
-            self._factor = (sigma, _cholesky(
-                self._grounded(sigma), SingularSystem(
-                    "system not positive definite (grounding shift "
-                    f"{sigma:.3g})")))
-        return _cho_solve(self._factor[1], rhs)
+        L = _cholesky(self._grounded(sigma), SingularSystem(
+            "system not positive definite (grounding shift "
+            f"{sigma:.3g})"))
+        return _cho_solve(L, rhs)
 
     # -- the operator -L u --------------------------------------------------
 

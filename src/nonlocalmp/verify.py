@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly, mountain_pass
-from .errors import NonlocalMPError
+from .errors import ConfigError, NonlocalMPError
 
 __all__ = ["CaseReport", "StudyResult", "residual_norms", "reference_errors",
            "l1_norm_p1", "l2_ratio", "run_single",
@@ -109,8 +109,8 @@ def reference_errors(form, M, nl, u,
     """Solve -L ubar = f(u) with the form's constraints; return the errors.
 
     Returns (E_L1, E_L2, ubar) where the norms measure u - ubar over the
-    physical domain.  The linear solve uses the form's cached Cholesky
-    factor of the grounded system; it builds no modal basis.
+    physical domain.  The linear solve factors the grounded system once
+    by Cholesky (``solve_spd``); it builds no modal basis.
     """
     u_full = form.as_full(u)
     load = form.load_vector(nl.f(form.values_at_omega_quad(u_full)))
@@ -141,6 +141,9 @@ def run_single(spec, h,
     else:
         form = assembly.assemble_neumann(mesh, kernel, spec.quad_order)
     u1 = spec.initial_guess_fe(mesh)
+    if not np.any(form.reduce(u1)):
+        raise ConfigError(f"initial_guess {spec.initial_guess!r} is zero at "
+                          "every unknown node", key="initial_guess")
     cfg = spec.solver_config()
     cfg.check_invariants = check_invariants
 

@@ -10,6 +10,7 @@ from scipy import linalg
 
 import nonlocalmp as nm
 from nonlocalmp import assembly, fem
+from nonlocalmp import energy as en
 from nonlocalmp.errors import ExtensionMarginWarning, SingularExteriorBlock
 from nonlocalmp.mountain_pass import SolverConfig
 from oracles import (brute_force_quadratic_form, dense_convolution,
@@ -26,12 +27,22 @@ def test_symmetry_all_kernels():
         assert np.array_equal(form.B, form.B.T)
 
 
+def _rel_err(a, b):
+    return np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b))
+
+
+def dense_k(mesh, kernel, order):
+    """The convolution matrix K of the dense oracle, (P W)^T C symmetrized."""
+    C, P, W = dense_convolution(mesh, kernel, order)
+    K = (P * W[:, None]).T @ C
+    return 0.5 * (K + K.T)
+
+
 def test_dirichlet_identity_mass_minus_convolution(case1_coarse):
     mesh, form, M, S, u1 = case1_coarse
-    inner = np.arange(1, mesh.n_nodes - 1)
-    expected = form.kernel_mass * M - form.K
-    np.testing.assert_allclose(form.B, expected[np.ix_(inner, inner)],
-                               atol=1e-14)
+    inner = np.ix_(form.unknown_idx, form.unknown_idx)
+    K_ref = dense_k(mesh, form.kernel, form.quad_order)
+    assert _rel_err(form.B, (form.kernel_mass * M - K_ref)[inner]) <= 1e-13
 
 
 def test_single_hat_diagonal_positive():
@@ -43,7 +54,8 @@ def test_single_hat_diagonal_positive():
         value = hat @ form.B @ hat
         assert value > 0.0
         i = form.unknown_idx[form.n_unknowns // 2]
-        expected = form.kernel_mass * 2 * mesh.h / 3 - form.K[i, i]
+        K_ref = dense_k(mesh, kernel, form.quad_order)
+        expected = form.kernel_mass * 2 * mesh.h / 3 - K_ref[i, i]
         assert value == pytest.approx(expected, rel=1e-12)
 
 
@@ -130,7 +142,8 @@ def test_greens_identity_consistency():
         form = nm.assemble_dirichlet(mesh, kernel)
         u = nm.interpolate(mesh, math.sin, constraint="dirichlet")
         M_full, _ = nm.omega_norm_matrices(mesh)
-        weak = form.kernel_mass * (M_full @ u.values) - form.K @ u.values
+        K_ref = dense_k(mesh, kernel, form.quad_order)
+        weak = form.kernel_mass * (M_full @ u.values) - K_ref @ u.values
         proj = np.linalg.solve(M_full, weak)
         diff = form.operator_at_omega_quad(u.values) \
             - form.values_at_omega_quad(proj)
@@ -210,7 +223,7 @@ def test_dump_matrix_bytes_match_per_entry_writer(setup, request, tmp_path):
 
 @pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
 def test_solve_spd_equals_cho_solve(setup, request):
-    # the solve on the cached grounded factor gives the bits of the
+    # the solve on its own grounded factor gives the bits of the
     # package's Cholesky solve on a fresh factor of the same matrix, and
     # agrees with scipy's cho_solve, for one right-hand side and for
     # several columns
@@ -291,10 +304,6 @@ def test_extension_margin_warning():
         nm.assemble_neumann(mesh, nm.Exponential())
 
 
-def _rel_err(a, b):
-    return np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b))
-
-
 @pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
 def test_local_basis_matches_dense_reference(setup, request):
     mesh, form, M, S, u1 = request.getfixturevalue(setup)
@@ -306,7 +315,16 @@ def test_local_basis_matches_dense_reference(setup, request):
     f = rng.standard_normal(om.stop - om.start)
 
     K = (P * W[:, None]).T @ C
-    assert _rel_err(form.K, 0.5 * (K + K.T)) <= 1e-13
+    K = 0.5 * (K + K.T)
+    if form.constraint == "dirichlet":
+        ref = (form.kernel_mass * M - K)[np.ix_(form.unknown_idx,
+                                                form.unknown_idx)]
+        assert _rel_err(form.B, ref) <= 1e-13
+    else:
+        # the P1 mass weighted by the local kernel mass g = C 1
+        W_ref = (P * (W * C.sum(axis=1))[:, None]).T @ P
+        ref = W_ref - K
+        assert _rel_err(form.B_tilde, 0.5 * (ref + ref.T)) <= 1e-13
     assert _rel_err(form.values_at_omega_quad(u), P[om] @ u) <= 1e-13
     load = (P[om] * W[om, None]).T[form.unknown_idx] @ f
     assert _rel_err(form.load_vector(f), load) <= 1e-13
@@ -323,6 +341,36 @@ def test_no_array_grows_as_points_times_nodes(setup, request):
     owned = list(vars(form).values()) + list(vars(form._quad).values())
     arrays = [a for a in owned if isinstance(a, np.ndarray)]
     assert arrays and max(a.size for a in arrays) < limit
+
+
+def _owned_arrays(form):
+    """The arrays a form owns, counted as the benchmark's form size counts
+    them (attributes of the form and of its quadrature, views excluded),
+    plus the members of its tuples."""
+    owned = list(vars(form).values()) + list(vars(form._quad).values())
+    owned += [a for t in owned if isinstance(t, tuple) for a in t]
+    return [a for a in owned if isinstance(a, np.ndarray) and a.base is None]
+
+
+@pytest.mark.parametrize("constraint", ["dirichlet", "neumann"])
+def test_form_keeps_only_the_node_matrices_it_reads(constraint):
+    # K is a temporary of the assembly and the reference resolve keeps no
+    # factor: M, and B~ for a Neumann form, are the only node-count
+    # matrices a form owns, and a resolve leaves its owned bytes as they are
+    if constraint == "dirichlet":
+        mesh = nm.build_mesh(-math.pi, math.pi, h_for(20))
+    else:
+        mesh = nm.build_extended_mesh((0.0, 3.0), 0.3, 1.5)
+    form = assembly.NonlocalForm(mesh, nm.Exponential(), constraint,
+                                 assembly.QUAD_ORDER)
+    square = (mesh.n_nodes, mesh.n_nodes)
+    assert [a for a in _owned_arrays(form) if a.shape == square
+            and a is not form.M and a is not form.B_tilde] == []
+    owned = sum(a.nbytes for a in _owned_arrays(form))
+    u = form.fe(np.ones(form.n_unknowns))
+    nm.reference_errors(form, form.M, en.NONLINEARITIES["cubic"], u,
+                        SolverConfig.grounding_rel)
+    assert sum(a.nbytes for a in _owned_arrays(form)) == owned
 
 
 @pytest.mark.parametrize("constraint", ["dirichlet", "neumann"])

@@ -336,6 +336,9 @@ BAD_MESH_OR_START = [
     ("initial_guess", "two-rows.csv"),
     ("initial_guess", "nan-value.csv"),
     ("initial_guess", "step(2,1)"),     # an empty interval, all-zero start
+    # starts that are zero at every unknown node
+    ("initial_guess", "step(3.5,4)"),   # beyond the domain
+    ("initial_guess", "zeros.csv"),
     # single-run outputs on a study, which would ignore them
     ("output.solution", "u.csv"),
     ("output.log", "log.csv"),
@@ -367,11 +370,15 @@ def test_bad_mesh_or_start_exits_4(tmp_path, capsys, key, value):
         text = text.replace("initial_guess = sine", f"initial_guess = {value}")
     else:
         start = tmp_path / value
-        if value == "nan-value.csv":
-            # the run's own node coordinates, one value not a number
+        if value in ("nan-value.csv", "zeros.csv"):
+            # the run's own node coordinates, every value zero or one value
+            # not a number
             u = nm.interpolate(nm.build_mesh(-math.pi, math.pi, h_for(20)),
                                math.sin, constraint="dirichlet")
-            u.values[5] = np.nan
+            if value == "zeros.csv":
+                u.values[:] = 0.0
+            else:
+                u.values[5] = np.nan
             fem.write_function_csv(start, u)
         else:
             start.write_text("x,u\n0.0,0.0\n1.0,0.0\n")
@@ -380,6 +387,24 @@ def test_bad_mesh_or_start_exits_4(tmp_path, capsys, key, value):
     cfg.write_text(text)
     assert cli.main(["--config", str(cfg)] + flags) == 4
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start,flags", [
+    ("step(10,11)", []),                # beyond the extended mesh
+    ("step(-1,-0.5)", []),              # only exterior-margin nodes
+    ("step(-1,-0.5)", ["--jobs", "2"]),
+])
+def test_neumann_start_zero_on_unknowns_exits_4(tmp_path, capsys, start,
+                                                flags):
+    # the form eliminates the exterior nodes, so a start that is nonzero
+    # only there is an all-zero start too
+    text = case_config_text("case5").replace("step(1,2)", start)
+    if not flags:
+        text = text.replace("h_list = 0.15 0.075 0.0375", "h = 0.3")
+    cfg = tmp_path / "case5.cfg"
+    cfg.write_text(text)
+    assert cli.main(["--config", str(cfg)] + flags) == 4
+    assert "initial_guess" in capsys.readouterr().err
 
 
 def test_ungrounded_neumann_case_exits_4(tmp_path, capsys):

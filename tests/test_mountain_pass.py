@@ -262,8 +262,8 @@ def test_direction_factorizations_cached(case1_coarse, monkeypatch):
 
 def test_grounded_factor_only_for_reference_resolve(monkeypatch):
     # the descent on a Neumann form builds the grounded modal basis, whose
-    # only Cholesky factor is that of H; the reference resolve factors
-    # B + sigma M_u once, and its solves equal those of a factor built here
+    # only Cholesky factor is that of H; each reference resolve factors
+    # B + sigma M_u afresh, and its solve equals one on a factor built here
     mesh = nm.build_extended_mesh((0.0, 3.0), 0.3, 1.5)
     form = nm.assemble_neumann(mesh, nm.Exponential())
     nl = en.NONLINEARITIES["allen_cahn"]
@@ -284,7 +284,8 @@ def test_grounded_factor_only_for_reference_resolve(monkeypatch):
     _, _, ubar = nm.reference_errors(form, form.M, nl, form.fe(w),
                                      cfg.grounding_rel)
     nm.reference_errors(form, form.M, nl, form.fe(-w), cfg.grounding_rel)
-    assert len(factors) == 2 and np.array_equal(factors[1], mat)
+    assert len(factors) == 3 and factors[0] is form.h1_gram
+    assert all(np.array_equal(f, mat) for f in factors[1:])
     load = form.load_vector(nl.f(form.values_at_omega_quad(
         form.full_values(w))))
     L = assembly._cholesky(mat, AssertionError("not positive definite"))
