@@ -71,31 +71,22 @@ def _make_quadrature(mesh, order):
     return _Quadrature(ref_pts, ref_wts, W.ravel(), pb, W[0] * pb)
 
 
-def _hat_sums(A, wpb):
-    """Hat-weighted sums over the trailing axis of A.
-
-    That axis runs over the Gauss points of consecutive elements, q per
-    element; each element adds its two sums with the weights ``wpb``
-    (2, q) onto its two nodes, so (..., n_e q) becomes (..., n_e + 1).
-    """
-    S = A.reshape(A.shape[:-1] + (-1, wpb.shape[1])) @ wpb.T
-    out = np.zeros(S.shape[:-2] + (S.shape[-2] + 1,))
-    out[..., :-1] = S[..., 0]
-    out[..., 1:] += S[..., 1]
-    return out
-
-
 class NonlocalForm:
     """Assembled nonlocal form with constraint bookkeeping.
 
     Attributes of interest: ``B`` (matrix over unknown nodes),
     ``kernel_mass`` (Gamma), ``constraint`` ('dirichlet' or 'neumann'),
-    ``unknown_idx``, ``M`` (the L2(Omega) mass matrix over all nodes, zero
-    outside Omega), ``h1_gram`` (H1(Omega) over unknown nodes) and, for
-    Neumann runs, ``B_tilde`` (the form over all nodes) and
-    ``exterior_map`` which reconstructs exterior nodal values from the
-    interior ones.  The offset table and the Omega mass weight of the
-    assembly stay on the form for ``operator_at_omega_quad``.
+    ``unknowns`` (the slice of unknown nodes: Omega's nodes for Neumann
+    forms, Omega's less its two end nodes for Dirichlet forms, so one
+    range either way), ``M`` (the L2(Omega) mass matrix over all nodes,
+    zero outside Omega), ``h1_gram`` (H1(Omega) over unknown nodes) and,
+    for Neumann runs, ``B_tilde`` (the form over all nodes),
+    ``exterior_idx`` (the other nodes) and ``exterior_map`` which
+    reconstructs exterior nodal values from the interior ones; all three
+    are None on Dirichlet forms.  ``unknown_idx`` and ``n_unknowns`` are
+    read-only values derived from ``unknowns``.  The offset table and the
+    Omega mass weight of the assembly stay on the form for
+    ``operator_at_omega_quad``.
     """
 
     def __init__(self, mesh, kernel, constraint, quad_order):
@@ -164,31 +155,18 @@ class NonlocalForm:
             if (lo, hi) != (0, self.mesh.n_nodes - 1):
                 raise ValueError("Dirichlet assembly expects the mesh to "
                                  "cover exactly the physical domain")
-            self.unknown_idx = np.arange(1, self.mesh.n_nodes - 1)
+            self.unknowns = u = slice(1, self.mesh.n_nodes - 1)
             # Omega is the whole mesh here, so M is the full mass matrix
             # K and M are symmetric, so this B is, exactly
-            B_full = self.kernel_mass * self.M - K
-            self.B = B_full[np.ix_(self.unknown_idx, self.unknown_idx)]
-            self.B_tilde = None
-            self.exterior_map = None
-            self.exterior_idx = np.array([0, self.mesh.n_nodes - 1])
+            self.B = self.kernel_mass * self.M[u, u] - K[u, u]
+            self.B_tilde = self.exterior_map = self.exterior_idx = None
             self._mass = self.kernel_mass
         else:
             g = self._convolve(np.ones(self.mesh.n_nodes))
             self._assemble_neumann_reduction(g, K)
             self._mass = g[lo:hi]
-
-        unknown = np.ix_(self.unknown_idx, self.unknown_idx)
-        self.h1_gram = (self.M + S)[unknown]    # H1(Omega) Gram matrix M + S
-        q = self.quad_order
-        self._omega_rows = slice(lo * q, hi * q)
-        i = np.repeat(np.arange(lo, hi), q)
-        phi = np.tile(quad.pb, hi - lo)
-        self._omega_hats = (i, i + 1, phi[0], phi[1])
-        # the unknowns are one range of nodes: Omega's own for Neumann
-        # forms, Omega's less its two end nodes for Dirichlet forms
-        first = self.unknown_idx[0] - lo
-        self._load_rows = slice(first, first + self.n_unknowns)
+        u = self.unknowns
+        self.h1_gram = self.M[u, u] + S[u, u]   # H1(Omega) Gram matrix M + S
 
     def _assemble_neumann_reduction(self, g, K):
         """B~ and its Schur reduction; g[e, k] = int_D gamma(|x - y|) dy at
@@ -197,15 +175,17 @@ class NonlocalForm:
         quad = self._quad
         elems = np.arange(mesh.n_elements)
 
-        Wmat = np.zeros((mesh.n_nodes, mesh.n_nodes))
+        # the P1 mass weighted by g, less K, in place
+        B_tilde = np.zeros((mesh.n_nodes, mesh.n_nodes))
         for a in range(2):
             for b in range(2):
                 vals = (quad.wpb[a] * quad.pb[b] * g).sum(axis=1)
-                np.add.at(Wmat, (elems + a, elems + b), vals)
-        B_tilde = Wmat - K
+                np.add.at(B_tilde, (elems + a, elems + b), vals)
+        B_tilde -= K
         self.B_tilde = 0.5 * (B_tilde + B_tilde.T)
 
-        idx_in = np.arange(mesh.interior_range[0], mesh.interior_range[1] + 1)
+        lo, hi = mesh.interior_range
+        idx_in = np.arange(lo, hi + 1)
         idx_ext = np.setdiff1d(np.arange(mesh.n_nodes), idx_in)
         if idx_ext.size == 0:
             raise ValueError("Neumann assembly expects an extended mesh")
@@ -231,24 +211,27 @@ class NonlocalForm:
         B = B_II + B_IE @ ext_map
         self.B = 0.5 * (B + B.T)
         self.exterior_map = ext_map
-        self.unknown_idx = idx_in
+        self.unknowns = slice(lo, hi + 1)
         self.exterior_idx = idx_ext
 
     # -- nodal-vector plumbing ----------------------------------------------
 
     @property
+    def unknown_idx(self):
+        return np.arange(self.unknowns.start, self.unknowns.stop)
+
+    @property
     def n_unknowns(self):
-        return self.unknown_idx.size
+        return self.unknowns.stop - self.unknowns.start
 
     def reduce(self, u):
-        """Unknown-node values of a FeFunction or full nodal vector."""
-        vals = u.values if isinstance(u, fem.FeFunction) else np.asarray(u)
-        return vals[self.unknown_idx].copy()
+        """Unknown-node values of a FeFunction, full or unknown vector."""
+        return self.as_full(u)[self.unknowns].copy()
 
     def full_values(self, u_unknown):
         """Full nodal vector respecting the form's constraint."""
         full = np.zeros(self.mesh.n_nodes)
-        full[self.unknown_idx] = u_unknown
+        full[self.unknowns] = u_unknown
         if self.constraint == "neumann":
             full[self.exterior_idx] = self.exterior_map @ u_unknown
         return full
@@ -276,16 +259,26 @@ class NonlocalForm:
     # -- quadrature-level accessors ------------------------------------------
 
     def omega_quad_weights(self):
-        return self._quad.Wf[self._omega_rows]
+        lo, hi = self.mesh.interior_range
+        return self._quad.Wf[lo * self.quad_order:hi * self.quad_order]
 
     def values_at_omega_quad(self, u_full):
         """P1 values of a full nodal vector at the domain Gauss points."""
-        i0, i1, phi0, phi1 = self._omega_hats
-        return u_full[i0] * phi0 + u_full[i1] * phi1
+        lo, hi = self.mesh.interior_range
+        phi0, phi1 = self._quad.pb
+        return (u_full[lo:hi, None] * phi0
+                + u_full[lo + 1:hi + 1, None] * phi1).ravel()
 
     def load_vector(self, f_at_quad):
         """Unknown-node load vector int f(x) phi_i(x) dx over the domain."""
-        return _hat_sums(f_at_quad, self._quad.wpb)[self._load_rows]
+        # S[e, a]: f against hat a of the e-th Omega element, added onto
+        # Omega's nodes lo .. hi, of which the unknowns are a range
+        S = f_at_quad.reshape(-1, self.quad_order) @ self._quad.wpb.T
+        out = np.zeros(S.shape[0] + 1)
+        out[:-1] = S[:, 0]
+        out[1:] += S[:, 1]
+        lo = self.mesh.interior_range[0]
+        return out[self.unknowns.start - lo:self.unknowns.stop - lo]
 
     # -- linear solves --------------------------------------------------------
 
@@ -297,15 +290,14 @@ class NonlocalForm:
         """
         if self.constraint != "neumann" or grounding_rel == 0.0:
             return 0.0
-        m_diag = self.M.diagonal()[self.unknown_idx]
-        return grounding_rel * np.trace(self.B) / m_diag.sum()
+        u = self.unknowns
+        return grounding_rel * np.trace(self.B) / self.M.diagonal()[u].sum()
 
     def _grounded(self, sigma):
         """B + sigma M_u, with M_u the mass matrix over unknown nodes."""
         if not sigma:
             return self.B
-        return self.B + sigma * self.M[np.ix_(self.unknown_idx,
-                                              self.unknown_idx)]
+        return self.B + sigma * self.M[self.unknowns, self.unknowns]
 
     def modal_basis(self, grounding_rel):
         """(sigma, lam, V) of the pencil (B + sigma M_u, H), H = ``h1_gram``.

@@ -3,7 +3,9 @@
 Runs a single solve or a convergence study from a flat key = value
 configuration file or a bundled case preset.  Exit codes: 0 converged,
 2 trivial-solution capture, 3 solver failure, 4 configuration or usage
-error.
+error, which includes an output path (``--out``, ``--log``,
+``--dump-matrix``, ``output.*``) that cannot be written.  A study runs
+its rows on ``--jobs`` worker processes, never more than it has rows.
 """
 
 import argparse
@@ -161,6 +163,10 @@ def main(argv=None):
     except NonlocalMPError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as exc:       # an output path that cannot be written
+        print(f"usage error: cannot write {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

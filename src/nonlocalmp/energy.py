@@ -320,7 +320,7 @@ def step_polynomial(nl, steps, weights):
 def t_star(form, nl, u):
     """Maximizer of t -> I[t u] over t > 0 for a FeFunction, full nodal
     vector or unknown-node vector u."""
-    return ray_data(form, nl, form.as_full(u)[form.unknown_idx])[0]
+    return ray_data(form, nl, form.reduce(u))[0]
 
 
 # -- energy and gradient -------------------------------------------------------
@@ -328,7 +328,7 @@ def t_star(form, nl, u):
 def energy(form, nl, u):
     """I[u] = 1/2 B[u,u] - int F(u) dx over the physical domain."""
     u_full = form.as_full(u)
-    u_unknown = u_full[form.unknown_idx]
+    u_unknown = form.reduce(u_full)
     quad_F = float(form.omega_quad_weights()
                    @ nl.F(form.values_at_omega_quad(u_full)))
     return 0.5 * float(u_unknown @ form.B @ u_unknown) - quad_F
@@ -341,6 +341,6 @@ def gradient(form, nl, w):
     P1 function v is then g . v (v restricted to unknown nodes).
     """
     w_full = form.as_full(w)
-    w_unknown = w_full[form.unknown_idx]
+    w_unknown = form.reduce(w_full)
     load = form.load_vector(nl.f(form.values_at_omega_quad(w_full)))
     return form.B @ w_unknown - load

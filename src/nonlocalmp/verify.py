@@ -194,6 +194,7 @@ def convergence_study(spec, jobs=1):
     Rows that fail propagate their error message in the report and are
     excluded from the order fits, as are trivial-capture rows.
     """
+    jobs = min(jobs, len(spec.h_list))      # never more workers than rows
     if jobs > 1:
         # imported here: it costs about 15 ms of every start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -209,15 +210,15 @@ def convergence_study(spec, jobs=1):
 def fit_orders(reports):
     """Least-squares log-log slopes of each norm column against h.
 
-    Trivial-capture and failed rows are excluded; a fit needs at least 3
-    usable rows, otherwise the order is None.
+    Trivial-capture and failed rows are excluded; a fit needs usable rows
+    at 3 or more distinct h, otherwise the order is None.
     """
     orders = {}
     for col in ("R_L1", "R_L2", "E_L1", "E_L2"):
         pts = [(r.h, getattr(r, col)) for r in reports
                if not r.failed and not r.trivial
                and np.isfinite(getattr(r, col)) and getattr(r, col) > 0.0]
-        if len(pts) < 3:
+        if len({p[0] for p in pts}) < 3:
             orders[col] = None
             continue
         logh = np.log([p[0] for p in pts])

@@ -162,6 +162,30 @@ def dense_convolution(mesh, kernel, order):
     return C, P, W
 
 
+def gathered_omega_quad(form, u_full, f):
+    """(values_at_omega_quad(u_full), omega_quad_weights(), load_vector(f))
+    of a form, each through index arrays: every Omega Gauss point gathers
+    its element's two nodal values and its weight, and every unknown node
+    gathers the hat sums of the Omega elements on each side of it."""
+    from nonlocalmp import fem
+
+    mesh, q = form.mesh, form.quad_order
+    _, W, ref_pts, _ = fem.element_quadrature(mesh, q)
+    lo, hi = mesh.interior_range
+    elem = np.repeat(np.arange(lo, hi), q)        # element of each point
+    k = np.tile(np.arange(q), hi - lo)            # its Gauss index
+    values = u_full[elem] * (1.0 - ref_pts[k]) + u_full[elem + 1] * ref_pts[k]
+    # Dirichlet unknowns leave out Omega's two end nodes
+    unknown = np.arange(lo, hi + 1) if form.constraint == "neumann" \
+        else np.arange(lo + 1, hi)
+    # S[e, a]: f against hat a of the e-th Omega element
+    S = f.reshape(-1, q) @ (W[0] * np.vstack([1.0 - ref_pts, ref_pts])).T
+    j, n = unknown - lo, hi - lo                  # Omega-local node numbers
+    load = np.where(j < n, S[np.minimum(j, n - 1), 0], 0.0) \
+        + np.where(j > 0, S[np.maximum(j - 1, 0), 1], 0.0)
+    return values, W[elem, k], load
+
+
 def element_loop_norm_matrices(mesh):
     """Omega mass and stiffness matrices added element by element, the
     2x2 local matrices scaled as written."""

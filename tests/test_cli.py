@@ -449,6 +449,23 @@ def test_non_finite_settings_in_code_rejected(key, kwargs):
             assert info.value.key == name
 
 
+@pytest.mark.parametrize("output", ["--out", "--log", "--dump-matrix",
+                                    "output.report", "output.plot"])
+def test_unwritable_output_exits_4(tmp_path, capsys, output):
+    path = tmp_path / "missing" / "file.txt"
+    cfg = tmp_path / "run.cfg"
+    flags = []
+    if output.startswith("--"):
+        cfg.write_text(FAST_CFG)
+        flags = [output, str(path)]
+    else:
+        cfg.write_text(FAST_CFG.replace(f"h = {h_for(20)!r}",
+                                        f"{STUDY_H_LIST}\n{output} = {path}"))
+    assert cli.main(["--config", str(cfg)] + flags) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(path) in err[0]
+
+
 USAGE_ERRORS = [["--frobnicate"], ["--jobs", "abc"], ["--jobs", "0"],
                 ["--jobs", "-5"]]
 

@@ -142,6 +142,45 @@ def test_fit_orders_excludes_degenerate_rows():
     assert orders["E_L1"] is None
 
 
+@pytest.mark.parametrize("h_list", [
+    (h_for(20), h_for(20), h_for(20)),
+    # 0.31 rounds to the 20-element mesh too
+    (h_for(20), 0.31, h_for(40))])
+def test_fit_orders_needs_three_distinct_mesh_sizes(h_list):
+    spec = RunSpec(domain=(-math.pi, math.pi), h_list=h_list)
+    study = verify.convergence_study(spec)
+    assert all(r.converged and not r.trivial for r in study.reports)
+    assert study.orders == dict.fromkeys(("R_L1", "R_L2", "E_L1", "E_L2"))
+
+
+def test_study_forks_no_more_workers_than_rows(monkeypatch):
+    import concurrent.futures
+
+    workers = []
+
+    class InProcessPool:
+        """Records the worker count and maps in this process."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    spec = RunSpec(domain=(-math.pi, math.pi),
+                   h_list=(h_for(10), h_for(14), h_for(20)))
+    study = verify.convergence_study(spec, jobs=64)
+    assert workers == [3] and len(study.reports) == 3
+
+
 def test_convergence_study_requires_three_rows():
     with pytest.raises(ConfigError) as info:
         RunSpec(h_list=(0.3, 0.15))
