@@ -48,7 +48,8 @@ from .errors import (ConfigError, ExtensionMarginWarning,
                      SingularExteriorBlock, SingularSystem)
 
 __all__ = ["QUAD_ORDER", "NonlocalForm", "assemble_dirichlet",
-           "assemble_neumann", "check_quad_order", "dump_matrix"]
+           "assemble_neumann", "check_constraint", "check_quad_order",
+           "dump_matrix"]
 
 QUAD_ORDER = 4          # Gauss points per element, the default rule
 _TRI_BLOCK = 32         # rows per block of the triangular solves
@@ -56,11 +57,10 @@ _TRI_BLOCK = 32         # rows per block of the triangular solves
 
 @dataclass
 class _Quadrature:
-    """Cached Gauss data for one (mesh, order) pair."""
+    """The Gauss rule of one element, for a (mesh, order) pair."""
 
     ref_pts: np.ndarray      # (q,) on [0, 1]
     ref_wts: np.ndarray
-    Wf: np.ndarray           # every element's weights, flattened (n_e q,)
     pb: np.ndarray           # (2, q) local basis at the reference points
     wpb: np.ndarray          # (2, q) pb times one element's Gauss weights
 
@@ -68,7 +68,7 @@ class _Quadrature:
 def _make_quadrature(mesh, order):
     _, W, ref_pts, ref_wts = fem.element_quadrature(mesh, order)
     pb = np.vstack([1.0 - ref_pts, ref_pts])
-    return _Quadrature(ref_pts, ref_wts, W.ravel(), pb, W[0] * pb)
+    return _Quadrature(ref_pts, ref_wts, pb, W[0] * pb)
 
 
 class NonlocalForm:
@@ -86,10 +86,12 @@ class NonlocalForm:
     are None on Dirichlet forms.  ``unknown_idx`` and ``n_unknowns`` are
     read-only values derived from ``unknowns``.  The offset table and the
     Omega mass weight of the assembly stay on the form for
-    ``operator_at_omega_quad``.
+    ``operator_at_omega_quad``.  ``_quad`` holds the Gauss rule of one
+    element only: every element of the uniform mesh shares it.
     """
 
     def __init__(self, mesh, kernel, constraint, quad_order):
+        check_constraint(constraint)
         check_quad_order(quad_order)
         self.mesh = mesh
         self.kernel = kernel
@@ -192,10 +194,12 @@ class NonlocalForm:
         margin = min(mesh.omega[0] - mesh.x_left, mesh.x_right - mesh.omega[1])
         r_cut = self.kernel.truncation_radius(1e-6)
         if margin < r_cut:
+            # reported at the caller of assemble_neumann: past this frame,
+            # _assemble_common, __init__ and assemble_neumann
             warnings.warn(
                 f"extension margin {margin:.3g} is below the kernel "
                 f"truncation radius {r_cut:.3g}; exterior coupling is "
-                f"truncated accordingly", ExtensionMarginWarning, stacklevel=3)
+                f"truncated accordingly", ExtensionMarginWarning, stacklevel=5)
 
         B_EE = self.B_tilde[np.ix_(idx_ext, idx_ext)]
         B_EI = self.B_tilde[np.ix_(idx_ext, idx_in)]
@@ -260,14 +264,15 @@ class NonlocalForm:
 
     def omega_quad_weights(self):
         lo, hi = self.mesh.interior_range
-        return self._quad.Wf[lo * self.quad_order:hi * self.quad_order]
+        return np.tile(self.mesh.h * self._quad.ref_wts, hi - lo)
 
     def values_at_omega_quad(self, u_full):
         """P1 values of a full nodal vector at the domain Gauss points."""
         lo, hi = self.mesh.interior_range
         phi0, phi1 = self._quad.pb
-        return (u_full[lo:hi, None] * phi0
-                + u_full[lo + 1:hi + 1, None] * phi1).ravel()
+        # (q, elements): numpy's inner loops run along the elements
+        return (phi0[:, None] * u_full[lo:hi]
+                + phi1[:, None] * u_full[lo + 1:hi + 1]).T.ravel()
 
     def load_vector(self, f_at_quad):
         """Unknown-node load vector int f(x) phi_i(x) dx over the domain."""
@@ -440,6 +445,13 @@ def _cho_solve(L, rhs):
     """x with L L^T x = rhs; a non-finite entry of rhs raises ValueError."""
     return _solve_triangular(L, _solve_triangular(L, _check_finite(rhs)),
                              transpose=True)
+
+
+def check_constraint(constraint):
+    """Raise ConfigError unless constraint is 'dirichlet' or 'neumann'."""
+    if constraint not in ("dirichlet", "neumann"):
+        raise ConfigError(f"constraint must be dirichlet or neumann, "
+                          f"got {constraint!r}", key="constraint")
 
 
 def check_quad_order(quad_order):

@@ -76,9 +76,7 @@ class RunSpec:
 
     def __post_init__(self):
         check_finite(self._numbers())
-        if self.constraint not in ("dirichlet", "neumann"):
-            raise ConfigError(f"constraint must be dirichlet or neumann, "
-                              f"got {self.constraint!r}", key="constraint")
+        assembly.check_constraint(self.constraint)
         if self.kernel_name not in KERNEL_NAMES:
             raise ConfigError(f"unknown kernel {self.kernel_name!r}",
                               key="kernel")

@@ -6,6 +6,7 @@ the mesh records which nodes lie inside Omega, and Omega's endpoints
 always coincide with mesh nodes.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,14 +185,18 @@ def write_function_csv(path, u):
 def read_function_csv(path, mesh):
     """Read nodal values written by :func:`write_function_csv` onto ``mesh``.
 
-    Raises ValueError unless the CSV has one row per node, at the node's
-    coordinate, and every value is finite.
+    Raises ValueError unless the CSV has one row per node, with the two
+    columns x,u, at the node's coordinate, and every value is finite.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    data = np.atleast_2d(data)
+    with warnings.catch_warnings():
+        # numpy warns of a file with no data rows; the row count says so
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[0] != mesh.n_nodes:
         raise ValueError(
             f"CSV has {data.shape[0]} rows but the mesh has {mesh.n_nodes} nodes")
+    if data.shape[1] != 2:
+        raise ValueError(f"CSV needs the two columns x,u, got {data.shape[1]}")
     if not np.allclose(data[:, 0], mesh.nodes, atol=1e-9 * max(mesh.h, 1.0)):
         raise ValueError("CSV node coordinates do not match the mesh")
     if not np.all(np.isfinite(data[:, 1])):

@@ -172,7 +172,9 @@ class Logistic:
 
     def gamma(self, r):
         z = np.asarray(r) / self.a
-        return 1.0 / ((1.0 + z**self.b) * self._norm)
+        # z**b overflows to inf far out, where 1/inf = 0 is the right value
+        with np.errstate(over="ignore"):
+            return 1.0 / ((1.0 + z**self.b) * self._norm)
 
     @property
     def total_mass(self):

@@ -11,7 +11,8 @@ from scipy import linalg
 import nonlocalmp as nm
 from nonlocalmp import assembly, fem
 from nonlocalmp import energy as en
-from nonlocalmp.errors import ExtensionMarginWarning, SingularExteriorBlock
+from nonlocalmp.errors import (ConfigError, ExtensionMarginWarning,
+                               SingularExteriorBlock)
 from nonlocalmp.mountain_pass import SolverConfig
 from oracles import (brute_force_quadratic_form, dense_convolution,
                      gathered_omega_quad, per_entry_dump)
@@ -300,8 +301,22 @@ def test_extension_margin_warning():
     from nonlocalmp.errors import ExtensionMarginWarning
 
     mesh = nm.build_extended_mesh((0.0, 3.0), 0.25, 1.5)
-    with pytest.warns(ExtensionMarginWarning):
+    with pytest.warns(ExtensionMarginWarning) as record:
         nm.assemble_neumann(mesh, nm.Exponential())
+    # reported where assemble_neumann was called, not inside the package
+    assert [w.filename for w in record] == [__file__]
+
+
+@pytest.mark.parametrize("mesh,constraint", [
+    (nm.build_extended_mesh((0.0, 3.0), 0.25, 1.5), "dirichelt"),
+    (nm.build_mesh(-math.pi, math.pi, h_for(20)), "Dirichlet"),
+])
+def test_unknown_constraint_is_a_config_error(mesh, constraint):
+    with pytest.raises(ConfigError, match="constraint must be dirichlet or "
+                                          "neumann") as info:
+        assembly.NonlocalForm(mesh, nm.Exponential(), constraint,
+                              assembly.QUAD_ORDER)
+    assert info.value.key == "constraint"
 
 
 @pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])

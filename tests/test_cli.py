@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -334,6 +335,8 @@ BAD_MESH_OR_START = [
     ("h_list", "0.3 0 0.1"),
     ("neumann.extension", "-1"),
     ("initial_guess", "two-rows.csv"),
+    ("initial_guess", "header-only.csv"),
+    ("initial_guess", "one-column.csv"),
     ("initial_guess", "nan-value.csv"),
     ("initial_guess", "step(2,1)"),     # an empty interval, all-zero start
     # starts that are zero at every unknown node
@@ -346,6 +349,12 @@ BAD_MESH_OR_START = [
     ("--log", "log.csv"),
     ("--dump-matrix", "B.txt"),
 ]
+# start CSVs whose shape is wrong: (text, what the message says)
+BAD_START_CSV = {
+    "two-rows.csv": ("x,u\n0.0,0.0\n1.0,0.0\n", "CSV has 2 rows"),
+    "header-only.csv": ("x,u\n", "CSV has 0 rows"),
+    "one-column.csv": ("x\n0.0\n1.0\n", "CSV has 2 rows"),
+}
 
 
 @pytest.mark.parametrize("key,value", BAD_MESH_OR_START,
@@ -381,12 +390,17 @@ def test_bad_mesh_or_start_exits_4(tmp_path, capsys, key, value):
                 u.values[5] = np.nan
             fem.write_function_csv(start, u)
         else:
-            start.write_text("x,u\n0.0,0.0\n1.0,0.0\n")
+            start.write_text(BAD_START_CSV[value][0])
         text = text.replace("initial_guess = sine", f"initial_guess = {start}")
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
-    assert cli.main(["--config", str(cfg)] + flags) == 4
-    assert key in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["--config", str(cfg)] + flags) == 4
+    assert not caught
+    err = capsys.readouterr().err
+    assert key in err
+    assert BAD_START_CSV.get(value, ("", ""))[1] in err
 
 
 @pytest.mark.parametrize("start,flags", [

@@ -154,3 +154,11 @@ def test_function_csv_roundtrip(tmp_path):
     assert header == "x,u"
     v = fem.read_function_csv(path, mesh)
     np.testing.assert_allclose(v.values, u.values, atol=1e-15)
+
+
+def test_function_csv_needs_two_columns(tmp_path):
+    mesh = nm.build_mesh(0.0, 1.0, 0.125)
+    path = tmp_path / "x.csv"
+    path.write_text("x\n" + "".join(f"{x!r}\n" for x in mesh.nodes.tolist()))
+    with pytest.raises(ValueError, match="two columns x,u, got 1"):
+        fem.read_function_csv(path, mesh)

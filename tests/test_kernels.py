@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,16 @@ NON_FINITE_PARAMS = [(cls, f.name, value)
 def test_non_finite_parameters_rejected(cls, name, value):
     with pytest.raises(ValueError, match=f"{name} must be a finite number"):
         cls(**{name: value})
+
+
+def test_steep_logistic_tail_is_zero_without_warnings():
+    # (r/a)**b overflows to inf beyond r = 5.9 at b = 400; 1/inf is the
+    # right value there, and nothing is reported
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = nm.Logistic(b=400.0).gamma(np.array([0.0, 1.0, 10.0]))
+    assert vals[0] > vals[1] > 0.0
+    assert vals[2] == 0.0
 
 
 def test_kernel_from_name():

@@ -52,9 +52,17 @@ no cached factor is reused.  In the same way it times assembly:
 and ``assemble_neumann`` on the case-5 mesh of h = 3/320 (641 nodes),
 and ``operator_at_omega_quad`` on each of those forms.  The result is
 written as JSON to OUT.
+
+Each measurement is one function of this file, run in the tree's
+process by ``python -c`` (``CHILD``); ``compare_trees.py`` runs its
+digests the same way, on the same preset rows.  To run one by hand:
+
+    PYTHONPATH=src:tools python3 -c \
+        'import json, bench_descent as b; print(json.dumps(b.measure_linalg()))'
 """
 
 import argparse
+import functools
 import importlib.util
 import json
 import math
@@ -66,7 +74,7 @@ import time
 import warnings
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+TOOLS = Path(__file__).resolve().parent
 IMPORT_REPEATS = 9
 LINALG_REPEATS = 7
 ROUNDOFF_STARTS = 4
@@ -83,36 +91,46 @@ print(json.dumps({"import_s": time.perf_counter() - t0,
                   "scipy_modules": sum(m.split(".")[0] == "scipy"
                                        for m in sys.modules)}))
 """
+# run by ``python -c`` in a tree's process: a tool's function, as JSON
+CHILD = ("import json, sys; sys.path.insert(0, {tools!r}); import {tool}; "
+         "print(json.dumps({tool}.{function}()))")
+# (label, case, n_elements or h) of the 15 rows of the benchmark studies
+PRESET_ROWS = ([(f"{case}/{n}", case, n)
+                for case in ("case1", "case2", "case3", "case4")
+                for n in (20, 40, 80)]
+               + [(f"case5/h={h:g}", "case5", h) for h in (0.3, 0.15, 0.075)])
 
 
-def _benchmark_run():
+@functools.cache
+def benchmark_run():
     """benchmark/run.py as a module (its main runs only as a script)."""
-    spec = importlib.util.spec_from_file_location("benchmark_run",
-                                                  ROOT / "benchmark" / "run.py")
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_run", TOOLS.parent / "benchmark" / "run.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def rows():
-    """(label, case, n_elements or h)."""
-    out = [(f"{case}/{n}", case, n)
-           for case in ("case1", "case2", "case3", "case4")
-           for n in (20, 40, 80)]
-    out += [(f"case5/h={h:g}", "case5", h) for h in (0.3, 0.15, 0.075)]
-    out += [(f"case1/{n}", "case1", n) for n in (160, 320, 640)]
-    out.append(("case4/160", "case4", 160))
-    return out
+    """(label, case, n_elements or h): the preset rows and four fine ones."""
+    return (PRESET_ROWS + [(f"case1/{n}", "case1", n) for n in (160, 320, 640)]
+            + [("case4/160", "case4", 160)])
 
 
-def _row_setup(case, size):
-    """(spec, mesh, assemble) of a preset row: ``size`` is the element
-    count on the Dirichlet presets and the spacing h otherwise."""
-    import nonlocalmp as nm
+def row_spec(case, size):
+    """(spec, h) of a preset row: ``size`` is the element count on the
+    Dirichlet presets and the spacing h otherwise."""
     from nonlocalmp import cases, config
 
     spec = config.parse_config_text(cases.case_config_text(case))
-    h = size if spec.constraint == "neumann" else 2 * math.pi / size
+    return spec, size if spec.constraint == "neumann" else 2 * math.pi / size
+
+
+def _row_setup(case, size):
+    """(spec, mesh, assemble) of a preset row."""
+    import nonlocalmp as nm
+
+    spec, h = row_spec(case, size)
     assemble = nm.assemble_dirichlet if spec.constraint == "dirichlet" \
         else nm.assemble_neumann
     return spec, spec.build_mesh(h), assemble
@@ -240,11 +258,23 @@ def measure_assembly():
     return records
 
 
-def run_tree(src, bench_run, args):
-    """One measuring process on the package under ``src``."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    env.update({var: "1" for var in bench_run.THREAD_VARS})
-    proc = subprocess.run([sys.executable, *args], env=env,
+def parse_trees(specs):
+    """[(label, src)] of LABEL=SRC arguments, None if one has another form."""
+    trees = [spec.split("=", 1) for spec in specs]
+    return None if any(len(t) != 2 or not all(t) for t in trees) else trees
+
+
+def child(function, tool="bench_descent"):
+    """``python -c`` code printing ``tool.function()`` as JSON."""
+    return CHILD.format(tools=str(TOOLS), tool=tool, function=function)
+
+
+def run_tree(src, code):
+    """The JSON printed by ``python -c code`` on the package under ``src``,
+    in a fresh process with BLAS/OpenMP threads pinned to 1."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    env.update(dict.fromkeys(benchmark_run().THREAD_VARS, "1"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -284,63 +314,32 @@ def summarize(runs):
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("out", nargs="?")
-    p.add_argument("trees", nargs="*", metavar="LABEL=SRC")
+    p.add_argument("out")
+    p.add_argument("trees", nargs="+", metavar="LABEL=SRC")
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--measure", action="store_true",
-                   help="measure the importable package and print JSON")
-    p.add_argument("--measure-linalg", action="store_true",
-                   help="time the importable package's factorizations and "
-                        "print JSON")
-    p.add_argument("--measure-assembly", action="store_true",
-                   help="time the importable package's assembly and -L u "
-                        "and print JSON")
-    p.add_argument("--measure-spread", action="store_true",
-                   help="count the importable package's iterations from "
-                        "round-off perturbed starts and print JSON")
     args = p.parse_args(argv)
-    if args.measure:
-        print(json.dumps(measure()))
-        return 0
-    if args.measure_linalg:
-        print(json.dumps(measure_linalg()))
-        return 0
-    if args.measure_assembly:
-        print(json.dumps(measure_assembly()))
-        return 0
-    if args.measure_spread:
-        print(json.dumps(measure_spread()))
-        return 0
-    if not args.out or not args.trees:
-        p.error("give OUT and at least one LABEL=SRC")
-    trees = [t.split("=", 1) for t in args.trees]
-    if any(len(t) != 2 for t in trees):
+    trees = parse_trees(args.trees)
+    if not trees:
         p.error("trees are given as LABEL=SRC")
-    bench_run = _benchmark_run()
-    for var in bench_run.THREAD_VARS:
-        os.environ[var] = "1"
-    trees = [(label, Path(src).resolve()) for label, src in trees]
+    os.environ.update(dict.fromkeys(benchmark_run().THREAD_VARS, "1"))
     imports = {label: [] for label, _ in trees}
     for _ in range(IMPORT_REPEATS):
         for label, src in trees:
-            imports[label].append(run_tree(src, bench_run,
-                                           ["-c", IMPORT_PROBE]))
+            imports[label].append(run_tree(src, IMPORT_PROBE))
     linalg, assembly, spreads = (
-        {label: run_tree(src, bench_run, [__file__, flag])
-         for label, src in trees}
-        for flag in ("--measure-linalg", "--measure-assembly",
-                     "--measure-spread"))
+        {label: run_tree(src, child(function)) for label, src in trees}
+        for function in ("measure_linalg", "measure_assembly",
+                         "measure_spread"))
     runs = {label: [] for label, _ in trees}
     for _ in range(args.repeats):
         for label, src in trees:
-            runs[label].append(run_tree(src, bench_run,
-                                        [__file__, "--measure"]))
+            runs[label].append(run_tree(src, child("measure")))
     record = {
         "what": "import nonlocalmp, assembly and factorization times and "
                 "descent of preset rows, per source tree",
         "repeats": args.repeats,
         "import_repeats": IMPORT_REPEATS,
-        "environment": bench_run.environment(),
+        "environment": benchmark_run().environment(),
         "imports": {label: summarize_imports(r)
                     for label, r in imports.items()},
         "linalg": linalg,

@@ -5,8 +5,7 @@
 
 Each LABEL=SRC names a source tree holding the ``nonlocalmp`` package.
 Every tree runs in a fresh process with BLAS/OpenMP threads pinned to 1
-(the thread variables of ``benchmark/run.py``) and hashes, as sha256 of
-their bytes:
+(``bench_descent.run_tree``) and hashes, as sha256 of their bytes:
 
 - for the 15 preset rows of the benchmark studies (cases 1-4 at 20, 40
   and 80 elements, case 5 at h = 0.3, 0.15 and 0.075), each run by
@@ -19,32 +18,19 @@ their bytes:
   ``operator_at_omega_quad`` on fixed random inputs.
 
 Every later tree is compared with the first.  The script prints each
-group whose hash differs and exits 1 if any does, 0 otherwise.
+group whose hash differs and exits 1 if any does, 0 otherwise.  The
+digests of one tree, by hand:
+
+    PYTHONPATH=src:tools python3 -c \\
+        'import json, compare_trees as c; print(json.dumps(c.digests()))'
 """
 
 import hashlib
-import importlib.util
-import json
-import math
-import os
-import subprocess
 import sys
-from pathlib import Path
+import warnings
 from types import SimpleNamespace
 
-ROOT = Path(__file__).resolve().parent.parent
-# run by ``python -c`` in each tree's process
-CHILD = ("import json, sys; sys.path.insert(0, {tools!r}); "
-         "import compare_trees; print(json.dumps(compare_trees.digests()))")
-
-
-def _benchmark_run():
-    """benchmark/run.py as a module (its main runs only as a script)."""
-    spec = importlib.util.spec_from_file_location("benchmark_run",
-                                                  ROOT / "benchmark" / "run.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+import bench_descent as bench
 
 
 def _sha(*parts):
@@ -59,12 +45,6 @@ def _sha(*parts):
         else:
             digest.update(repr(part).encode())
     return digest.hexdigest()
-
-
-def _spec(case):
-    from nonlocalmp import cases, config
-
-    return config.parse_config_text(cases.case_config_text(case))
 
 
 def _row_digests(out, label, spec, h):
@@ -86,14 +66,10 @@ def _row_digests(out, label, spec, h):
     out[f"{label} stop_reason"] = _sha(r.stop_reason)
 
 
-def _form_digests(out, label, spec, h):
+def _form_digests(out, label, spec, mesh, assemble):
     import numpy as np
 
-    import nonlocalmp as nm
-
-    assemble = nm.assemble_dirichlet if spec.constraint == "dirichlet" \
-        else nm.assemble_neumann
-    form = assemble(spec.build_mesh(h), spec.make_kernel(), spec.quad_order)
+    form = assemble(mesh, spec.make_kernel(), spec.quad_order)
     rng = np.random.default_rng(0)
     u = form.full_values(rng.standard_normal(form.n_unknowns))
     f = rng.standard_normal(form.omega_quad_weights().size)
@@ -108,41 +84,26 @@ def _form_digests(out, label, spec, h):
 
 def digests():
     """{group: sha256} of the importable package."""
-    import warnings
-
     from nonlocalmp.errors import ExtensionMarginWarning
 
     warnings.simplefilter("ignore", ExtensionMarginWarning)
     out = {}
-    for case in ("case1", "case2", "case3", "case4"):
-        for n in (20, 40, 80):
-            _row_digests(out, f"{case}/{n}", _spec(case), 2 * math.pi / n)
-    for h in (0.3, 0.15, 0.075):
-        _row_digests(out, f"case5/h={h:g}", _spec("case5"), h)
-    _form_digests(out, "form case1/640", _spec("case1"), 2 * math.pi / 640)
-    _form_digests(out, "form case5/h=3/320", _spec("case5"), 3 / 320)
+    for label, case, size in bench.PRESET_ROWS:
+        _row_digests(out, label, *bench.row_spec(case, size))
+    for label, case, size in (("case1/640", "case1", 640),
+                              ("case5/h=3/320", "case5", 3 / 320)):
+        _form_digests(out, f"form {label}", *bench._row_setup(case, size))
     return out
 
 
-def run_tree(src, thread_vars):
-    """The digests of the package under ``src``, from a fresh process."""
-    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
-    env.update({var: "1" for var in thread_vars})
-    code = CHILD.format(tools=str(Path(__file__).resolve().parent))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
-
-
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    trees = [t.split("=", 1) for t in argv]
-    if len(trees) < 2 or any(len(t) != 2 or not all(t) for t in trees):
+    trees = bench.parse_trees(sys.argv[1:] if argv is None else argv)
+    if not trees or len(trees) < 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         print("give at least two trees as LABEL=SRC", file=sys.stderr)
         return 2
-    thread_vars = _benchmark_run().THREAD_VARS
-    results = [(label, run_tree(src, thread_vars)) for label, src in trees]
+    code = bench.child("digests", "compare_trees")
+    results = [(label, bench.run_tree(src, code)) for label, src in trees]
     (first, base), differ = results[0], 0
     for label, other in results[1:]:
         for group in sorted(base.keys() | other.keys()):
