@@ -38,6 +38,8 @@ assembly.  A non-finite matrix or right-hand side raises ValueError, and
 a factorization that fails raises SingularSystem or SingularExteriorBlock.
 """
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -66,9 +68,9 @@ class _Quadrature:
 
 
 def _make_quadrature(mesh, order):
-    _, W, ref_pts, ref_wts = fem.element_quadrature(mesh, order)
+    ref_pts, ref_wts = fem.reference_quadrature(order)
     pb = np.vstack([1.0 - ref_pts, ref_pts])
-    return _Quadrature(ref_pts, ref_wts, pb, W[0] * pb)
+    return _Quadrature(ref_pts, ref_wts, pb, (mesh.h * ref_wts) * pb)
 
 
 class NonlocalForm:
@@ -194,12 +196,11 @@ class NonlocalForm:
         margin = min(mesh.omega[0] - mesh.x_left, mesh.x_right - mesh.omega[1])
         r_cut = self.kernel.truncation_radius(1e-6)
         if margin < r_cut:
-            # reported at the caller of assemble_neumann: past this frame,
-            # _assemble_common, __init__ and assemble_neumann
             warnings.warn(
                 f"extension margin {margin:.3g} is below the kernel "
                 f"truncation radius {r_cut:.3g}; exterior coupling is "
-                f"truncated accordingly", ExtensionMarginWarning, stacklevel=5)
+                f"truncated accordingly", ExtensionMarginWarning,
+                stacklevel=_stacklevel_outside_package())
 
         B_EE = self.B_tilde[np.ix_(idx_ext, idx_ext)]
         B_EI = self.B_tilde[np.ix_(idx_ext, idx_in)]
@@ -372,6 +373,19 @@ class NonlocalForm:
         raw = float(np.max(np.abs(res[self.exterior_idx])))
         scale = float(np.max(np.abs(self.B_tilde)) * max(np.max(np.abs(u_full)), 1e-300))
         return raw, raw / scale
+
+
+def _stacklevel_outside_package():
+    """The ``stacklevel`` that makes a ``warnings.warn`` in the caller of
+    this function name the first frame outside the package, however many
+    package frames lie between (``skip_file_prefixes`` needs Python
+    3.12)."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None \
+            and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _check_finite(a):

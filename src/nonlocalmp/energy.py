@@ -29,8 +29,9 @@ Every integer power (in f, F, the moments and the mixed moments) comes
 from one power table, u^0 ... u^top by repeated multiplication
 (``power_table``).  It agrees with numpy's general ``u**k`` to round-off,
 not bitwise, and costs a fraction of it on negative values.  The descent
-fills one table of w per iteration and takes both f(w)
-(``Nonlinearity.f_from_powers``) and the mixed moments from it.
+fills one table of w per iteration and takes f(w)
+(``Nonlinearity.f_from_powers``), the mixed moments and, for a Newton
+attempt, f'(w) (``Nonlinearity.fprime_from_powers``) from it.
 """
 
 import math
@@ -114,6 +115,12 @@ class Nonlinearity:
         at least the top power of f; the same bits as ``f``."""
         return _power_sum([(k * a, k - 1) for k, a in self.F_coeffs.items()],
                           pw)
+
+    def fprime_from_powers(self, pw):
+        """f'(x) = sum k (k-1) a_k x^(k-2) from the power table pw of x,
+        which reaches at least the top power of f'."""
+        return _power_sum([(k * (k - 1) * a, k - 2)
+                           for k, a in self.F_coeffs.items()], pw)
 
     def F(self, t):
         return _power_sum([(a, k) for k, a in self.F_coeffs.items()],

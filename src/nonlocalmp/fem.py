@@ -21,6 +21,7 @@ __all__ = [
     "omega_norm_matrices",
     "interpolate",
     "norms",
+    "reference_quadrature",
     "element_quadrature",
     "step_function",
     "write_function_csv",
@@ -159,15 +160,20 @@ def norms(u, M, S):
     return np.sqrt(max(l2sq, 0.0)), np.sqrt(max(h1sq, 0.0))
 
 
+def reference_quadrature(order):
+    """Gauss-Legendre points and weights of an ``order``-point rule on
+    [0, 1]."""
+    pts, wts = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (pts + 1.0), 0.5 * wts
+
+
 def element_quadrature(mesh, order):
     """Gauss-Legendre points and weights on every element.
 
     Returns ``(X, W, ref_pts, ref_wts)`` where X and W have shape
     (n_elements, order) and the reference rule lives on [0, 1].
     """
-    pts, wts = np.polynomial.legendre.leggauss(order)
-    ref_pts = 0.5 * (pts + 1.0)
-    ref_wts = 0.5 * wts
+    ref_pts, ref_wts = reference_quadrature(order)
     left = mesh.nodes[:-1][:, None]
     X = left + mesh.h * ref_pts[None, :]
     W = mesh.h * np.broadcast_to(ref_wts, X.shape).copy()

@@ -307,6 +307,16 @@ def test_extension_margin_warning():
     assert [w.filename for w in record] == [__file__]
 
 
+def test_extension_margin_warning_from_direct_form():
+    # a form built without assemble_neumann has one package frame less
+    # between the caller and the warning; it still names the caller
+    mesh = nm.build_extended_mesh((0.0, 3.0), 0.25, 1.5)
+    with pytest.warns(ExtensionMarginWarning) as record:
+        assembly.NonlocalForm(mesh, nm.Exponential(), "neumann",
+                              assembly.QUAD_ORDER)
+    assert [w.filename for w in record] == [__file__]
+
+
 @pytest.mark.parametrize("mesh,constraint", [
     (nm.build_extended_mesh((0.0, 3.0), 0.25, 1.5), "dirichelt"),
     (nm.build_mesh(-math.pi, math.pi, h_for(20)), "Dirichlet"),

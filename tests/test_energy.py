@@ -67,6 +67,10 @@ def test_antiderivative_consistency(nl):
     eps = 1e-6
     fd = (nl.F(ts + eps) - nl.F(ts - eps)) / (2.0 * eps)
     np.testing.assert_allclose(fd, nl.f(ts), atol=1e-7, rtol=1e-7)
+    # f' from the power table, as the Newton attempt takes it
+    fd = (nl.f(ts + eps) - nl.f(ts - eps)) / (2.0 * eps)
+    fprime = nl.fprime_from_powers(en.power_table(ts, max(nl.F_coeffs)))
+    np.testing.assert_allclose(fd, fprime, atol=1e-7, rtol=1e-7)
 
 
 def _power_sum_reference(terms, t):

@@ -47,7 +47,7 @@ def case5_h03():
 
 @pytest.fixture(scope="module")
 def case2_20():
-    # the Mexican-hat preset ends in a one-node spike: up to 13 halvings
+    # the Mexican-hat preset ends in a one-node spike
     spec = nm.config.parse_config_text(nm.cases.case_config_text("case2"))
     mesh = spec.build_mesh(h_for(20))
     form = nm.assemble_dirichlet(mesh, spec.make_kernel(), spec.quad_order)
@@ -106,15 +106,16 @@ def test_eigenvalue_roots_only_above_degree_two(fixture, nl, companion,
 
 
 def test_screened_descent_stalls_with_halving_loop(case2_20):
-    # with at most 6 halvings the case-2 descent stalls.  The halving loop
-    # agrees at the same iterate: from the stall iterate it finds no step
-    # below e(w) either, and from the iterate one step earlier it takes
-    # one.  (Two whole runs from u1 are not compared: their energies part
-    # by round-off, 7e-14 at iteration 13 and 6e-4 at iteration 21, long
-    # before the stall.)
+    # with at most 2 halvings the case-2 descent stalls, after Newton
+    # attempts that the guard rejected (from 3 halvings on, the Newton
+    # finish converges).  The halving loop agrees at the same iterate:
+    # from the stall iterate it finds no step below e(w) either, and from
+    # the iterate one step earlier it takes one.  (Two whole runs from u1
+    # are not compared: their energies part by round-off long before the
+    # stall.)
     form, u1 = case2_20
     nl = en.NONLINEARITIES["cubic"]
-    cfg = mp.SolverConfig(max_halvings=6)
+    cfg = mp.SolverConfig(max_halvings=2)
     result = mp.solve(form, nl, u1, cfg)
     assert result.stop_reason == "stall" and result.iterations > 1
     one_step = dataclasses.replace(cfg, max_iterations=1)
@@ -129,9 +130,10 @@ def test_screened_descent_stalls_with_halving_loop(case2_20):
 
 def test_one_ray_evaluation_per_iteration(monkeypatch):
     # the initial ray and one step-polynomial call per iteration are the
-    # descent's only ray evaluations
-    mesh = nm.build_mesh(-math.pi, math.pi, h_for(20))
-    form = nm.assemble_dirichlet(mesh, nm.Exponential())
+    # descent's only ray evaluations, but for one more call per Newton
+    # attempt whose step the guard rejects: the attempts less the Newton
+    # steps taken and the attempts given up on negative curvature (which
+    # screen no step)
     calls = []
     ray_max = en.ray_max
 
@@ -139,13 +141,37 @@ def test_one_ray_evaluation_per_iteration(monkeypatch):
         calls.append(len(c))
         return ray_max(nl, Buu, c)
 
+    given_up = []
+    newton_direction = mp.newton_direction
+
+    def newton_counted(*args):
+        d_hat, products = newton_direction(*args)
+        given_up.append(d_hat is None)
+        return d_hat, products
+
     monkeypatch.setattr(en, "ray_max", counted)
-    cfg = mp.SolverConfig()
-    result = mp.solve(form, en.NONLINEARITIES["cubic"],
-                      nm.interpolate(mesh, math.sin, constraint="dirichlet"),
-                      cfg)
-    assert result.converged
-    assert calls == [1] + [cfg.max_halvings + 1] * result.iterations
+    monkeypatch.setattr(mp, "newton_direction", newton_counted)
+    mesh = nm.build_mesh(-math.pi, math.pi, h_for(20))
+    case4 = nm.config.parse_config_text(nm.cases.case_config_text("case4"))
+    rejected = 0
+    for form, nl, u1 in (
+            (nm.assemble_dirichlet(mesh, nm.Exponential()),
+             en.NONLINEARITIES["cubic"],
+             nm.interpolate(mesh, math.sin, constraint="dirichlet")),
+            (nm.assemble_dirichlet(mesh, case4.make_kernel()),
+             case4.make_nonlinearity(), case4.initial_guess_fe(mesh))):
+        calls.clear()
+        given_up.clear()
+        cfg = mp.SolverConfig()
+        result = mp.solve(form, nl, u1, cfg)
+        assert result.converged
+        assert len(given_up) == result.newton_attempts
+        screens = result.newton_attempts - result.newton_steps \
+            - sum(given_up)
+        assert calls == [1] + [cfg.max_halvings + 1] * (result.iterations
+                                                         + screens)
+        rejected += screens
+    assert rejected > 0
 
 
 def test_lowest_halving_below_energy_is_taken(case1_coarse, monkeypatch):
@@ -344,13 +370,112 @@ def test_modal_coordinates_carry_the_form(setup, request):
             wBw, rel=1e-12)
 
 
+def newton_setup(form, nl, u):
+    """(basis, a, power table, modal gradient) at the iterate u, a
+    FeFunction, with modal coordinates a = V^T H w."""
+    basis = _, lam, V = form.modal_basis(mp.SolverConfig.grounding_rel)
+    a = V.T @ (form.h1_gram @ form.reduce(u))
+    x = form.values_at_omega_quad(form.full_values(V @ a))
+    pw = en.power_table(x, max(nl.F_coeffs))
+    return basis, a, pw, mp.modal_gradient(form, nl, basis, lam * a, pw)
+
+
+@pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
+def test_modal_hessian_matches_gradient_difference(setup, request):
+    # H^ p against the central difference of the modal gradient along p
+    mesh, form, M, S, u1 = request.getfixturevalue(setup)
+    nl = en.NONLINEARITIES["allen_cahn" if setup == "neumann_coarse"
+                           else "cubic"]
+    basis, a, pw, _ = newton_setup(form, nl, u1)
+    _, lam, V = basis
+    hessian = mp.modal_hessian(form, nl, basis, pw)
+
+    def gradient(b):
+        x = form.values_at_omega_quad(form.full_values(V @ b))
+        return mp.modal_gradient(form, nl, basis, lam * b,
+                                 en.power_table(x, max(nl.F_coeffs)))
+
+    rng = np.random.default_rng(15)
+    for _ in range(3):
+        p = rng.standard_normal(a.size)
+        eps = 1e-5 * np.linalg.norm(a) / np.linalg.norm(p)
+        diff = (gradient(a + eps * p) - gradient(a - eps * p)) / (2 * eps)
+        Hp = hessian(p)
+        assert np.linalg.norm(Hp - diff) <= 1e-6 * np.linalg.norm(Hp)
+
+
+@pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
+def test_newton_direction_on_tangent_space(setup, request):
+    # at a converged iterate the Newton step lies on the tangent space
+    # (lam a) . d^ = 0 to round-off, meets the CG tolerance within the
+    # product budget and is a descent direction
+    mesh, form, M, S, u1 = request.getfixturevalue(setup)
+    nl = en.NONLINEARITIES["allen_cahn" if setup == "neumann_coarse"
+                           else "cubic"]
+    u = mp.solve(form, nl, u1).solution
+    basis, a, pw, g_hat = newton_setup(form, nl, u)
+    lam = basis[1]
+    d_hat, products = mp.newton_direction(
+        mp.modal_hessian(form, nl, basis, pw), lam, a, g_hat)
+    assert d_hat is not None and products < mp.NEWTON_MAX_PRODUCTS
+    assert abs((lam * a) @ d_hat) \
+        <= 1e-13 * np.linalg.norm(lam * a) * np.linalg.norm(d_hat)
+    assert g_hat @ d_hat < 0.0
+
+
+def test_newton_guard_keeps_the_lower_critical_point():
+    # a Neumann start of case 5 at h = 0.3 (20 elements with the
+    # extension): the preset step plus a 1% perturbation by four cosine
+    # modes drawn from numpy.random.default_rng(2).  An unguarded Newton
+    # step from it jumps to a higher critical point (energy 0.2066, strong
+    # residual R_L1 0.536); only full Newton steps that are the lowest of
+    # their ladder keep the descent's point
+    spec = nm.config.parse_config_text(nm.cases.case_config_text("case5"))
+    mesh = spec.build_mesh(0.3)
+    values = spec.initial_guess_fe(mesh).values.copy()
+    lo, hi = mesh.interior_range
+    s = (mesh.nodes[lo:hi + 1] - mesh.nodes[lo]) \
+        / (mesh.nodes[hi] - mesh.nodes[lo])
+    p = np.cos(np.pi * np.outer(s, np.arange(4))) \
+        @ np.random.default_rng(2).standard_normal(4)
+    values[lo:hi + 1] += 0.01 * np.max(np.abs(values)) \
+        / np.max(np.abs(p)) * p
+    form = nm.assemble_neumann(mesh, spec.make_kernel(), spec.quad_order)
+    cfg = spec.solver_config()
+    cfg.check_invariants = True
+    result = mp.solve(form, spec.make_nonlinearity(),
+                      nm.FeFunction(mesh, values), cfg)
+    assert mesh.n_elements == 20 and result.converged
+    assert result.newton_attempts > 0
+    assert result.records[-1].energy == pytest.approx(0.0133416797,
+                                                      rel=1e-6)
+
+
+STUDY_ROWS = ([(case, h_for(n)) for case in ("case1", "case2", "case3",
+                                             "case4") for n in (20, 40, 80)]
+              + [("case5", h) for h in (0.3, 0.15, 0.075)])
+
+
+@pytest.mark.parametrize("case, h", STUDY_ROWS,
+                         ids=[f"{c}-{h:.3g}" for c, h in STUDY_ROWS])
+def test_study_rows_keep_invariants(case, h):
+    # every step of every study row, Newton or descent, lowers the energy
+    # along a descent direction and lands on its ray maximum.  Every row
+    # takes Newton steps but case 5 at h = 0.3, where each attempt meets
+    # negative curvature (Morse index 2)
+    spec = nm.config.parse_config_text(nm.cases.case_config_text(case))
+    run = nm.verify.run_single(spec, h, check_invariants=True)
+    assert run.report.converged
+    assert (run.result.newton_steps > 0) == ((case, h) != ("case5", 0.3))
+
+
 def test_final_grad_norm_survives_long_descent():
-    # the case-4 preset at 160 elements converges after over 2,000
+    # the case-4 preset at 320 elements converges after over 2,000
     # iterations with the iterate carried in three linearly updated forms;
     # |b|_H1 recomputed from the returned nodal values by Cholesky matches
     # the reported one, which the stopping test trusts
     spec = nm.config.parse_config_text(nm.cases.case_config_text("case4"))
-    mesh = spec.build_mesh(h_for(160))
+    mesh = spec.build_mesh(h_for(320))
     form = nm.assemble_dirichlet(mesh, spec.make_kernel(), spec.quad_order)
     nl = spec.make_nonlinearity()
     cfg = spec.solver_config()
