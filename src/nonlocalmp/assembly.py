@@ -267,13 +267,28 @@ class NonlocalForm:
         lo, hi = self.mesh.interior_range
         return np.tile(self.mesh.h * self._quad.ref_wts, hi - lo)
 
-    def values_at_omega_quad(self, u_full):
-        """P1 values of a full nodal vector at the domain Gauss points."""
+    def values_at_omega_quad(self, u):
+        """P1 values at the domain Gauss points of a full nodal vector or
+        of unknown-node values, as ``as_full`` takes them.
+
+        The values read are Omega's nodes only.  A Neumann form's unknowns
+        are exactly those, so unknown-node values are read as they are and
+        no exterior value is formed; a Dirichlet form's are completed by
+        its two zero end values.  Either way the bits are those of the
+        full vector's call.
+        """
         lo, hi = self.mesh.interior_range
+        # the unknowns as a range of Omega's nodes 0 .. hi - lo
+        start, stop = self.unknowns.start - lo, self.unknowns.stop - lo
+        if np.shape(u) != (stop - start,):
+            u = self.as_full(u)[lo:hi + 1]
+        elif (start, stop) != (0, hi + 1 - lo):
+            omega = np.zeros(hi + 1 - lo)
+            omega[start:stop] = u
+            u = omega
         phi0, phi1 = self._quad.pb
         # (q, elements): numpy's inner loops run along the elements
-        return (phi0[:, None] * u_full[lo:hi]
-                + phi1[:, None] * u_full[lo + 1:hi + 1]).T.ravel()
+        return (phi0[:, None] * u[:-1] + phi1[:, None] * u[1:]).T.ravel()
 
     def load_vector(self, f_at_quad):
         """Unknown-node load vector int f(x) phi_i(x) dx over the domain."""
@@ -494,15 +509,17 @@ def dump_matrix(path, form):
     """Write the reduced matrix B in coordinate text format (row col value).
 
     Each distinct value is formatted once: one ``np.unique`` of the bit
-    patterns indexes the texts, so -0.0 and 0.0 keep their own text.
+    patterns indexes the texts, so -0.0 and 0.0 keep their own text, and
+    one %-format of all of them makes the texts, split at the newlines.
     Rows are converted to text one at a time, into one list of pieces
     (row, " j ", value) per entry whose column pieces are set once.
     """
     B = form.B
     m = B.shape[1]
     bits, idx = np.unique(B.view(np.int64), return_inverse=True)
-    text = np.array([f"{v:.17g}\n" for v in bits.view(float).tolist()],
-                    dtype=object)
+    values = bits.view(float).tolist()
+    text = np.array(("%.17g\n" * len(values) % tuple(values))
+                    .splitlines(keepends=True), dtype=object)
     pieces = [""] * (3 * m)
     pieces[1::3] = [f" {j} " for j in range(m)]
     with open(path, "w") as fh:

@@ -11,9 +11,11 @@ the coefficients of F.  One rule, ``ray_max``, takes the maximizer t*
 and the ray maximum g(t*) of any number of rays at once, one row of
 ray coefficients each.  When F = a_k t^k (+ a_2 t^2) t* has a closed
 form; otherwise t* is the best positive critical point of the ray
-polynomial, a root of g'(t)/t.  While g'(t)/t has degree 2 at most (the
-built-in Allen-Cahn source, for one) its roots come from the quadratic
-formula; above that from the eigenvalues of its companion matrices.
+polynomial, a root of g'(t)/t.  When g'(t)/t has degree 2 (F's top power
+is 4 and it has a t^3 term, as the built-in Allen-Cahn source does) its
+roots come from the quadratic formula and g(t*) from the closed form
+t*^2 (c[2] / 2 + c[3] t* / 4) that holds at a critical point; above
+that the roots are the eigenvalues of its companion matrices.
 
 Along a step u = w + s v the same data are polynomials in s as well:
 B[u, u] from B[w, w], B[w, v] and B[v, v], and every moment from the
@@ -209,8 +211,14 @@ def ray_max(nl, Buu, c):
 
     When F = a_k t^k (+ a_2 t^2) the slope vanishes at t*^(k-2) =
     -2 c[2] / (k c[k]), and there g(t*) = (1 - 2/k) c[2] t*^2.  Otherwise
-    t* is the positive real root of g'(t)/t = sum_j (j+2) c[j+2] t^j
-    (``_real_roots``) with the largest g.
+    t* is the positive real root of g'(t)/t = sum_j (j+2) c[j+2] t^j with
+    the largest g.  When F's top power is 4 (and it has a t^3 term) that
+    quotient is the quadratic 2 c[2] + 3 c[3] t + 4 c[4] t^2, whose two
+    roots come from the cancellation-free quadratic formula, and at a
+    critical point 4 c[4] t^2 = -2 c[2] - 3 c[3] t gives the closed form
+    g(t) = t^2 (c[2] / 2 + c[3] t / 4).  Above that the roots are the
+    eigenvalues of the companion matrices (``_real_roots``) and g is
+    evaluated at each by Horner's rule.
     """
     k = nl._ray_rule
     with np.errstate(all="ignore"):
@@ -220,6 +228,26 @@ def ray_max(nl, Buu, c):
             ts = np.sqrt(r) if k == 4 else r ** (1.0 / (k - 2))
             g = np.where((c2 > 0.0) & (ck < 0.0),
                          (1.0 - 2.0 / k) * c2 * r ** (2.0 / (k - 2)), np.nan)
+        elif c.shape[1] == 5:
+            # the roots of q0 + q1 t + q2 t^2 = g'(t)/t, one row each, by
+            # the cancellation-free formula: with s = -(q1 + sign(q1)
+            # sqrt(disc)) / 2 they are s / q2 and q0 / s.  A complex pair
+            # lies sqrt(-disc) / (2 |q2|) off the axis; within the
+            # tolerance it counts as the double root -q1 / (2 q2)
+            c2, c3 = c[:, 2], c[:, 3]
+            q0, q1, q2 = 2.0 * c2, 3.0 * c3, 4.0 * c[:, 4]
+            disc = q1 * q1 - 4.0 * q0 * q2
+            s = -0.5 * (q1 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), q1))
+            r = np.empty((2, len(c)))
+            np.divide(s, q2, out=r[0])
+            np.divide(q0, s, out=r[1])
+            np.copyto(r[1], r[0], where=disc < 0.0)
+            # g at the real, finite, positive roots
+            root = (r > 0.0) & (r < np.inf) & (-disc <= 4e-20 * q2 * q2)
+            g = np.where(root, r * r * (0.5 * c2 + 0.25 * c3 * r), -np.inf)
+            # the larger g, ties going to the first root
+            second = g[1] > g[0]
+            ts, g = np.where(second, r[1], r[0]), np.where(second, g[1], g[0])
         else:
             roots = _real_roots(c[:, 2:] * np.arange(2, c.shape[1]))
             g = np.zeros_like(roots)
@@ -234,36 +262,20 @@ def ray_max(nl, Buu, c):
 
 def _real_roots(q):
     """Real roots of sum_j q[i, j] t^j for every row i of q, which has at
-    least 3 columns (F has two powers above 2 when ``ray_max`` needs
-    roots); NaN stands in place of a root further than 1e-10 off the real
-    axis or not finite.
-
-    Up to degree 2 the roots come from the cancellation-free quadratic
-    formula: with s = -(q1 + sign(q1) sqrt(disc)) / 2 they are s / q2 and
-    q0 / s.  A complex pair lies sqrt(-disc) / (2 |q2|) off the axis;
-    within the tolerance it counts as the double root -q1 / (2 q2).
-    Above degree 2 the roots are the eigenvalues of the companion
-    matrices.
+    least 4 columns (degree 3 and up; ``ray_max`` takes degree 2 by
+    formula); NaN stands in place of a root further than 1e-10 off the
+    real axis or not finite.  The roots are the eigenvalues of the
+    companion matrices.
     """
-    if q.shape[1] > 3:
-        d = q.shape[1] - 1
-        with np.errstate(all="ignore"):
-            comp = np.zeros((len(q), d, d))
-            comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-            comp[:, :, -1] = -q[:, :-1] / q[:, -1:]
-        ok = np.isfinite(comp).all(axis=(1, 2))[:, None]
-        roots = np.linalg.eigvals(np.where(ok[..., None], comp, 0.0)
-                                  [:, ::-1, ::-1])
-        return np.where(ok & (np.abs(roots.imag) <= 1e-10), roots.real,
-                        np.nan)
-    q0, q1, q2 = q.T
+    d = q.shape[1] - 1
     with np.errstate(all="ignore"):
-        disc = q1 * q1 - 4.0 * q0 * q2
-        s = -0.5 * (q1 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), q1))
-        r1 = s / q2
-        roots = np.column_stack([r1, np.where(disc < 0.0, r1, q0 / s)])
-        real = (-disc <= 4e-20 * q2 * q2)[:, None]
-    return np.where(real & np.isfinite(roots), roots, np.nan)
+        comp = np.zeros((len(q), d, d))
+        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        comp[:, :, -1] = -q[:, :-1] / q[:, -1:]
+    ok = np.isfinite(comp).all(axis=(1, 2))[:, None]
+    roots = np.linalg.eigvals(np.where(ok[..., None], comp, 0.0)
+                              [:, ::-1, ::-1])
+    return np.where(ok & (np.abs(roots.imag) <= 1e-10), roots.real, np.nan)
 
 
 def ray_data(form, nl, u_unknown):

@@ -21,8 +21,9 @@ starting from an iterate w sitting on its own ray maximum:
      |g^ / lam|; stop when it is at most the tolerance (a vanishing
      gradient included), or when the iteration budget is spent;
   2. when the iteration number is a multiple of NEWTON_EVERY, or the
-     previous iteration took a Newton step, attempt one (the Newton
-     finish, below); if the guard takes it, go to 4;
+     previous iteration took a Newton step (full or damped), attempt one
+     (the Newton finish, below); if the guard takes its full step, go to
+     4;
   3. form the normalized descent direction v1 = V v^ from the nonzero
      g^ (``modal_direction``) and step along it by one of the halved
      steps delta 2^-k, k = 0 .. max_halvings, whose re-maximized trial
@@ -42,7 +43,9 @@ starting from an iterate w sitting on its own ray maximum:
      [s_opt, 2 s_opt) and lower the energy by almost nothing, while the
      lowest lies within a factor sqrt(2) of s_opt.  That call is the
      iteration's only ray evaluation but for the screen of a Newton
-     step that the guard rejected;
+     ladder whose full step was not taken.  A damped Newton rung kept by
+     the guard competes with this step: the lower ray maximum wins, ties
+     going to the descent step;
   4. replace w by the re-maximized trial t* (w + s v1) and repeat.
 
 An iteration thus makes two dense n x n products, V^T load and V v^,
@@ -63,14 +66,25 @@ CG stops at a relative preconditioned residual NEWTON_RTOL = 1e-4:
 solved only to 1e-2, a step lands inside the epsilon-ball early, at a
 worse point.  Negative curvature (p . H^ p <= 0) ends the attempt.  The
 guard screens the step d = V d^ like a descent direction, by the same
-step rule over the steps 1, 1/2, ... (v = d / delta), and takes it only
-if the lowest ray maximum below e(w) is the full step; otherwise the
-iteration takes its descent step.  Unguarded, an attempt far from the
-solution can jump to a higher critical point: from a perturbed case-5
-start at h = 0.3 the run ended at energy 0.2066 instead of 0.01334.  A
-Newton step taken lowers the energy along a descent direction
-(g^ . d^ = -d^T H^ d^ < 0) and ends on its ray maximum, so
-``check_invariants`` holds for both kinds of step.
+step rule over the ladder of steps 1, 1/2, ... (v = d / delta), and keeps
+the rung with the lowest ray maximum below e(w).  When that rung is the
+full step the iteration takes it.  When it is a halved rung (a damped
+Newton step) and d^ is a descent direction (g^ . d^ < 0), it competes
+with the iteration's descent step as above; a ladder with no rung below
+e(w) is dropped.  After a full or a damped step the next iteration
+attempts Newton again.
+Unguarded, an attempt far from the solution can jump to a higher
+critical point: from a perturbed case-5 start at h = 0.3 the run ended
+at energy 0.2066 instead of 0.01334.  A damped rung is not that jump.
+It is a step of the descent's own kind, strictly lower in energy, that
+is taken only where it beats the descent step.  In that example the two
+Newton ladders that have a rung below e(w) head for the higher point:
+their lowest ray maxima are 0.2134 and 0.2066.  The descent steps beside
+them reach 0.2082 and 0.1395, so both ladders lose and the run ends at
+0.01334 as before.  A Newton step taken lowers the energy along a
+descent direction (g^ . d^ = -d^T H^ d^ < 0 for the full step, asked of
+a damped one) and ends on its ray maximum, so ``check_invariants`` holds
+for every kind of step.
 
 The direction v1 comes from the H1-regularized system
 
@@ -167,9 +181,13 @@ class SolveResult:
     initial_energy: float
     initial_l2: float
     stop_reason: str = None
-    # Newton attempts made, Newton steps taken and Hessian-vector products
+    # Newton attempts made, full Newton steps and damped ones (a halved
+    # rung of the Newton ladder) taken, attempts ended by negative
+    # curvature, and Hessian-vector products
     newton_attempts: int = 0
     newton_steps: int = 0
+    newton_damped: int = 0
+    newton_negative_curvature: int = 0
     cg_products: int = 0
 
     @property
@@ -253,7 +271,7 @@ def modal_hessian(form, nl, basis, pw):
         q = q + sigma
 
     def product(p):
-        x_p = form.values_at_omega_quad(form.full_values(V @ p))
+        x_p = form.values_at_omega_quad(V @ p)
         return lam * p - V.T @ form.load_vector(q * x_p)
     return product
 
@@ -330,7 +348,7 @@ def solve(form, nl, u1, cfg=None):
     l2_0 = float(np.sqrt(max(w_full @ form.M @ w_full, 0.0)))
 
     records = []
-    attempts = newton_steps = cg_products = 0
+    attempts = newton_steps = damped = negative_curvature = cg_products = 0
     # every step the halving may try: the floats of repeated halving
     steps = cfg.delta * 0.5 ** np.arange(cfg.max_halvings + 1)
     rays = step_polynomial(nl, steps, weights)
@@ -346,6 +364,8 @@ def solve(form, nl, u1, cfg=None):
                            initial_l2=l2_0, stop_reason=stop_reason,
                            newton_attempts=attempts,
                            newton_steps=newton_steps,
+                           newton_damped=damped,
+                           newton_negative_curvature=negative_curvature,
                            cg_products=cg_products)
 
     def screen(v_hat, Bww):
@@ -355,7 +375,7 @@ def solve(form, nl, u1, cfg=None):
         polynomial, v^, v, x_v).  With no ray maximum below e(w) it is
         the full step's."""
         v = V @ v_hat
-        x_v = form.values_at_omega_quad(form.full_values(v))
+        x_v = form.values_at_omega_quad(v)
         power_table(x_v, top, out=pw[:, 1])
         B_step = (Bww, pairing(basis, weights, lam_a, x_w, v_hat, x_v),
                   pairing(basis, weights, lam * v_hat, x_v, v_hat, x_v))
@@ -377,25 +397,35 @@ def solve(form, nl, u1, cfg=None):
             return result("max_iterations")
 
         Bww = pairing(basis, weights, lam_a, x_w, a, x_w)
-        step = None
+        newton = None
         if newton_last or it % NEWTON_EVERY == 0:
             attempts += 1
             d_hat, products = newton_direction(
                 modal_hessian(form, nl, basis, pw[:, 0]), lam, a, g_hat)
             cg_products += products
-            if d_hat is not None:
-                step = screen(d_hat / cfg.delta, Bww)
-                # the guard: only the full step, and only when it is the
-                # lowest ray maximum below e(w) of the whole ladder
-                halvings, e_trial = step[:2]
-                if halvings != 0 or not e_trial < e_w:
-                    step = None
-        newton_last = step is not None
-        if newton_last:
+            if d_hat is None:
+                negative_curvature += 1
+            else:
+                newton = screen(d_hat / cfg.delta, Bww)
+                # the guard: the ladder's lowest rung, if below e(w); a
+                # halved rung only along a descent direction
+                halvings, e_trial = newton[:2]
+                if not e_trial < e_w or (halvings and
+                                         not float(g_hat @ d_hat) < 0.0):
+                    newton = None
+        if newton is not None and newton[0] == 0:
+            step = newton
             newton_steps += 1
         else:
             step = screen(modal_direction(g_hat, lam, cfg.direction_reg),
                           Bww)
+            # a damped rung competes with the descent step: the lower ray
+            # maximum wins, ties going to the descent step (whose ray
+            # maximum may be NaN or not below e(w))
+            if newton is not None and not step[1] <= newton[1]:
+                step = newton
+                damped += 1
+        newton_last = step is newton
         halvings, e_trial, ts, c_step, v_hat, v, x_v = step
         if not e_trial < e_w:
             return result("stall")

@@ -94,6 +94,32 @@ def grid_ray_argmax(energy_of_t, t_max=10.0, step=1e-3):
     return float(ts[np.argmax(vals)])
 
 
+def roots_horner_ray_max(Buu, c):
+    """(t*, g(t*)) of the quartic rays g(t) = sum_k c[i, k] t^k (rows of c
+    with 5 columns) by the generic rule: the real roots of the quadratic
+    g'(t)/t by the cancellation-free formula (a complex pair within
+    4e-20 q2^2 of a zero discriminant counts as a double root), stacked
+    as columns, g at each by Horner's rule over every coefficient, and
+    the positive root of largest g (``argmax``, ties to the first); NaN
+    where B[u, u] <= 0 or no positive root has g > 0."""
+    with np.errstate(all="ignore"):
+        q0, q1, q2 = (c[:, 2:] * np.arange(2, c.shape[1])).T
+        disc = q1 * q1 - 4.0 * q0 * q2
+        s = -0.5 * (q1 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), q1))
+        r1 = s / q2
+        roots = np.column_stack([r1, np.where(disc < 0.0, r1, q0 / s)])
+        real = (-disc <= 4e-20 * q2 * q2)[:, None]
+        roots = np.where(real & np.isfinite(roots), roots, np.nan)
+        g = np.zeros_like(roots)
+        for cj in c.T[::-1]:
+            g = g * roots + cj[:, None]
+        g = np.where(roots > 0.0, g, -np.inf)
+        best = np.arange(len(g)), g.argmax(axis=1)
+        ts, g = roots[best], g[best]
+        ok = (Buu > 0.0) & (g > 0.0)
+    return np.where(ok, ts, np.nan), np.where(ok, g, np.nan)
+
+
 def companion_ray_max(c):
     """(t*, g(t*)) of the ray polynomial g(t) = sum_k c[k] t^k, or None
     when no positive real critical point has g > 0.

@@ -360,6 +360,19 @@ def test_local_basis_matches_dense_reference(setup, request):
 
 
 @pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
+def test_omega_quad_values_of_unknowns_match_full_vector(setup, request,
+                                                         monkeypatch):
+    # unknown-node values give the bits of their full nodal vector; a
+    # Neumann form reads them as they are, forming no exterior value
+    mesh, form, M, S, u1 = request.getfixturevalue(setup)
+    u = np.random.default_rng(9).standard_normal(form.n_unknowns)
+    full = form.values_at_omega_quad(form.full_values(u))
+    if form.constraint == "neumann":
+        monkeypatch.setattr(form, "exterior_map", None)
+    assert np.array_equal(form.values_at_omega_quad(u), full)
+
+
+@pytest.mark.parametrize("setup", ["case1_coarse", "neumann_coarse"])
 def test_omega_ranges_match_gathered_indices(setup, request):
     # Omega and the unknowns are node ranges: reading them through slices
     # gives the bits of gathering them through index arrays

@@ -8,7 +8,8 @@ from nonlocalmp import energy as en
 from nonlocalmp import mountain_pass as mp
 from nonlocalmp.errors import ZeroDirection
 from oracles import (central_difference, companion_ray_max,
-                     grid_ray_argmax, per_call_step_polynomial)
+                     grid_ray_argmax, per_call_step_polynomial,
+                     roots_horner_ray_max)
 
 from conftest import CUBIC_PLUS_QUINTIC, h_for, modal_direction_at
 
@@ -419,6 +420,53 @@ def test_quadratic_rule_is_cancellation_free():
     screened = point_screen(nl, b)
     assert screened == pytest.approx(en.ray_energy(c, root), rel=1e-12,
                                      abs=0.0)
+
+
+def test_quartic_closed_form_matches_roots_and_horner():
+    # F with top power 4 and a t^3 term: g(t*) = t*^2 (c2/2 + c3 t*/4)
+    # against Horner's rule at both roots and their argmax, on random rows
+    # and on edge rows, each given as (q0, q1, q2) of g'(t)/t and B[u, u]
+    rng = np.random.default_rng(28)
+    n = 2000
+    c = np.zeros((n, 5))
+    c[:, 2:] = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(
+        -3, 3, (n, 3))
+    Buu = rng.choice([-1.0, 1.0], n, p=[0.1, 0.9]) * rng.uniform(0.1, 2.0, n)
+    edges = [
+        # a complex pair 4e-11 off the axis, inside the 1e-20 tolerance:
+        # the double root 1e-3
+        ((1e-6 * (1.0 + 2e-15), -2e-3, 1.0), 1.0),
+        # a negative discriminant outside it: no critical point
+        ((1e-6 * (1.0 + 1e-9), -2e-3, 1.0), 1.0),
+        # two negative roots, -1 and -2
+        ((2.0, 3.0, 1.0), 1.0),
+        # a ray with a maximum, but B[u, u] <= 0
+        ((2.0, -3.0, -1.0), -1.0),
+        ((2.0, -3.0, -1.0), 0.0),
+        # q2 = 0: the linear root 2 only
+        ((2.0, -1.0, 0.0), 1.0),
+        # q2 = 0 and no positive root
+        ((2.0, 1.0, 0.0), 1.0),
+    ]
+    q_edge = np.array([q for q, _ in edges])
+    c = np.vstack([c, np.column_stack([np.zeros((len(edges), 2)),
+                                       q_edge / [2.0, 3.0, 4.0]])])
+    Buu = np.concatenate([Buu, [b for _, b in edges]])
+    nl = en.NONLINEARITIES["allen_cahn"]
+    assert nl._ray_rule is None and max(nl.moment_powers) == 4
+    ts, g = en.ray_max(nl, Buu, c)
+    ts_ref, g_ref = roots_horner_ray_max(Buu, c)
+    assert np.array_equal(np.isnan(ts), np.isnan(ts_ref))
+    assert np.array_equal(np.isnan(g), np.isnan(ts))
+    assert np.array_equal(np.isnan(g_ref), np.isnan(ts_ref))
+    found = ~np.isnan(ts)
+    assert 500 <= found[:n].sum() < n
+    assert found[n:].tolist() == [True, False, False, False, False, True,
+                                  False]
+    np.testing.assert_allclose(ts[found], ts_ref[found], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(g[found], g_ref[found], rtol=1e-12, atol=0)
+    assert ts[n] == pytest.approx(1e-3, rel=1e-12)
+    assert ts[n + 5] == 2.0
 
 
 def test_nonlinearity_from_name():

@@ -45,13 +45,22 @@ def case5_h03():
     return form, nm.step_function(mesh, 1, 2)
 
 
-@pytest.fixture(scope="module")
-def case2_20():
+def case2_preset(n_elements):
     # the Mexican-hat preset ends in a one-node spike
     spec = nm.config.parse_config_text(nm.cases.case_config_text("case2"))
-    mesh = spec.build_mesh(h_for(20))
+    mesh = spec.build_mesh(h_for(n_elements))
     form = nm.assemble_dirichlet(mesh, spec.make_kernel(), spec.quad_order)
     return form, spec.initial_guess_fe(mesh)
+
+
+@pytest.fixture(scope="module")
+def case2_20():
+    return case2_preset(20)
+
+
+@pytest.fixture(scope="module")
+def case2_40():
+    return case2_preset(40)
 
 
 def form_and_start(request, fixture):
@@ -105,19 +114,21 @@ def test_eigenvalue_roots_only_above_degree_two(fixture, nl, companion,
     assert (len(calls) > 0) == companion
 
 
-def test_screened_descent_stalls_with_halving_loop(case2_20):
-    # with at most 2 halvings the case-2 descent stalls, after Newton
-    # attempts that the guard rejected (from 3 halvings on, the Newton
-    # finish converges).  The halving loop agrees at the same iterate:
-    # from the stall iterate it finds no step below e(w) either, and from
-    # the iterate one step earlier it takes one.  (Two whole runs from u1
-    # are not compared: their energies part by round-off long before the
-    # stall.)
-    form, u1 = case2_20
+def test_screened_descent_stalls_with_halving_loop(case2_40):
+    # with at most 2 halvings the case-2 descent at 40 elements stalls, at
+    # iteration 25 after Newton attempts that met negative curvature (from
+    # 3 halvings on it converges; at 20 elements it converges with 2
+    # halvings too, taking a damped Newton rung).  The halving loop agrees
+    # at the same iterate: from the stall iterate it finds no step below
+    # e(w) either, and from the iterate one step earlier it takes one.
+    # (Two whole runs from u1 are not compared: their energies part by
+    # round-off long before the stall.)
+    form, u1 = case2_40
     nl = en.NONLINEARITIES["cubic"]
     cfg = mp.SolverConfig(max_halvings=2)
     result = mp.solve(form, nl, u1, cfg)
     assert result.stop_reason == "stall" and result.iterations > 1
+    assert result.newton_attempts > 0
     one_step = dataclasses.replace(cfg, max_iterations=1)
     with pytest.raises(RuntimeError, match="stalled at iteration 1$"):
         halving_solve(form, nl, result.solution, one_step)
@@ -131,9 +142,10 @@ def test_screened_descent_stalls_with_halving_loop(case2_20):
 def test_one_ray_evaluation_per_iteration(monkeypatch):
     # the initial ray and one step-polynomial call per iteration are the
     # descent's only ray evaluations, but for one more call per Newton
-    # attempt whose step the guard rejects: the attempts less the Newton
-    # steps taken and the attempts given up on negative curvature (which
-    # screen no step)
+    # attempt that screens its ladder and takes no full step (its damped
+    # rung, if any, competes with the descent step): the attempts less the
+    # full Newton steps and the attempts given up on negative curvature
+    # (which screen no step)
     calls = []
     ray_max = en.ray_max
 
@@ -467,6 +479,95 @@ def test_study_rows_keep_invariants(case, h):
     run = nm.verify.run_single(spec, h, check_invariants=True)
     assert run.report.converged
     assert (run.result.newton_steps > 0) == ((case, h) != ("case5", 0.3))
+
+
+def cosine_perturbed(mesh, start):
+    """``start`` plus 1% of its largest value times four cosine modes over
+    Omega drawn from numpy.random.default_rng(2): the start of
+    ``test_newton_guard_keeps_the_lower_critical_point``."""
+    values = start.values.copy()
+    lo, hi = mesh.interior_range
+    s = (mesh.nodes[lo:hi + 1] - mesh.nodes[lo]) \
+        / (mesh.nodes[hi] - mesh.nodes[lo])
+    p = np.cos(np.pi * np.outer(s, np.arange(4))) \
+        @ np.random.default_rng(2).standard_normal(4)
+    values[lo:hi + 1] += 0.01 * np.max(np.abs(values)) \
+        / np.max(np.abs(p)) * p
+    return nm.FeFunction(mesh, values)
+
+
+ADD_UP_ROWS = ([(case, h, False) for case, h in STUDY_ROWS]
+               + [("case5", 0.3, True)])
+
+
+@pytest.mark.parametrize("case, h, perturbed", ADD_UP_ROWS,
+                         ids=[f"{c}-{h:.3g}" + "-perturbed" * p
+                              for c, h, p in ADD_UP_ROWS])
+def test_newton_attempts_add_up(case, h, perturbed, monkeypatch):
+    # every Newton attempt ends one way: a full step, a damped rung that
+    # beat the descent step, negative curvature, or a loss to the descent
+    # step.  Each attempt is told apart here from outside ``solve``, by
+    # the calls its iteration made and the direction its step took.  The
+    # study rows lose no attempt to the descent step from their preset
+    # starts; the perturbed case-5 start of the guard test loses two
+    events = []
+    newton_direction = mp.newton_direction
+    modal_direction = mp.modal_direction
+    check_invariants = mp.check_invariants
+
+    def newton_traced(*args):
+        d_hat, products = newton_direction(*args)
+        events.append(("newton", d_hat))
+        return d_hat, products
+
+    def descent_traced(*args):
+        v_hat = modal_direction(*args)
+        events.append(("descent", v_hat))
+        return v_hat
+
+    def step_traced(iteration, g, v1, *args):
+        events.append(("step", v1))
+        return check_invariants(iteration, g, v1, *args)
+
+    monkeypatch.setattr(mp, "newton_direction", newton_traced)
+    monkeypatch.setattr(mp, "modal_direction", descent_traced)
+    monkeypatch.setattr(mp, "check_invariants", step_traced)
+    spec = nm.config.parse_config_text(nm.cases.case_config_text(case))
+    mesh = spec.build_mesh(h)
+    assemble = nm.assemble_dirichlet if spec.constraint == "dirichlet" \
+        else nm.assemble_neumann
+    form = assemble(mesh, spec.make_kernel(), spec.quad_order)
+    cfg = spec.solver_config()
+    cfg.check_invariants = True
+    start = spec.initial_guess_fe(mesh)
+    if perturbed:
+        start = cosine_perturbed(mesh, start)
+    result = mp.solve(form, spec.make_nonlinearity(), start, cfg)
+    assert result.converged
+
+    ends = dict.fromkeys(("full", "damped", "negative", "lost"), 0)
+    iteration = {}
+    for kind, vec in events:
+        if kind != "step":
+            iteration[kind] = vec
+            continue
+        if "newton" in iteration:
+            if iteration["newton"] is None:
+                ends["negative"] += 1
+            elif "descent" not in iteration:
+                ends["full"] += 1
+            else:
+                ends["lost" if vec is iteration["descent"] else "damped"] += 1
+        iteration = {}
+    assert not iteration        # a converged run stops before any attempt
+    assert (ends["full"], ends["damped"], ends["negative"]) == (
+        result.newton_steps, result.newton_damped,
+        result.newton_negative_curvature)
+    assert result.newton_attempts == sum(ends.values())
+    if (case, h) == ("case4", h_for(80)):
+        assert result.newton_damped >= 1
+    if perturbed:
+        assert ends["lost"] > 0
 
 
 def test_final_grad_norm_survives_long_descent():

@@ -10,25 +10,33 @@ threads pinned to 1, the descent of these rows from their preset starts:
 - the 15 preset rows of the benchmark studies: cases 1-4 at 20, 40 and
   80 elements and case 5 at h = 0.3, 0.15 and 0.075;
 - case 1 at 160, 320 and 640 elements;
-- case 4 at 160 elements.
+- case 4 at 160 and 320 elements and case 2 at 320 elements.
 
 Every row runs to its own stop under its preset's solver settings.
 
 It records per row the iterations, the step halvings taken over the
 whole descent (the sum of ``halvings_used`` over its records), the stop
-reason, the solve seconds (``SolveResult.wall_time``, which includes
-building whatever the descent factors) and the microseconds per
-iteration.  Trees take turns, one process per tree and repeat; the
-counts must repeat exactly.  Per row it keeps the median seconds over
-``--repeats`` and the minimum microseconds per iteration
-(``us_per_iteration_min``).  On a shared machine other load only ever
-adds time, and the median of a few repeats can move by 40% between runs
-of one tree.  The minimum is steadier on the long rows, but a row of
-about 10 ms or less is short enough that one scheduler stall is a large
-share of every repeat: on a shared 2-core VM, two 5-repeat runs of one
-tree read 107 and 184 us per iteration on case3/20.  On such rows the
-minimum backs no claim.  The environment record comes from
+reason, the Newton counts of ``SolveResult`` (attempts, full and damped
+steps, attempts ended by negative curvature, Hessian-vector products;
+null where the tree's result has no such field), the solve seconds
+(``SolveResult.wall_time``, which includes building the modal basis)
+and the microseconds per iteration.  Trees take turns, one process per
+tree and repeat; the counts must repeat exactly.  Per row it keeps the
+median seconds over ``--repeats`` and the minimum microseconds per
+iteration (``us_per_iteration_min``).  On a shared machine other load
+only ever adds time, and the median of a few repeats can move by 40%
+between runs of one tree.  The minimum is steadier on the long rows, but
+a row of about 10 ms or less is short enough that one scheduler stall is
+a large share of every repeat: on a shared 2-core VM, two 5-repeat runs
+of one tree read 107 and 184 us per iteration on case3/20.  On such rows
+the minimum backs no claim.  The environment record comes from
 ``benchmark/run.py``.
+
+The per-iteration cost without the basis build comes from one more
+process per tree (``measure_iteration``): per row it solves once, which
+builds and caches the form's modal basis, then ``ITERATION_REPEATS``
+times more on that form, and records the minimum microseconds per
+iteration of those solves (``us_per_iteration_cached_min``).
 
 Where a descent stops moves with round-off, so one process per tree
 also runs every row from ``ROUNDOFF_STARTS`` starts whose nodal values
@@ -77,6 +85,7 @@ from pathlib import Path
 TOOLS = Path(__file__).resolve().parent
 IMPORT_REPEATS = 9
 LINALG_REPEATS = 7
+ITERATION_REPEATS = 7
 ROUNDOFF_STARTS = 4
 # run by ``python -c`` so that nothing but the interpreter precedes the import
 IMPORT_PROBE = """
@@ -94,6 +103,11 @@ print(json.dumps({"import_s": time.perf_counter() - t0,
 # run by ``python -c`` in a tree's process: a tool's function, as JSON
 CHILD = ("import json, sys; sys.path.insert(0, {tools!r}); import {tool}; "
          "print(json.dumps({tool}.{function}()))")
+# the SolveResult fields of the Newton counts of a descent
+NEWTON_COUNTS = ("newton_attempts", "newton_steps", "newton_damped",
+                 "newton_negative_curvature", "cg_products")
+# the record keys that must repeat exactly between runs of one tree
+COUNT_KEYS = ("row", "iterations", "halvings", "stop_reason") + NEWTON_COUNTS
 # (label, case, n_elements or h) of the 15 rows of the benchmark studies
 PRESET_ROWS = ([(f"{case}/{n}", case, n)
                 for case in ("case1", "case2", "case3", "case4")
@@ -112,9 +126,10 @@ def benchmark_run():
 
 
 def rows():
-    """(label, case, n_elements or h): the preset rows and four fine ones."""
+    """(label, case, n_elements or h): the preset rows and six fine ones."""
     return (PRESET_ROWS + [(f"case1/{n}", "case1", n) for n in (160, 320, 640)]
-            + [("case4/160", "case4", 160)])
+            + [(f"case4/{n}", "case4", n) for n in (160, 320)]
+            + [("case2/320", "case2", 320)])
 
 
 def row_spec(case, size):
@@ -164,7 +179,28 @@ def measure():
                         "iterations": result.iterations,
                         "halvings": halvings,
                         "stop_reason": result.stop_reason,
+                        **{key: getattr(result, key, None)
+                           for key in NEWTON_COUNTS},
                         "solve_s": result.wall_time})
+    return records
+
+
+def measure_iteration():
+    """Per row, the minimum microseconds per iteration over
+    ``ITERATION_REPEATS`` solves on a form whose modal basis an earlier
+    solve built and cached."""
+    from nonlocalmp.errors import ExtensionMarginWarning
+
+    warnings.simplefilter("ignore", ExtensionMarginWarning)
+    records = []
+    for label, case, size in rows():
+        form, nl, start, cfg = _preset(case, size)
+        result = _descend(form, nl, start, cfg)[0]
+        seconds = [_descend(form, nl, start, cfg)[0].wall_time
+                   for _ in range(ITERATION_REPEATS)]
+        records.append({"row": label, "iterations": result.iterations,
+                        "us_per_iteration_cached_min":
+                            1e6 * min(seconds) / max(result.iterations, 1)})
     return records
 
 
@@ -298,8 +334,7 @@ def summarize(runs):
     for per_repeat in zip(*runs):
         first = per_repeat[0]
         for rec in per_repeat[1:]:
-            if any(rec[k] != first[k] for k in ("row", "iterations",
-                                                 "halvings", "stop_reason")):
+            if any(rec[k] != first[k] for k in COUNT_KEYS):
                 raise RuntimeError(f"counts differ between repeats on "
                                    f"{first['row']}")
         repeats = [r["solve_s"] for r in per_repeat]
@@ -326,10 +361,10 @@ def main(argv=None):
     for _ in range(IMPORT_REPEATS):
         for label, src in trees:
             imports[label].append(run_tree(src, IMPORT_PROBE))
-    linalg, assembly, spreads = (
+    linalg, assembly, spreads, per_iteration = (
         {label: run_tree(src, child(function)) for label, src in trees}
         for function in ("measure_linalg", "measure_assembly",
-                         "measure_spread"))
+                         "measure_spread", "measure_iteration"))
     runs = {label: [] for label, _ in trees}
     for _ in range(args.repeats):
         for label, src in trees:
@@ -345,6 +380,7 @@ def main(argv=None):
         "linalg": linalg,
         "assembly": assembly,
         "spreads": spreads,
+        "per_iteration": per_iteration,
         "trees": {label: summarize(r) for label, r in runs.items()},
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
@@ -363,11 +399,15 @@ def main(argv=None):
         for r in record["spreads"][label]:
             print(f"  {r['row']:<32} iterations (min, median, max) "
                   f"{r['iterations']}, halvings {r['halvings']}")
+        cached = {r["row"]: r["us_per_iteration_cached_min"]
+                  for r in record["per_iteration"][label]}
         for r in rows_out:
             print(f"  {r['row']:<32} {r['iterations']:>6} it "
-                  f"{r['halvings']:>6} halvings {r['solve_s']:8.3f} s "
+                  f"{r['halvings']:>6} halvings {r['cg_products']!s:>5} "
+                  f"products {r['solve_s']:8.3f} s "
                   f"{r['us_per_iteration']:7.0f} us/it "
-                  f"(min {r['us_per_iteration_min']:.0f})")
+                  f"(min {r['us_per_iteration_min']:.0f}, cached basis "
+                  f"{cached[r['row']]:.0f})")
     return 0
 
 
