@@ -33,11 +33,17 @@ n_e q Gauss points, and -L u evaluates none.
 The dense linear algebra is numpy's: the generalized eigendecomposition
 of the pencil (B + sigma M, H) behind the modal basis the form caches, a
 Cholesky factor of B + sigma M per reference resolve and one Cholesky
-solve of the Neumann exterior elimination.  K is a temporary of the
-assembly.  A non-finite matrix or right-hand side raises ValueError, and
-a factorization that fails raises SingularSystem or SingularExteriorBlock.
+solve of the Neumann exterior elimination.  The Omega mass M and the
+H1 Gram matrix H = M + S are tridiagonal and never dense: a form holds
+them as (diagonal, off-diagonal) pairs over its unknowns, adds a multiple
+of M onto a dense matrix in place (the Dirichlet Gamma M - K, the
+grounding B + sigma M) and factors H by an O(n) bidiagonal recurrence.
+K is a temporary of the assembly.  A non-finite matrix or right-hand
+side raises ValueError, and a factorization that fails raises
+SingularSystem or SingularExteriorBlock.
 """
 
+import math
 import os
 import sys
 import warnings
@@ -80,8 +86,9 @@ class NonlocalForm:
     ``kernel_mass`` (Gamma), ``constraint`` ('dirichlet' or 'neumann'),
     ``unknowns`` (the slice of unknown nodes: Omega's nodes for Neumann
     forms, Omega's less its two end nodes for Dirichlet forms, so one
-    range either way), ``M`` (the L2(Omega) mass matrix over all nodes,
-    zero outside Omega), ``h1_gram`` (H1(Omega) over unknown nodes) and,
+    range either way), ``M_uu`` (the L2(Omega) mass matrix over unknown
+    nodes) and ``H`` (the H1(Omega) Gram matrix M + S over unknown nodes),
+    both tridiagonal and held as (diagonal, off-diagonal) pairs, and,
     for Neumann runs, ``B_tilde`` (the form over all nodes),
     ``exterior_idx`` (the other nodes) and ``exterior_map`` which
     reconstructs exterior nodal values from the interior ones; all three
@@ -154,23 +161,27 @@ class NonlocalForm:
         K = 0.5 * (K + K.T)
 
         lo, hi = self.mesh.interior_range
-        self.M, S = fem.omega_norm_matrices(self.mesh)
-        if self.constraint == "dirichlet":
-            if (lo, hi) != (0, self.mesh.n_nodes - 1):
-                raise ValueError("Dirichlet assembly expects the mesh to "
-                                 "cover exactly the physical domain")
-            self.unknowns = u = slice(1, self.mesh.n_nodes - 1)
-            # Omega is the whole mesh here, so M is the full mass matrix
-            # K and M are symmetric, so this B is, exactly
-            self.B = self.kernel_mass * self.M[u, u] - K[u, u]
+        dirichlet = self.constraint == "dirichlet"
+        if dirichlet and (lo, hi) != (0, self.mesh.n_nodes - 1):
+            raise ValueError("Dirichlet assembly expects the mesh to cover "
+                             "exactly the physical domain")
+        # Omega's nodes, less its two end nodes on a Dirichlet form
+        self.unknowns = u = slice(1, hi) if dirichlet else slice(lo, hi + 1)
+        off = slice(u.start, u.stop - 1)
+        (m0, m1), (s0, s1) = fem.omega_norm_diagonals(self.mesh)
+        self.M_uu = (m0[u], m1[off])
+        self.H = (m0[u] + s0[u], m1[off] + s1[off])    # M + S
+        if dirichlet:
+            # Omega is the whole mesh here, so M_uu is the full mass matrix
+            # over the unknowns; K is symmetric, so this B is, exactly
+            self.B = fem.add_tridiagonal(-K[u, u], self.kernel_mass,
+                                         self.M_uu)
             self.B_tilde = self.exterior_map = self.exterior_idx = None
             self._mass = self.kernel_mass
         else:
             g = self._convolve(np.ones(self.mesh.n_nodes))
             self._assemble_neumann_reduction(g, K)
             self._mass = g[lo:hi]
-        u = self.unknowns
-        self.h1_gram = self.M[u, u] + S[u, u]   # H1(Omega) Gram matrix M + S
 
     def _assemble_neumann_reduction(self, g, K):
         """B~ and its Schur reduction; g[e, k] = int_D gamma(|x - y|) dy at
@@ -216,7 +227,6 @@ class NonlocalForm:
         B = B_II + B_IE @ ext_map
         self.B = 0.5 * (B + B.T)
         self.exterior_map = ext_map
-        self.unknowns = slice(lo, hi + 1)
         self.exterior_idx = idx_ext
 
     # -- nodal-vector plumbing ----------------------------------------------
@@ -311,20 +321,19 @@ class NonlocalForm:
         """
         if self.constraint != "neumann" or grounding_rel == 0.0:
             return 0.0
-        u = self.unknowns
-        return grounding_rel * np.trace(self.B) / self.M.diagonal()[u].sum()
+        return grounding_rel * np.trace(self.B) / self.M_uu[0].sum()
 
     def _grounded(self, sigma):
-        """B + sigma M_u, with M_u the mass matrix over unknown nodes."""
+        """B + sigma M_uu, a new matrix unless sigma = 0."""
         if not sigma:
             return self.B
-        return self.B + sigma * self.M[self.unknowns, self.unknowns]
+        return fem.add_tridiagonal(self.B.copy(), sigma, self.M_uu)
 
     def modal_basis(self, grounding_rel):
-        """(sigma, lam, V) of the pencil (B + sigma M_u, H), H = ``h1_gram``.
+        """(sigma, lam, V) of the pencil (B + sigma M_uu, H).
 
-        V^T H V = I and V^T (B + sigma M_u) V = diag(lam), lam ascending, so
-        (B + sigma M_u + tau H)^-1 = V diag(1 / (lam + tau)) V^T for every
+        V^T H V = I and V^T (B + sigma M_uu) V = diag(lam), lam ascending, so
+        (B + sigma M_uu + tau H)^-1 = V diag(1 / (lam + tau)) V^T for every
         tau >= 0.  Built on first use (one ``_eigh_pencil``) and cached for
         the last grounding asked for (sigma = 0 for Dirichlet forms).  A
         non-finite matrix raises ValueError; raises SingularSystem unless
@@ -332,7 +341,7 @@ class NonlocalForm:
         """
         sigma = self.grounding_shift(grounding_rel)
         if self._basis is None or self._basis[0] != sigma:
-            lam, V = _eigh_pencil(self._grounded(sigma), self.h1_gram,
+            lam, V = _eigh_pencil(self._grounded(sigma), self.H,
                                   SingularSystem(
                                       "generalized eigenproblem failed "
                                       f"(grounding shift {sigma:.3g})"))
@@ -344,10 +353,10 @@ class NonlocalForm:
         return self._basis
 
     def solve_spd(self, rhs, grounding_rel):
-        """Solve (B + sigma M) x = rhs by Cholesky.
+        """Solve (B + sigma M_uu) x = rhs by Cholesky.
 
-        sigma M is the mass shift grounding the Neumann null mode.  Each
-        call factors B + sigma M afresh (the factor checks that it is
+        sigma M_uu is the mass shift grounding the Neumann null mode.  Each
+        call factors B + sigma M_uu afresh (the factor checks that it is
         positive definite) and keeps no factor.  ``rhs`` is a vector or a
         matrix of right-hand-side columns; a non-finite entry raises
         ValueError.
@@ -424,50 +433,97 @@ def _cholesky(A, failed):
 
 
 def _solve_triangular(L, B, transpose=False):
-    """X with L X = B, or L^T X = B with ``transpose``, for lower-triangular L.
+    """X with L X = B, or L^T X = B with ``transpose``, for dense
+    lower-triangular L.
 
     Block forward substitution, ``_TRI_BLOCK`` rows at a time: a block
     subtracts the product of its rows of L with the rows of X already
-    solved, reading those rows of L only from their first nonzero column,
-    and then multiplies by the inverse of its diagonal block.  So a banded
-    factor costs O(_TRI_BLOCK n) products per column of B.  L^T X = B is
-    solved as the lower-triangular system J L^T J (J X) = J B, J reversing
-    the order of the unknowns.  X is C-contiguous.
+    solved and then multiplies by the inverse of its diagonal block.
+    L^T X = B is solved as the lower-triangular system J L^T J (J X) = J B,
+    J reversing the order of the unknowns.  X is C-contiguous.
     """
     if transpose:
         rev = _solve_triangular(np.ascontiguousarray(L.T[::-1, ::-1]),
                                 np.asarray(B)[::-1])
         return np.ascontiguousarray(rev[::-1])
     X = np.array(B, dtype=float)
-    first = np.argmax(L != 0.0, axis=1)
     for k in range(0, L.shape[0], _TRI_BLOCK):
         rows = slice(k, k + _TRI_BLOCK)
-        lo = first[rows].min()
-        if lo < k:
-            X[rows] -= L[rows, lo:k] @ X[lo:k]
+        if k:
+            X[rows] -= L[rows, :k] @ X[:k]
         X[rows] = np.linalg.inv(L[rows, rows]) @ X[rows]
     return X
 
 
+def _bidiagonal_cholesky(T, failed):
+    """(c, s): the diagonal and subdiagonal of the lower bidiagonal
+    Cholesky factor L of the symmetric tridiagonal T = L L^T, given as
+    its (diagonal, off-diagonal) pair (d, e).
+
+    The recurrence c_0^2 = d_0, s_i = e_i / c_i, c_{i+1}^2 =
+    d_{i+1} - s_i^2 costs O(n).  A T that is not positive definite (a
+    pivot that is not positive, NaN included) raises ``failed``.
+    """
+    d, e = (a.tolist() for a in T)
+    c, s = [0.0] * len(d), [0.0] * len(e)
+    pivot = d[0]
+    for i, e_i in enumerate(e):
+        if not pivot > 0.0:
+            raise failed
+        c[i] = math.sqrt(pivot)
+        s[i] = e_i / c[i]
+        pivot = d[i + 1] - s[i] * s[i]
+    if not pivot > 0.0:
+        raise failed
+    c[-1] = math.sqrt(pivot)
+    return c, s
+
+
+def _bidiagonal_solve(factor, B, transpose=False):
+    """X with L X = B, or L^T X = B with ``transpose``, for the factor
+    (c, s) of ``_bidiagonal_cholesky``.
+
+    A two-term recurrence over the rows of X, in place: row i less s_{i-1}
+    times row i - 1, divided by c_i, so O(n) per column of B.  L^T X = B
+    is solved as J L^T J (J X) = J B, the lower bidiagonal system of the
+    reversed rows.  X is C-contiguous.
+    """
+    c, s = factor
+    B = np.asarray(B)
+    if transpose:
+        c, s, B = c[::-1], s[::-1], B[::-1]
+    X = np.array(B, dtype=float, order="C")
+    rows = iter(X.reshape(len(c), -1))      # views of the rows of X
+    prev = next(rows)
+    prev /= c[0]
+    for row, s_i, c_i in zip(rows, s, c[1:]):
+        row -= s_i * prev
+        row /= c_i
+        prev = row
+    return np.ascontiguousarray(X[::-1]) if transpose else X
+
+
 def _eigh_pencil(A, H, failed):
-    """(lam, V) of the symmetric-definite pencil (A, H), lam ascending.
+    """(lam, V) of the symmetric-definite pencil (A, H), lam ascending,
+    for a dense A and the tridiagonal H given as its (diagonal,
+    off-diagonal) pair.
 
     V^T H V = I and V^T A V = diag(lam), by the reduction to a standard
     eigenproblem (Golub & Van Loan, *Matrix Computations*, sec. 8.7):
-    H = L L^T, the eigenpairs (lam, Y) of L^-1 A L^-T, and V = L^-T Y.
-    For the tridiagonal H1 Gram matrix L is bidiagonal, so the three
-    triangular solves cost O(n^2) next to the O(n^3) ``eigh``.  A
-    non-finite entry raises ValueError; an H that is not positive
-    definite, or an eigensolver that fails, raises ``failed``.
+    H = L L^T, the eigenpairs (lam, Y) of L^-1 A L^-T, and V = L^-T Y.  L
+    is bidiagonal (``_bidiagonal_cholesky``, O(n)), so the three solves
+    cost O(n^2) next to the O(n^3) ``eigh``.  A non-finite entry of A
+    raises ValueError; an H that is not positive definite, or an
+    eigensolver that fails, raises ``failed``.
     """
     A = _check_finite(A)
-    L = _cholesky(H, failed)
+    L = _bidiagonal_cholesky(H, failed)
     try:
         lam, Y = np.linalg.eigh(
-            _solve_triangular(L, _solve_triangular(L, A).T))
+            _bidiagonal_solve(L, _bidiagonal_solve(L, A).T))
     except np.linalg.LinAlgError as exc:
         raise failed from exc
-    return lam, _solve_triangular(L, Y, transpose=True)
+    return lam, _bidiagonal_solve(L, Y, transpose=True)
 
 
 def _cho_solve(L, rhs):

@@ -243,7 +243,8 @@ def _convert(key, value, lineno, kind):
         else:
             out = kind(value)
         finite = all(map(math.isfinite, out if kind is tuple else (out,)))
-    except ValueError:
+    except (ValueError, OverflowError):
+        # OverflowError: an integer too large for a float
         finite = False
     if not finite:
         raise ConfigError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}",

@@ -56,7 +56,11 @@ def check_finite(pairs, error=None):
     finite number: a ConfigError keyed by the name, or ``error`` (an
     exception class taking the message) when one is given."""
     for name, value in pairs:
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:       # an integer too large for a float
+            finite = False
+        if not finite:
             message = f"{name} must be a finite number, got {value!r}"
             raise error(message) if error else ConfigError(message, key=name)
 

@@ -18,7 +18,10 @@ __all__ = [
     "FeFunction",
     "build_mesh",
     "build_extended_mesh",
+    "omega_norm_diagonals",
     "omega_norm_matrices",
+    "tridiagonal_product",
+    "add_tridiagonal",
     "interpolate",
     "norms",
     "reference_quadrature",
@@ -102,28 +105,60 @@ def build_extended_mesh(omega, h, extension):
                 (nodes[n_ext], nodes[n_ext + n_int]), (n_ext, n_ext + n_int))
 
 
-def omega_norm_matrices(mesh):
-    """Mass and stiffness matrices assembled over omega's elements only.
+def omega_norm_diagonals(mesh):
+    """Mass and stiffness matrices over omega's elements only, as
+    (diagonal, off-diagonal) pairs over all mesh nodes.
 
-    Returned matrices are full-size (all mesh nodes); rows and columns of
-    nodes outside omega are zero.  Used for the L2(Omega) / H1(Omega) norms
-    and, on a Dirichlet mesh, for the mass part of the nonlocal form.
+    Both matrices are tridiagonal; entry i of an off-diagonal couples
+    nodes i and i + 1.  Entries of nodes outside omega are zero.
     """
     n = mesh.n_nodes
     lo, hi = mesh.interior_range
     e = np.arange(lo, hi)
     m_off = mesh.h / 6.0
     s_diag = 1.0 / mesh.h
-    M = np.zeros((n, n))
-    S = np.zeros((n, n))
-    for mat, diag, off in ((M, 2.0 * m_off, m_off), (S, s_diag, -s_diag)):
+    pairs = []
+    for diag, off in ((2.0 * m_off, m_off), (s_diag, -s_diag)):
         d = np.zeros(n)
         d[e] += diag            # each element adds to both its nodes
         d[e + 1] += diag
-        np.fill_diagonal(mat, d)
-        mat[e, e + 1] = off
-        mat[e + 1, e] = off
-    return M, S
+        o = np.zeros(n - 1)
+        o[e] = off
+        pairs.append((d, o))
+    return tuple(pairs)
+
+
+def omega_norm_matrices(mesh):
+    """Mass and stiffness matrices assembled over omega's elements only.
+
+    Returned matrices are full-size (all mesh nodes), the dense form of
+    :func:`omega_norm_diagonals`; rows and columns of nodes outside omega
+    are zero.  Used for the L2(Omega) / H1(Omega) norms.
+    """
+    n = mesh.n_nodes
+    return tuple(add_tridiagonal(np.zeros((n, n)), 1.0, T)
+                 for T in omega_norm_diagonals(mesh))
+
+
+def tridiagonal_product(T, x):
+    """T x for the symmetric tridiagonal matrix T given as its
+    (diagonal, off-diagonal) pair."""
+    d, e = T
+    y = d * x
+    y[:-1] += e * x[1:]
+    y[1:] += e * x[:-1]
+    return y
+
+
+def add_tridiagonal(A, scale, T):
+    """A + scale T in place, for a dense square A and the symmetric
+    tridiagonal T given as its (diagonal, off-diagonal) pair; returns A."""
+    d, e = T
+    i = np.arange(d.size)
+    A[i, i] += scale * d
+    A[i[:-1], i[1:]] += scale * e
+    A[i[1:], i[:-1]] += scale * e
+    return A
 
 
 def interpolate(mesh, f, constraint=None):

@@ -51,8 +51,11 @@ starting from an iterate w sitting on its own ray maximum:
 An iteration thus makes two dense n x n products, V^T load and V v^,
 and a Newton attempt two more per Hessian-vector product.
 Building the basis is the descent's one O(n^3) cost: numpy's ``eigh``
-of the pencil reduced by the bidiagonal Cholesky factor of H (see
-``NonlocalForm.modal_basis``).  The descent factors no other matrix.
+of the pencil reduced by the bidiagonal Cholesky factor of H, which an
+O(n) recurrence gives from H's two diagonals (see
+``NonlocalForm.modal_basis``).  The descent factors no other matrix, and
+its other products with H and M (the start's modal coordinates and L2
+norm) are tridiagonal, O(n).
 
 The Newton finish.  The descent's iteration count grows about 4x per
 mesh halving (its metric B + tau H has a condition number of order
@@ -115,6 +118,7 @@ import numpy as np
 
 from .energy import power_table, ray_data, ray_energy, step_polynomial
 from .errors import ConfigError, InvariantViolation, check_finite
+from .fem import tridiagonal_product
 
 __all__ = ["SolverConfig", "IterationRecord", "SolveResult",
            "check_invariants", "solve"]
@@ -157,6 +161,12 @@ class SolverConfig:
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got "
                                   f"{getattr(self, name)!r}", key=name)
+        # the last step of the halving, as ``solve`` forms it: a step that
+        # underflows to 0 can never lower the energy
+        if self.delta * 0.5 ** self.max_halvings == 0.0:
+            raise ConfigError(f"max_halvings must leave a nonzero last step "
+                              f"delta * 2**-max_halvings, got "
+                              f"{self.max_halvings!r}", key="max_halvings")
 
 
 @dataclass
@@ -322,7 +332,7 @@ def solve(form, nl, u1, cfg=None):
     until |b|_H1 <= epsilon.
 
     The H1 stopping norm is taken over the physical domain (see
-    ``NonlocalForm.h1_gram``).  Every stop returns the SolveResult and
+    ``NonlocalForm.H``).  Every stop returns the SolveResult and
     names itself in ``stop_reason``: converged (a vanishing gradient
     too), max_iterations (``cfg.max_iterations`` steps reached an
     iterate still above epsilon) or stall (no step of the halving budget
@@ -340,12 +350,13 @@ def solve(form, nl, u1, cfg=None):
     # the iterate as nodal values w, modal coordinates a (w = V a, so
     # a = V^T H w) and values x_w at the domain Gauss points
     w = ts * u1_unknown
-    a = V.T @ (form.h1_gram @ w)
-    w_full = form.full_values(w)
-    x_w = form.values_at_omega_quad(w_full)
+    a = V.T @ tridiagonal_product(form.H, w)
+    x_w = form.values_at_omega_quad(w)
     e_w = float(ray_energy(c, ts))
     e0 = e_w
-    l2_0 = float(np.sqrt(max(w_full @ form.M @ w_full, 0.0)))
+    # M is zero outside Omega, whose nodes other than the unknowns hold 0
+    l2_0 = math.sqrt(max(float(w @ tridiagonal_product(form.M_uu, w)),
+                         0.0))
 
     records = []
     attempts = newton_steps = damped = negative_curvature = cg_products = 0

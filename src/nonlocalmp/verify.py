@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assembly, mountain_pass
+from . import assembly, fem, mountain_pass
 from .errors import ConfigError, NonlocalMPError
 
 __all__ = ["CaseReport", "StudyResult", "residual_norms", "reference_errors",
@@ -74,7 +74,7 @@ class SingleRun:
     report: CaseReport
     result: object          # SolveResult or None on a solver fault
     form: object
-    M: np.ndarray           # form.M, the L2(Omega) mass matrix
+    M: np.ndarray           # the dense L2(Omega) mass matrix, all nodes
 
 
 def residual_norms(form, nl, u):
@@ -163,14 +163,15 @@ def run_single(spec, h,
             error = (f"MaxIterations: no convergence within "
                      f"{cfg.max_iterations} iterations")
 
+    M = fem.omega_norm_matrices(mesh)[0]
     R = E = (np.nan, np.nan)
     stop_reason, iterations, ratio = None, 0, np.nan
     if result is not None:
         stop_reason, iterations = result.stop_reason, result.iterations
-        ratio = l2_ratio(result, form.M)
+        ratio = l2_ratio(result, M)
         try:
             R = residual_norms(form, nl, result.solution)
-            E = reference_errors(form, form.M, nl, result.solution,
+            E = reference_errors(form, M, nl, result.solution,
                                  spec.grounding_rel)[:2]
         except NonlocalMPError as exc:
             error = (error or "") + f" verify: {exc}"
@@ -179,7 +180,7 @@ def run_single(spec, h,
                         iterations=iterations,
                         wall_time_s=time.perf_counter() - t0, error=error,
                         stop_reason=stop_reason, l2_ratio=ratio)
-    return SingleRun(report, result, form, form.M)
+    return SingleRun(report, result, form, M)
 
 
 def _study_row(args):

@@ -66,6 +66,13 @@ def neumann_coarse():
     return mesh, form, M, S, u1
 
 
+def dense(T):
+    """The dense matrix of a symmetric tridiagonal matrix given as its
+    (diagonal, off-diagonal) pair, like ``NonlocalForm.M_uu`` and ``H``."""
+    d, e = T
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
 def random_interior(form, rng, scale=1.0):
     """Random unknown-node vector as a constrained FeFunction."""
     vec = scale * rng.standard_normal(form.n_unknowns)
@@ -83,7 +90,7 @@ def modal_direction_at(form, nl, w, cfg=None):
     mp = nm.mountain_pass
     cfg = cfg or mp.SolverConfig()
     basis = _, lam, V = form.modal_basis(cfg.grounding_rel)
-    a = V.T @ (form.h1_gram @ w)
+    a = V.T @ nm.fem.tridiagonal_product(form.H, w)
     x = form.values_at_omega_quad(form.full_values(w))
     g_hat = mp.modal_gradient(form, nl, basis, lam * a,
                               nm.energy.power_table(x, max(nl.F_coeffs)))

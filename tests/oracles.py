@@ -295,6 +295,7 @@ def halving_solve(form, nl, u1, cfg):
     trial is below e(w) or at the iteration budget.
     """
     from nonlocalmp import energy as en
+    from nonlocalmp import fem
     from nonlocalmp import mountain_pass as mp
 
     basis = form.modal_basis(cfg.grounding_rel)
@@ -303,7 +304,7 @@ def halving_solve(form, nl, u1, cfg):
     u1_unknown = form.reduce(u1)
     ts, c = en.ray_data(form, nl, u1_unknown)
     w = ts * u1_unknown
-    a = V.T @ (form.h1_gram @ w)
+    a = V.T @ fem.tridiagonal_product(form.H, w)
     x_w = form.values_at_omega_quad(form.full_values(w))
     e_w = float(en.ray_energy(c, ts))
     records = []

@@ -12,12 +12,12 @@ import nonlocalmp as nm
 from nonlocalmp import assembly, fem
 from nonlocalmp import energy as en
 from nonlocalmp.errors import (ConfigError, ExtensionMarginWarning,
-                               SingularExteriorBlock)
+                               SingularExteriorBlock, SingularSystem)
 from nonlocalmp.mountain_pass import SolverConfig
 from oracles import (brute_force_quadratic_form, dense_convolution,
                      gathered_omega_quad, per_entry_dump)
 
-from conftest import h_for
+from conftest import dense, h_for
 
 
 def test_symmetry_all_kernels():
@@ -233,7 +233,7 @@ def test_solve_spd_equals_cho_solve(setup, request):
     sigma = form.grounding_shift(grounding_rel)
     mat = form.B
     if sigma:
-        mat = mat + sigma * form.M[np.ix_(form.unknown_idx, form.unknown_idx)]
+        mat = mat + sigma * dense(form.M_uu)
     L = assembly._cholesky(mat, AssertionError("not positive definite"))
     oracle = linalg.cho_factor(mat)
     rng = np.random.default_rng(8)
@@ -289,11 +289,32 @@ def test_neumann_form_needs_grounding(neumann_coarse):
     for method in (form.modal_basis, form.solve_spd):
         assert inspect.signature(method).parameters["grounding_rel"].default \
             is inspect.Parameter.empty
-    lam0, _ = assembly._eigh_pencil(form.B, form.h1_gram,
+    lam0, _ = assembly._eigh_pencil(form.B, form.H,
                                     AssertionError("pencil failed"))
     assert abs(lam0[0]) <= 1e-12 * lam0[-1]
     sigma, lam, _ = form.modal_basis(SolverConfig.grounding_rel)
     assert lam[0] == pytest.approx(sigma, rel=1e-9)
+
+
+def test_bidiagonal_factor_of_the_h1_gram(neumann_coarse):
+    # L L^T = H to round-off, the two solves invert L and L^T, and a
+    # tridiagonal matrix that is not positive definite raises
+    form = neumann_coarse[1]
+    c, s = assembly._bidiagonal_cholesky(form.H, AssertionError("failed"))
+    L = np.diag(c) + np.diag(s, -1)
+    H = dense(form.H)
+    np.testing.assert_allclose(L @ L.T, H, rtol=0.0,
+                               atol=1e-14 * np.abs(H).max())
+    B = np.random.default_rng(9).standard_normal((form.n_unknowns, 3))
+    for transpose, mat in ((False, L), (True, L.T)):
+        for rhs in (B, B[:, 0]):
+            X = assembly._bidiagonal_solve((c, s), rhs, transpose)
+            assert X.shape == rhs.shape and X.flags.c_contiguous
+            np.testing.assert_allclose(mat @ X, rhs, rtol=0.0,
+                                       atol=1e-12 * np.abs(B).max())
+    d, e = form.H
+    with pytest.raises(SingularSystem):
+        assembly._bidiagonal_cholesky((d, 10.0 * e), SingularSystem("H"))
 
 
 def test_extension_margin_warning():
@@ -413,21 +434,28 @@ def _owned_arrays(form):
 
 @pytest.mark.parametrize("constraint", ["dirichlet", "neumann"])
 def test_form_keeps_only_the_node_matrices_it_reads(constraint):
-    # K is a temporary of the assembly and the reference resolve keeps no
-    # factor: M, and B~ for a Neumann form, are the only node-count
-    # matrices a form owns, and a resolve leaves its owned bytes as they are
+    # K is a temporary of the assembly, the mass and H1 Gram matrices are
+    # (diagonal, off-diagonal) pairs with the entries of the dense ones,
+    # and the reference resolve keeps no factor: B, and B~ for a Neumann
+    # form, are the only node-count matrices a form owns, and a resolve
+    # leaves its owned bytes as they are
     if constraint == "dirichlet":
         mesh = nm.build_mesh(-math.pi, math.pi, h_for(20))
     else:
         mesh = nm.build_extended_mesh((0.0, 3.0), 0.3, 1.5)
     form = assembly.NonlocalForm(mesh, nm.Exponential(), constraint,
                                  assembly.QUAD_ORDER)
-    square = (mesh.n_nodes, mesh.n_nodes)
-    assert [a for a in _owned_arrays(form) if a.shape == square
-            and a is not form.M and a is not form.B_tilde] == []
+    matrices = [a for a in _owned_arrays(form) if a.ndim == 2
+                and a.shape[0] == a.shape[1] >= form.n_unknowns]
+    assert len(matrices) == (1 if constraint == "dirichlet" else 2)
+    assert all(a is form.B or a is form.B_tilde for a in matrices)
+    M, S = nm.omega_norm_matrices(mesh)
+    uu = form.unknowns
+    assert np.array_equal(dense(form.M_uu), M[uu, uu])
+    assert np.array_equal(dense(form.H), M[uu, uu] + S[uu, uu])
     owned = sum(a.nbytes for a in _owned_arrays(form))
     u = form.fe(np.ones(form.n_unknowns))
-    nm.reference_errors(form, form.M, en.NONLINEARITIES["cubic"], u,
+    nm.reference_errors(form, M, en.NONLINEARITIES["cubic"], u,
                         SolverConfig.grounding_rel)
     assert sum(a.nbytes for a in _owned_arrays(form)) == owned
 
@@ -456,6 +484,8 @@ def test_traced_peak_stays_below_dense_node_matrices(constraint):
         operator_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # B and the H1 Gram matrix are built from views of M, S and K
-    assert assembly_peak < (6 if constraint == "dirichlet" else 8) * matrix
+    # M and S are never dense, so at most K, its symmetrization and B (and
+    # on a Neumann form B~ and its exterior blocks) are alive at a time:
+    # 2.27 and 5.42 matrices when this bound was set
+    assert assembly_peak < (3 if constraint == "dirichlet" else 6) * matrix
     assert operator_peak < matrix

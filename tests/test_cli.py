@@ -304,11 +304,17 @@ OUT_OF_RANGE = {
 NON_FINITE = [("kernel.scale", "nan"), ("domain.right", "inf"),
               ("solver.direction_reg", "inf"), ("delta", "inf"),
               ("epsilon", "inf"), ("kernel.scale", "inf")]
+# an integer too large for a float, and a halving budget whose last step
+# delta * 2**-max_halvings underflows to 0
+TOO_LARGE = {"max_halvings=10**400": ("solver.max_halvings", "1" + "0" * 400),
+             "max_halvings=1075": ("solver.max_halvings", "1075")}
 
 
 @pytest.mark.parametrize(
-    "key,value", list(OUT_OF_RANGE.items()) + NON_FINITE,
-    ids=list(OUT_OF_RANGE) + [f"{k}={v}" for k, v in NON_FINITE])
+    "key,value", list(OUT_OF_RANGE.items()) + NON_FINITE
+    + list(TOO_LARGE.values()),
+    ids=list(OUT_OF_RANGE) + [f"{k}={v}" for k, v in NON_FINITE]
+    + list(TOO_LARGE))
 def test_out_of_range_setting_exits_4(tmp_path, capsys, key, value):
     if key == "initial_guess" or key.startswith("output."):
         value = str(tmp_path / value)
@@ -461,6 +467,22 @@ def test_non_finite_settings_in_code_rejected(key, kwargs):
                                "finite number") as info:
                 SolverConfig(**{name: value})
             assert info.value.key == name
+
+
+def test_too_large_solver_settings_in_code_rejected():
+    # only the settings are built: 10**400 is no float, and from 1075
+    # halvings of delta = 1 on the last step delta * 2**-k is 0.0
+    with pytest.raises(ConfigError, match="max_iterations must be a finite "
+                       "number") as info:
+        SolverConfig(max_iterations=10**400)
+    assert info.value.key == "max_iterations"
+    SolverConfig(max_halvings=1074)
+    for kwargs in (dict(max_halvings=1075), dict(max_halvings=10**8),
+                   dict(delta=2.0 ** -1000, max_halvings=75)):
+        with pytest.raises(ConfigError, match="max_halvings must leave a "
+                           "nonzero last step") as info:
+            SolverConfig(**kwargs)
+        assert info.value.key == "max_halvings"
 
 
 @pytest.mark.parametrize("output", ["--out", "--log", "--dump-matrix",

@@ -79,6 +79,24 @@ def test_omega_norm_matrices_equal_element_loop(mesh):
     assert np.array_equal(M, M_ref) and np.array_equal(S, S_ref)
 
 
+def test_tridiagonal_helpers_match_dense_matrices():
+    # the product with a (diagonal, off-diagonal) pair and its scaled sum
+    # onto a dense matrix, against the dense matrices of the same pairs
+    mesh = nm.build_extended_mesh((0.0, 3.0), 0.25, 1.5)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(mesh.n_nodes)
+    A = rng.standard_normal((mesh.n_nodes, mesh.n_nodes))
+    for T, mat in zip(fem.omega_norm_diagonals(mesh),
+                      nm.omega_norm_matrices(mesh)):
+        ref = mat @ x
+        np.testing.assert_allclose(fem.tridiagonal_product(T, x), ref,
+                                   rtol=0.0,
+                                   atol=1e-14 * np.abs(mat).max()
+                                   * np.abs(x).max())
+        assert np.array_equal(fem.add_tridiagonal(A.copy(), 0.5, T),
+                              A + 0.5 * mat)
+
+
 def test_interpolate_dirichlet_endpoints():
     mesh = nm.build_mesh(-math.pi, math.pi, 2 * math.pi / 20)
     u = nm.interpolate(mesh, math.sin, constraint="dirichlet")

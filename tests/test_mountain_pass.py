@@ -16,7 +16,7 @@ from nonlocalmp import energy as en
 from nonlocalmp import mountain_pass as mp
 from nonlocalmp.errors import InvariantViolation, SingularSystem
 
-from conftest import CUBIC_PLUS_QUINTIC, h_for, modal_direction_at
+from conftest import CUBIC_PLUS_QUINTIC, dense, h_for, modal_direction_at
 from oracles import halving_solve
 
 
@@ -86,8 +86,9 @@ def test_descent_matches_halving_loop(fixture, nl, request):
     _, values, stop_reason = halving_solve(form, nl, u1, cfg)
     assert result.stop_reason == stop_reason
     diff = result.solution.values - values
-    assert math.sqrt(diff @ form.M @ diff) \
-        <= cfg.epsilon * math.sqrt(values @ form.M @ values)
+    M = nm.omega_norm_matrices(form.mesh)[0]
+    assert math.sqrt(diff @ M @ diff) \
+        <= cfg.epsilon * math.sqrt(values @ M @ values)
     assert result.records[-1].energy == pytest.approx(
         en.energy(form, nl, result.solution), rel=1e-12, abs=0.0)
 
@@ -188,8 +189,11 @@ def test_one_ray_evaluation_per_iteration(monkeypatch):
 
 def test_lowest_halving_below_energy_is_taken(case1_coarse, monkeypatch):
     # of the halvings whose ray maximum is below e(w), each iteration takes
-    # the one with the lowest ray maximum, and records its energy
+    # the one with the lowest ray maximum, and records its energy.  Newton
+    # attempts are off: an iteration that screens a Newton ladder as well
+    # as the descent step calls the step rule twice
     mesh, form, M, S, u1 = case1_coarse
+    monkeypatch.setattr(mp, "NEWTON_EVERY", mp.SolverConfig.max_iterations + 1)
     energies = []
     step_polynomial = mp.step_polynomial
 
@@ -284,46 +288,51 @@ def count_calls(monkeypatch, owner, name):
 def test_direction_factorizations_cached(case1_coarse, monkeypatch):
     # the direction's one factorization, the modal basis, is built once
     # per form however many directions and solves are taken; the only
-    # Cholesky factor made is that of H inside it
+    # factor made is the bidiagonal one of H inside it, no dense Cholesky
     mesh, _, M, S, u1 = case1_coarse
     form = nm.assemble_dirichlet(mesh, nm.Exponential())
     eighs = count_calls(monkeypatch, assembly, "_eigh_pencil")
     factors = count_calls(monkeypatch, assembly, "_cholesky")
+    h_factors = count_calls(monkeypatch, assembly, "_bidiagonal_cholesky")
     nl = en.NONLINEARITIES["cubic"]
     rng = np.random.default_rng(4)
     for _ in range(3):
         modal_direction_at(form, nl, rng.standard_normal(form.n_unknowns))
     mp.solve(form, nl, u1)
     assert len(eighs) == 1
-    assert len(factors) == 1 and factors[0] is form.h1_gram
+    assert factors == []
+    assert len(h_factors) == 1 and h_factors[0] is form.H
 
 
 def test_grounded_factor_only_for_reference_resolve(monkeypatch):
     # the descent on a Neumann form builds the grounded modal basis, whose
-    # only Cholesky factor is that of H; each reference resolve factors
-    # B + sigma M_u afresh, and its solve equals one on a factor built here
+    # only factor is the bidiagonal one of H; each reference resolve
+    # factors B + sigma M_uu afresh by dense Cholesky, and its solve equals
+    # one on a factor built here
     mesh = nm.build_extended_mesh((0.0, 3.0), 0.3, 1.5)
     form = nm.assemble_neumann(mesh, nm.Exponential())
     nl = en.NONLINEARITIES["allen_cahn"]
     cfg = mp.SolverConfig()
     eighs = count_calls(monkeypatch, assembly, "_eigh_pencil")
     factors = count_calls(monkeypatch, assembly, "_cholesky")
+    h_factors = count_calls(monkeypatch, assembly, "_bidiagonal_cholesky")
     rng = np.random.default_rng(6)
     for _ in range(3):
         w = rng.standard_normal(form.n_unknowns)
         modal_direction_at(form, nl, w, cfg)
-    assert len(eighs) == 1
-    assert len(factors) == 1 and factors[0] is form.h1_gram
+    assert len(eighs) == 1 and factors == []
+    assert len(h_factors) == 1 and h_factors[0] is form.H
     sigma = form.grounding_shift(cfg.grounding_rel)
     assert sigma == cfg.grounding_rel * np.trace(form.B) \
-        / form.M.diagonal()[form.unknown_idx].sum()
-    mat = form.B + sigma * form.M[np.ix_(form.unknown_idx, form.unknown_idx)]
+        / form.M_uu[0].sum()
+    mat = form.B + sigma * dense(form.M_uu)
     assert np.array_equal(eighs[0], mat)
-    _, _, ubar = nm.reference_errors(form, form.M, nl, form.fe(w),
+    M = nm.omega_norm_matrices(mesh)[0]
+    _, _, ubar = nm.reference_errors(form, M, nl, form.fe(w),
                                      cfg.grounding_rel)
-    nm.reference_errors(form, form.M, nl, form.fe(-w), cfg.grounding_rel)
-    assert len(factors) == 3 and factors[0] is form.h1_gram
-    assert all(np.array_equal(f, mat) for f in factors[1:])
+    nm.reference_errors(form, M, nl, form.fe(-w), cfg.grounding_rel)
+    assert len(factors) == 2 and len(h_factors) == 1
+    assert all(np.array_equal(f, mat) for f in factors)
     load = form.load_vector(nl.f(form.values_at_omega_quad(
         form.full_values(w))))
     L = assembly._cholesky(mat, AssertionError("not positive definite"))
@@ -333,9 +342,9 @@ def test_grounded_factor_only_for_reference_resolve(monkeypatch):
 def cholesky_direction(form, g, grounding_rel, tau):
     """(b, v1, |b|_H1) by Cholesky solves of the grounded and the
     regularized systems."""
-    H = form.h1_gram
+    H = dense(form.H)
     sigma = form.grounding_shift(grounding_rel)
-    B = form.B + sigma * form.M[np.ix_(form.unknown_idx, form.unknown_idx)]
+    B = form.B + sigma * dense(form.M_uu)
     b = linalg.cho_solve(linalg.cho_factor(B), g)
     d = linalg.cho_solve(linalg.cho_factor(B + tau * H), g)
     return b, -d / math.sqrt(d @ H @ d), math.sqrt(b @ H @ b)
@@ -367,12 +376,12 @@ def test_modal_coordinates_carry_the_form(setup, request):
     # pairing of the descent (less sigma int w^2) is w B w
     mesh, form, M, S, u1 = request.getfixturevalue(setup)
     basis = sigma, lam, V = form.modal_basis(mp.SolverConfig.grounding_rel)
-    M_u = form.M[np.ix_(form.unknown_idx, form.unknown_idx)]
+    M_u = dense(form.M_uu)
     weights = form.omega_quad_weights()
     rng = np.random.default_rng(13)
     for _ in range(3):
         w = rng.standard_normal(form.n_unknowns)
-        a = V.T @ (form.h1_gram @ w)
+        a = V.T @ nm.fem.tridiagonal_product(form.H, w)
         np.testing.assert_allclose(V @ a, w, rtol=0.0, atol=1e-12)
         wBw = float(w @ form.B @ w)
         assert float(lam @ (a * a)) == pytest.approx(
@@ -386,7 +395,7 @@ def newton_setup(form, nl, u):
     """(basis, a, power table, modal gradient) at the iterate u, a
     FeFunction, with modal coordinates a = V^T H w."""
     basis = _, lam, V = form.modal_basis(mp.SolverConfig.grounding_rel)
-    a = V.T @ (form.h1_gram @ form.reduce(u))
+    a = V.T @ nm.fem.tridiagonal_product(form.H, form.reduce(u))
     x = form.values_at_omega_quad(form.full_values(V @ a))
     pw = en.power_table(x, max(nl.F_coeffs))
     return basis, a, pw, mp.modal_gradient(form, nl, basis, lam * a, pw)
@@ -632,7 +641,7 @@ def test_assembly_and_reference_resolve_build_no_basis(setup, request,
     else:
         form = nm.assemble_neumann(mesh, nm.Exponential())
         nl = en.NONLINEARITIES["allen_cahn"]
-    nm.reference_errors(form, form.M, nl, u1)
+    nm.reference_errors(form, M, nl, u1)
     assert pencils == [] and eighs == []
 
 

@@ -10,7 +10,7 @@ from nonlocalmp import verify
 from nonlocalmp.config import RunSpec
 from nonlocalmp.errors import ConfigError
 
-from conftest import TABLE1, h_for
+from conftest import TABLE1, dense, h_for
 
 
 @pytest.fixture(scope="module")
@@ -22,18 +22,23 @@ def case1_run():
 
 
 def test_one_gram_build_per_row(monkeypatch):
-    build = nm.fem.omega_norm_matrices
-    calls = []
+    # the form builds its Gram pairs once and the row its dense mass
+    # matrix once, from the pairs of the same mesh
+    calls = {}
+    for name in ("omega_norm_diagonals", "omega_norm_matrices"):
+        build = getattr(nm.fem, name)
 
-    def counted(mesh):
-        calls.append(mesh)
-        return build(mesh)
+        def counted(mesh, name=name, build=build):
+            calls.setdefault(name, []).append(mesh)
+            return build(mesh)
 
-    monkeypatch.setattr(nm.fem, "omega_norm_matrices", counted)
+        monkeypatch.setattr(nm.fem, name, counted)
     spec = RunSpec(h=h_for(20))
     run = verify.run_single(spec, spec.h)
-    assert len(calls) == 1
-    assert run.M is run.form.M
+    assert len(calls["omega_norm_matrices"]) == 1
+    assert len(calls["omega_norm_diagonals"]) == 2
+    u = run.form.unknowns
+    assert np.array_equal(run.M[u, u], dense(run.form.M_uu))
 
 
 def test_residual_of_zero(case1_coarse):

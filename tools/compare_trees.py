@@ -13,7 +13,9 @@ Every tree runs in a fresh process with BLAS/OpenMP threads pinned to 1
   solution's nodal values, R, E, the initial energy, the initial L2
   norm, ``l2_ratio`` and the stop reason;
 - for the forms of case 1 at 640 elements and case 5 at h = 3/320:
-  ``B``, ``h1_gram``, ``exterior_map`` and the outputs of
+  ``B``, the H1 Gram matrix as its (diagonal, off-diagonal) pair ``H``
+  (taken from the diagonals of the dense ``h1_gram`` of a tree whose
+  form holds that instead), ``exterior_map`` and the outputs of
   ``values_at_omega_quad``, ``load_vector`` and
   ``operator_at_omega_quad`` on fixed random inputs.
 
@@ -74,7 +76,11 @@ def _form_digests(out, label, spec, mesh, assemble):
     u = form.full_values(rng.standard_normal(form.n_unknowns))
     f = rng.standard_normal(form.omega_quad_weights().size)
     out[f"{label} B"] = _sha(form.B)
-    out[f"{label} h1_gram"] = _sha(form.h1_gram)
+    if hasattr(form, "H"):
+        out[f"{label} H"] = _sha(*form.H)
+    else:
+        out[f"{label} H"] = _sha(np.diag(form.h1_gram),
+                                 np.diag(form.h1_gram, 1))
     out[f"{label} exterior_map"] = _sha(form.exterior_map)
     out[f"{label} values_at_omega_quad"] = _sha(form.values_at_omega_quad(u))
     out[f"{label} load_vector"] = _sha(form.load_vector(f))
