@@ -163,7 +163,9 @@ def run_single(spec, h,
             error = (f"MaxIterations: no convergence within "
                      f"{cfg.max_iterations} iterations")
 
-    M = fem.omega_norm_matrices(mesh)[0]
+    n = mesh.n_nodes
+    M = fem.add_tridiagonal(np.zeros((n, n)), 1.0,
+                            fem.omega_norm_diagonals(mesh)[0])
     R = E = (np.nan, np.nan)
     stop_reason, iterations, ratio = None, 0, np.nan
     if result is not None:
