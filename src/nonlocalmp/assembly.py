@@ -35,12 +35,12 @@ of the pencil (B + sigma M, H) behind the modal basis the form caches, a
 Cholesky factor of B + sigma M per reference resolve and one Cholesky
 solve of the Neumann exterior elimination.  The Omega mass M and the
 H1 Gram matrix H = M + S are tridiagonal and never dense: a form holds
-them as (diagonal, off-diagonal) pairs over its unknowns, adds a multiple
-of M onto a dense matrix in place (the Dirichlet Gamma M - K, the
-grounding B + sigma M) and factors H by an O(n) bidiagonal recurrence.
-K is a temporary of the assembly.  A non-finite matrix or right-hand
-side raises ValueError, and a factorization that fails raises
-SingularSystem or SingularExteriorBlock.
+them as (diagonal, off-diagonal) pairs over its unknowns and factors H
+by an O(n) bidiagonal recurrence.  Assembly sums -K and adds a mass pair
+onto it in place: Gamma M onto the Dirichlet unknowns' block, the
+g-weighted P1 mass onto all of a Neumann -K, which becomes B~.  A
+non-finite matrix or right-hand side raises ValueError, and a
+factorization that fails raises SingularSystem or SingularExteriorBlock.
 """
 
 import math
@@ -153,10 +153,11 @@ class NonlocalForm:
         # (e, e + d), the same for every e; row e of its Toeplitz matrix
         # holds the offsets -e .. n_e - 1 - e
         A = quad.wpb @ T
+        # K holds -K: both constraints add a mass pair onto it in place
         K = np.zeros((self.mesh.n_nodes, self.mesh.n_nodes))
         for a in range(2):
             for b in range(2):
-                K[a:a + n_e, b:b + n_e] += np.lib.stride_tricks \
+                K[a:a + n_e, b:b + n_e] -= np.lib.stride_tricks \
                     .sliding_window_view(A[:, a, b], n_e)[::-1]
         K = 0.5 * (K + K.T)
 
@@ -174,7 +175,7 @@ class NonlocalForm:
         if dirichlet:
             # Omega is the whole mesh here, so M_uu is the full mass matrix
             # over the unknowns; K is symmetric, so this B is, exactly
-            self.B = fem.add_tridiagonal(-K[u, u], self.kernel_mass,
+            self.B = fem.add_tridiagonal(K[u, u].copy(), self.kernel_mass,
                                          self.M_uu)
             self.B_tilde = self.exterior_map = self.exterior_idx = None
             self._mass = self.kernel_mass
@@ -185,23 +186,20 @@ class NonlocalForm:
 
     def _assemble_neumann_reduction(self, g, K):
         """B~ and its Schur reduction; g[e, k] = int_D gamma(|x - y|) dy at
-        the k-th Gauss point x of element e, K the convolution matrix."""
-        mesh = self.mesh
-        quad = self._quad
-        elems = np.arange(mesh.n_elements)
+        the k-th Gauss point x of element e, K the negated convolution
+        matrix, which becomes B~."""
+        mesh, quad = self.mesh, self._quad
+        # the P1 mass weighted by g, symmetric tridiagonal, onto -K
+        m = [[(quad.wpb[a] * quad.pb[b] * g).sum(axis=1) for b in range(2)]
+             for a in range(2)]
+        diag = np.zeros(mesh.n_nodes)
+        diag[:-1] = m[0][0]
+        diag[1:] += m[1][1]
+        self.B_tilde = fem.add_tridiagonal(
+            K, 1.0, (diag, 0.5 * (m[0][1] + m[1][0])))
 
-        # the P1 mass weighted by g, less K, in place
-        B_tilde = np.zeros((mesh.n_nodes, mesh.n_nodes))
-        for a in range(2):
-            for b in range(2):
-                vals = (quad.wpb[a] * quad.pb[b] * g).sum(axis=1)
-                np.add.at(B_tilde, (elems + a, elems + b), vals)
-        B_tilde -= K
-        self.B_tilde = 0.5 * (B_tilde + B_tilde.T)
-
-        lo, hi = mesh.interior_range
-        idx_in = np.arange(lo, hi + 1)
-        idx_ext = np.setdiff1d(np.arange(mesh.n_nodes), idx_in)
+        u = self.unknowns
+        idx_ext = np.r_[0:u.start, u.stop:mesh.n_nodes]
         if idx_ext.size == 0:
             raise ValueError("Neumann assembly expects an extended mesh")
         margin = min(mesh.omega[0] - mesh.x_left, mesh.x_right - mesh.omega[1])
@@ -213,18 +211,18 @@ class NonlocalForm:
                 f"truncated accordingly", ExtensionMarginWarning,
                 stacklevel=_stacklevel_outside_package())
 
-        B_EE = self.B_tilde[np.ix_(idx_ext, idx_ext)]
-        B_EI = self.B_tilde[np.ix_(idx_ext, idx_in)]
-        L = _cholesky(B_EE, SingularExteriorBlock(
+        # B~ is exactly symmetric: one row gather gives B_EE and B_EI, and
+        # B_IE is B_EI transposed into a contiguous block, as gathered
+        rows = self.B_tilde[idx_ext]
+        L = _cholesky(rows[:, idx_ext], SingularExteriorBlock(
             "exterior block not positive definite; increase the "
             "extension or check the kernel sign"))
+        B_EI = rows[:, u]
         ext_map = -_cho_solve(L, B_EI)
         if not np.all(np.isfinite(ext_map)):
             raise SingularExteriorBlock("exterior elimination produced "
                                         "non-finite values")
-        B_II = self.B_tilde[np.ix_(idx_in, idx_in)]
-        B_IE = self.B_tilde[np.ix_(idx_in, idx_ext)]
-        B = B_II + B_IE @ ext_map
+        B = self.B_tilde[u, u] + np.ascontiguousarray(B_EI.T) @ ext_map
         self.B = 0.5 * (B + B.T)
         self.exterior_map = ext_map
         self.exterior_idx = idx_ext

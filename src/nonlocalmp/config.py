@@ -12,6 +12,8 @@ import os
 import re
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from . import assembly, fem
 from .energy import NONLINEARITIES, nonlinearity_from_name
 from .errors import ConfigError, check_finite
@@ -107,11 +109,15 @@ class RunSpec:
                 raise ConfigError(f"output.{name} is not written when {key} "
                                   f"is set", key=f"output.{name}")
         length = self.domain[1] - self.domain[0]
+        # numpy indexes fewer than intp.max elements: h must exceed the
+        # mesh's span (with a Neumann run's two extensions) over that
+        h_min = (length + 2.0 * self.extension * (self.constraint == "neumann")
+                 ) / np.iinfo(np.intp).max
         for h in (self.h,) if self.h is not None else self.h_list:
-            if not (h > 0 and 2.0 * h <= length):
+            if not (h > h_min and 2.0 * h <= length):
                 raise ConfigError(f"{key} needs mesh sizes in "
-                                  f"(0, {length / 2:g}] for this domain, "
-                                  f"got {h!r}", key=key)
+                                  f"({h_min:.3g}, {length / 2:g}] for this "
+                                  f"domain, got {h!r}", key=key)
         if not self.extension > 0:
             raise ConfigError(f"neumann.extension must be positive, got "
                               f"{self.extension!r}", key="neumann.extension")

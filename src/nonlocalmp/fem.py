@@ -86,7 +86,7 @@ def build_extended_mesh(omega, h, extension):
     """Mesh covering omega plus a margin of at least ``extension`` on each side.
 
     The spacing is fitted to omega first so that omega's endpoints are nodes
-    exactly; the margin is then a whole number of elements.
+    exactly; the margin is then a whole number of elements, at least one.
     """
     o_left, o_right = omega
     if h <= 0 or (o_right - o_left) < 2.0 * h:
@@ -96,7 +96,7 @@ def build_extended_mesh(omega, h, extension):
         raise ValueError("extension must be positive")
     n_int = int(round((o_right - o_left) / h))
     h_actual = (o_right - o_left) / n_int
-    n_ext = int(np.ceil(extension / h_actual - 1e-12))
+    n_ext = max(int(np.ceil(extension / h_actual - 1e-12)), 1)
     n_elements = n_int + 2 * n_ext
     x_left = o_left - n_ext * h_actual
     x_right = o_right + n_ext * h_actual

@@ -7,7 +7,8 @@ line, ``is_sign_changing`` (whether gamma takes both signs), and a
 ``truncation_radius(tol)`` beyond which the omitted mass and second
 moment stay below tol.  Its dataclass fields are its parameters, named
 as the ``kernel.*`` config keys.  Parameters are validated at
-construction (each must be a finite number within its family's range);
+construction (each must be a finite number within its family's range,
+and the total mass and second moment they give must be finite);
 evaluation never branches on invalid input.
 """
 
@@ -29,10 +30,24 @@ __all__ = [
 ]
 
 
-def _check_params(kernel):
-    """Raise ValueError unless every parameter of kernel is finite."""
+def _check_params(kernel, *ranges):
+    """Raise ValueError unless, in this order, every parameter of kernel
+    is finite, each (holds, message) of its family's ``ranges`` holds (the
+    moment formulas divide by terms they keep nonzero), and the total
+    mass and second moment are finite, a formula that overflows not."""
     check_finite(((f.name, getattr(kernel, f.name)) for f in fields(kernel)),
                  ValueError)
+    for holds, message in ranges:
+        if not holds:
+            raise ValueError(message)
+    for name in ("total_mass", "second_moment"):
+        try:
+            finite = math.isfinite(getattr(kernel, name))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{kernel!r} has a {name} that is not a "
+                             f"finite number")
 
 
 @dataclass(frozen=True)
@@ -43,9 +58,8 @@ class Exponential:
     is_sign_changing = False  # gamma > 0 everywhere
 
     def __post_init__(self):
-        _check_params(self)
-        if self.scale <= 0:
-            raise ValueError("Exponential kernel requires scale > 0")
+        _check_params(self, (self.scale > 0,
+                             "Exponential kernel requires scale > 0"))
 
     def gamma(self, r):
         return np.exp(-np.asarray(r) / self.scale) / (2.0 * self.scale)
@@ -72,9 +86,8 @@ class Gaussian:
     is_sign_changing = False  # gamma > 0 everywhere
 
     def __post_init__(self):
-        _check_params(self)
-        if self.scale <= 0:
-            raise ValueError("Gaussian kernel requires scale > 0")
+        _check_params(self, (self.scale > 0,
+                             "Gaussian kernel requires scale > 0"))
 
     def gamma(self, r):
         z = np.asarray(r) / self.scale
@@ -111,13 +124,13 @@ class InvertedMexicanHat:
     B: float = 2.0
 
     def __post_init__(self):
-        _check_params(self)
-        if not (0 < self.a < self.b):
-            raise ValueError("InvertedMexicanHat requires 0 < a < b")
-        if self.A <= 0 or self.B <= 0:
-            raise ValueError("InvertedMexicanHat requires A > 0 and B > 0")
-        if self.A * self.a**2 - self.B * self.b**2 >= 0:
-            raise ValueError("InvertedMexicanHat requires A*a^2 - B*b^2 < 0")
+        # products, not **, which raises OverflowError on a huge a or b
+        _check_params(
+            self, (0 < self.a < self.b, "InvertedMexicanHat requires 0 < a < b"),
+            (self.A > 0 and self.B > 0,
+             "InvertedMexicanHat requires A > 0 and B > 0"),
+            (self.A * self.a * self.a < self.B * self.b * self.b,
+             "InvertedMexicanHat requires A*a^2 - B*b^2 < 0"))
 
     def gamma(self, r):
         r = np.asarray(r)
@@ -158,12 +171,9 @@ class Logistic:
     is_sign_changing = False  # gamma > 0 everywhere
 
     def __post_init__(self):
-        _check_params(self)
-        if self.a <= 0:
-            raise ValueError("Logistic kernel requires a > 0")
-        if self.b <= 3:
-            raise ValueError("Logistic kernel requires b > 3 "
-                             "(finite second moment)")
+        _check_params(self, (self.a > 0, "Logistic kernel requires a > 0"),
+                      (self.b > 3, "Logistic kernel requires b > 3 "
+                                   "(finite second moment)"))
 
     @property
     def _norm(self):
@@ -208,12 +218,9 @@ class PowerLaw:
     is_sign_changing = False  # gamma > 0 everywhere
 
     def __post_init__(self):
-        _check_params(self)
-        if self.a <= 0:
-            raise ValueError("PowerLaw kernel requires a > 0")
-        if self.p <= 3:
-            raise ValueError("PowerLaw kernel requires p > 3 "
-                             "(finite second moment)")
+        _check_params(self, (self.a > 0, "PowerLaw kernel requires a > 0"),
+                      (self.p > 3, "PowerLaw kernel requires p > 3 "
+                                   "(finite second moment)"))
 
     @property
     def _norm(self):

@@ -484,8 +484,8 @@ def test_traced_peak_stays_below_dense_node_matrices(constraint):
         operator_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # M and S are never dense, so at most K, its symmetrization and B (and
-    # on a Neumann form B~ and its exterior blocks) are alive at a time:
-    # 2.27 and 5.42 matrices when this bound was set
-    assert assembly_peak < (3 if constraint == "dirichlet" else 6) * matrix
+    # M and S are never dense and B~ is built in K's own buffer, so at
+    # most K and its symmetrization, or B~, its exterior rows and B, are
+    # alive at a time: 2.27 and 2.59 matrices when this bound was set
+    assert assembly_peak < 3 * matrix
     assert operator_peak < matrix

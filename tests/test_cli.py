@@ -9,7 +9,7 @@ import nonlocalmp as nm
 from nonlocalmp import assembly, cli, fem
 from nonlocalmp.cases import CASE_NAMES, case_config_text
 from nonlocalmp.config import RunSpec, parse_config_text
-from nonlocalmp.errors import ConfigError
+from nonlocalmp.errors import ConfigError, ExtensionMarginWarning
 from nonlocalmp.mountain_pass import SolverConfig
 
 from conftest import h_for
@@ -304,10 +304,12 @@ OUT_OF_RANGE = {
 NON_FINITE = [("kernel.scale", "nan"), ("domain.right", "inf"),
               ("solver.direction_reg", "inf"), ("delta", "inf"),
               ("epsilon", "inf"), ("kernel.scale", "inf")]
-# an integer too large for a float, and a halving budget whose last step
-# delta * 2**-max_halvings underflows to 0
+# an integer too large for a float, a halving budget whose last step
+# delta * 2**-max_halvings underflows to 0, and a kernel whose second
+# moment 2 scale**2 overflows
 TOO_LARGE = {"max_halvings=10**400": ("solver.max_halvings", "1" + "0" * 400),
-             "max_halvings=1075": ("solver.max_halvings", "1075")}
+             "max_halvings=1075": ("solver.max_halvings", "1075"),
+             "kernel.scale=1e300": ("kernel.scale", "1e300")}
 
 
 @pytest.mark.parametrize(
@@ -339,6 +341,9 @@ BAD_MESH_OR_START = [
     ("h", "-0.3"),
     ("h", "5"),
     ("h_list", "0.3 0 0.1"),
+    # element counts numpy cannot index: 6e300, and inf
+    ("h", "1e-300"),
+    ("h", "5e-324"),
     ("neumann.extension", "-1"),
     ("initial_guess", "two-rows.csv"),
     ("initial_guess", "header-only.csv"),
@@ -407,6 +412,35 @@ def test_bad_mesh_or_start_exits_4(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert key in err
     assert BAD_START_CSV.get(value, ("", ""))[1] in err
+
+
+@pytest.mark.parametrize("constraint", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("h", [1e-300, 5e-324])
+def test_unsizable_mesh_is_a_config_error(constraint, h):
+    # rejected before a mesh is built, in a single run and in a study:
+    # numpy indexes fewer than 2**63 - 1 elements over the 2 pi domain
+    # (and its two extensions of 1.5 on a Neumann run)
+    low = "6.81e-19" if constraint == "dirichlet" else "1.01e-18"
+    with pytest.raises(ConfigError, match=rf"h needs mesh sizes in "
+                                          rf"\({low}, 3.14159\]") as info:
+        RunSpec(constraint=constraint, h=h)
+    assert info.value.key == "h"
+    with pytest.raises(ConfigError, match=low) as info:
+        RunSpec(constraint=constraint, h_list=(0.3, 0.15, h))
+    assert info.value.key == "h_list"
+
+
+def test_tiny_neumann_extension_runs(tmp_path, capsys):
+    # an extension far below one element still gets one exterior element
+    # on each side, so the eliminated margin is never empty
+    text = case_config_text("case5").replace(
+        "neumann.extension = 1.5", "neumann.extension = 1e-14").replace(
+        "h_list = 0.15 0.075 0.0375", "h = 0.5")
+    cfg = tmp_path / "case5.cfg"
+    cfg.write_text(text)
+    with pytest.warns(ExtensionMarginWarning, match="margin 0.5 "):
+        assert cli.main(["--config", str(cfg)]) == 0
+    assert "\n0.5,8," in capsys.readouterr().out     # 8 unknowns
 
 
 @pytest.mark.parametrize("start,flags", [

@@ -31,6 +31,17 @@ def test_extended_mesh_neumann_case():
     assert mesh.nodes[hi] == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("extension", [1e-14, 0.5])
+def test_extended_mesh_keeps_one_exterior_element(extension):
+    # a margin below one element, down to round-off, still gets a whole
+    # element on each side: the margin is at least the extension asked for
+    mesh = nm.build_extended_mesh((0.0, 3.0), 0.5, extension)
+    assert mesh.n_elements == 8
+    assert mesh.interior_range == (1, 7)
+    assert mesh.x_left == -0.5 and mesh.x_right == 3.5
+    assert mesh.omega == (0.0, 3.0)
+
+
 def test_degenerate_interval():
     with pytest.raises(DegenerateInterval):
         nm.build_mesh(0.0, 1.0, 0.9)

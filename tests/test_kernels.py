@@ -134,6 +134,9 @@ def test_reweighted_mexican_hat_changes_sign():
     lambda: nm.Logistic(a=1.0, b=3.0),
     lambda: nm.InvertedMexicanHat(a=2.0, b=1.0),
     lambda: nm.InvertedMexicanHat(a=1.0, b=2.0, A=5.0, B=1.0),
+    # a**2 would overflow: rejected, not raised from the range checks
+    lambda: nm.InvertedMexicanHat(a=1e200, b=1.0),
+    lambda: nm.InvertedMexicanHat(a=1e200, b=2e200),
 ])
 def test_invalid_parameters_rejected(bad):
     with pytest.raises(ValueError):
@@ -152,6 +155,18 @@ NON_FINITE_PARAMS = [(cls, f.name, value)
 def test_non_finite_parameters_rejected(cls, name, value):
     with pytest.raises(ValueError, match=f"{name} must be a finite number"):
         cls(**{name: value})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: nm.Exponential(scale=1e300),     # scale**2 overflows
+    lambda: nm.Gaussian(scale=1e200),
+    lambda: nm.Logistic(a=1e150),            # a**3 overflows
+    lambda: nm.PowerLaw(a=1e200),
+])
+def test_overflowing_second_moment_rejected(make):
+    with pytest.raises(ValueError, match="second_moment that is not a "
+                                         "finite number"):
+        make()
 
 
 def test_steep_logistic_tail_is_zero_without_warnings():

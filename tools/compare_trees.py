@@ -13,10 +13,9 @@ Every tree runs in a fresh process with BLAS/OpenMP threads pinned to 1
   solution's nodal values, R, E, the initial energy, the initial L2
   norm, ``l2_ratio`` and the stop reason;
 - for the forms of case 1 at 640 elements and case 5 at h = 3/320:
-  ``B``, the H1 Gram matrix as its (diagonal, off-diagonal) pair ``H``
-  (taken from the diagonals of the dense ``h1_gram`` of a tree whose
-  form holds that instead), ``exterior_map`` and the outputs of
-  ``values_at_omega_quad``, ``load_vector`` and
+  ``B``, the H1 Gram matrix as its (diagonal, off-diagonal) pair ``H``,
+  ``B_tilde`` (None on the Dirichlet form), ``exterior_map`` and the
+  outputs of ``values_at_omega_quad``, ``load_vector`` and
   ``operator_at_omega_quad`` on fixed random inputs.
 
 Every later tree is compared with the first.  The script prints each
@@ -76,11 +75,8 @@ def _form_digests(out, label, spec, mesh, assemble):
     u = form.full_values(rng.standard_normal(form.n_unknowns))
     f = rng.standard_normal(form.omega_quad_weights().size)
     out[f"{label} B"] = _sha(form.B)
-    if hasattr(form, "H"):
-        out[f"{label} H"] = _sha(*form.H)
-    else:
-        out[f"{label} H"] = _sha(np.diag(form.h1_gram),
-                                 np.diag(form.h1_gram, 1))
+    out[f"{label} H"] = _sha(*form.H)
+    out[f"{label} B_tilde"] = _sha(form.B_tilde)
     out[f"{label} exterior_map"] = _sha(form.exterior_map)
     out[f"{label} values_at_omega_quad"] = _sha(form.values_at_omega_quad(u))
     out[f"{label} load_vector"] = _sha(form.load_vector(f))
