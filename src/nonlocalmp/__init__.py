@@ -11,7 +11,7 @@ from .assembly import NonlocalForm, assemble_dirichlet, assemble_neumann
 from .energy import (NONLINEARITIES, Nonlinearity, gradient,
                      nonlinearity_from_name, t_star)
 from .fem import (FeFunction, Mesh, build_extended_mesh, build_mesh,
-                  interpolate, norms, omega_norm_matrices, step_function)
+                  interpolate, omega_norm_matrices, step_function)
 from .kernels import (Exponential, Gaussian, InvertedMexicanHat, Logistic,
                       PowerLaw, builtin_kernels, kernel_from_name)
 from .mountain_pass import IterationRecord, SolveResult, SolverConfig, solve

@@ -4,8 +4,9 @@ Runs a single solve or a convergence study from a flat key = value
 configuration file or a bundled case preset.  Exit codes: 0 converged,
 2 trivial-solution capture, 3 solver failure, 4 configuration or usage
 error, which includes an output path (``--out``, ``--log``,
-``--dump-matrix``, ``output.*``) that cannot be written.  A study runs
-its rows on ``--jobs`` worker processes, never more than it has rows.
+``--dump-matrix``, ``output.*``) that cannot be written or a mesh too
+fine to allocate.  A study runs its rows one after another in this
+process.
 """
 
 import argparse
@@ -41,8 +42,6 @@ def _build_parser():
                    help="write the iteration log CSV here instead of stdout")
     p.add_argument("--dump-matrix", metavar="PATH",
                    help="write the assembled matrix in coordinate format")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="parallel workers for convergence-study rows")
     return p
 
 
@@ -52,7 +51,8 @@ def _print_header(spec, out=None):
         print(f"# {key} = {value}", file=out)
     kernel = spec.make_kernel()
     d = spec.domain[1] - spec.domain[0]
-    beta_est = 0.5 * kernel.second_moment / d**2
+    # d / d rather than d**2, which overflows for d above about 1e154
+    beta_est = 0.5 * kernel.second_moment / d / d
     print(f"# kernel mass = {kernel.total_mass:.6g}, second moment = "
           f"{kernel.second_moment:.6g}", file=out)
     print(f"# coercivity heuristic ~ {beta_est:.3g} "
@@ -100,8 +100,8 @@ def _run_single(spec, args):
     return _exit_code([r])
 
 
-def _run_study(spec, args):
-    study = verify.convergence_study(spec, jobs=args.jobs)
+def _run_study(spec):
+    study = verify.convergence_study(spec)
     print(",".join(verify.REPORT_COLUMNS))
     for r in study.reports:
         print(verify.report_line(r))
@@ -127,9 +127,6 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.jobs < 1:
-            parser.error(f"argument --jobs: must be at least 1, "
-                         f"got {args.jobs}")
         if not args.list_cases and bool(args.config) == bool(args.case):
             parser.error("exactly one of --config or --case is required "
                          "(or --list-cases)")
@@ -154,11 +151,16 @@ def main(argv=None):
                                   f"not to a convergence study (h_list)")
         _print_header(spec)
         if spec.h_list:
-            return _run_study(spec, args)
+            return _run_study(spec)
         return _run_single(spec, args)
     except ConfigError as exc:   # also raised mid-run, e.g. by a start CSV
         where = f" (line {exc.line})" if exc.line else ""
         print(f"config error{where}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:   # e.g. the nodes of a mesh too fine
+        h = min(spec.h_list or (spec.h,))
+        print(f"config error: the mesh of h = {h!r} is too fine to "
+              f"allocate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonlocalMPError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

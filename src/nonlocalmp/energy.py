@@ -172,9 +172,11 @@ def nonlinearity_from_name(name):
 
 # -- ray restriction ----------------------------------------------------------
 
-def moments(form, u_full, powers):
-    """int u^k dx over the physical domain for every requested power."""
-    return gauss_moments(form.values_at_omega_quad(u_full),
+def moments(form, u, powers):
+    """int u^k dx over the physical domain for every requested power, of a
+    full nodal vector or of unknown-node values (see
+    ``NonlocalForm.values_at_omega_quad``)."""
+    return gauss_moments(form.values_at_omega_quad(u),
                          form.omega_quad_weights(), powers)
 
 
@@ -288,8 +290,7 @@ def ray_data(form, nl, u_unknown):
     maximum.
     """
     Buu = float(u_unknown @ form.B @ u_unknown)
-    c = ray_coefficients(nl, Buu, moments(form, form.full_values(u_unknown),
-                                          nl.moment_powers))
+    c = ray_coefficients(nl, Buu, moments(form, u_unknown, nl.moment_powers))
     ts = float(ray_max(nl, np.array([Buu]), c[None])[0][0])
     if math.isnan(ts):
         raise ZeroDirection("ray energy has no positive maximum")

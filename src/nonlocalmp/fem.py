@@ -23,7 +23,6 @@ __all__ = [
     "tridiagonal_product",
     "add_tridiagonal",
     "interpolate",
-    "norms",
     "reference_quadrature",
     "element_quadrature",
     "step_function",
@@ -181,18 +180,6 @@ def step_function(mesh, a, b):
     """Indicator of [a, b): 1 at nodes with a <= x < b, else 0."""
     values = np.where((mesh.nodes >= a) & (mesh.nodes < b), 1.0, 0.0)
     return FeFunction(mesh, values)
-
-
-def norms(u, M, S):
-    """(L2, H1) norms over omega of a FeFunction or nodal vector.
-
-    M and S must be the omega-restricted matrices from
-    :func:`omega_norm_matrices`.
-    """
-    v = u.values if isinstance(u, FeFunction) else np.asarray(u)
-    l2sq = float(v @ M @ v)
-    h1sq = l2sq + float(v @ S @ v)
-    return np.sqrt(max(l2sq, 0.0)), np.sqrt(max(h1sq, 0.0))
 
 
 def reference_quadrature(order):

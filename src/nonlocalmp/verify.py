@@ -185,28 +185,14 @@ def run_single(spec, h,
     return SingleRun(report, result, form, M)
 
 
-def _study_row(args):
-    spec, h = args
-    return run_single(spec, h).report
-
-
-def convergence_study(spec, jobs=1):
+def convergence_study(spec):
     """Run the full pipeline for every mesh size of ``spec.h_list`` and fit
     convergence orders.
 
     Rows that fail propagate their error message in the report and are
     excluded from the order fits, as are trivial-capture rows.
     """
-    jobs = min(jobs, len(spec.h_list))      # never more workers than rows
-    if jobs > 1:
-        # imported here: it costs about 15 ms of every start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_study_row,
-                                    [(spec, h) for h in spec.h_list]))
-    else:
-        reports = [run_single(spec, h).report for h in spec.h_list]
+    reports = [run_single(spec, h).report for h in spec.h_list]
     return StudyResult(reports=reports, orders=fit_orders(reports))
 
 

@@ -414,6 +414,28 @@ def test_bad_mesh_or_start_exits_4(tmp_path, capsys, key, value):
     assert BAD_START_CSV.get(value, ("", ""))[1] in err
 
 
+def test_mesh_too_fine_to_allocate_exits_4(tmp_path, capsys):
+    # h passes the index bound, but the nodes alone would take 6.94 EiB:
+    # numpy refuses that request at once and allocates nothing
+    cfg = tmp_path / "fine.cfg"
+    cfg.write_text("domain.left = 0\ndomain.right = 3\nh = 3e-18\n")
+    assert cli.main(["--config", str(cfg)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: the mesh of h = 3e-18 ")
+
+
+def test_huge_domain_header_does_not_overflow(tmp_path, capsys):
+    # the square of a span above about 1.3e154 overflows a float; the
+    # header prints, then the descent stalls at its first iteration
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("domain.left = 0\ndomain.right = 1e200\nh = 1e199\n")
+    assert cli.main(["--config", str(cfg)]) == 3
+    out = capsys.readouterr()
+    assert "# coercivity heuristic ~ 0 " in out.out
+    assert "StallError" in out.err
+
+
 @pytest.mark.parametrize("constraint", ["dirichlet", "neumann"])
 @pytest.mark.parametrize("h", [1e-300, 5e-324])
 def test_unsizable_mesh_is_a_config_error(constraint, h):
@@ -446,7 +468,6 @@ def test_tiny_neumann_extension_runs(tmp_path, capsys):
 @pytest.mark.parametrize("start,flags", [
     ("step(10,11)", []),                # beyond the extended mesh
     ("step(-1,-0.5)", []),              # only exterior-margin nodes
-    ("step(-1,-0.5)", ["--jobs", "2"]),
 ])
 def test_neumann_start_zero_on_unknowns_exits_4(tmp_path, capsys, start,
                                                 flags):
@@ -536,6 +557,7 @@ def test_unwritable_output_exits_4(tmp_path, capsys, output):
     assert len(err) == 1 and str(path) in err[0]
 
 
+# unknown flags, bare or followed by a word, a number or a negative number
 USAGE_ERRORS = [["--frobnicate"], ["--jobs", "abc"], ["--jobs", "0"],
                 ["--jobs", "-5"]]
 
@@ -554,4 +576,4 @@ def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["--help"])
     assert info.value.code == 0
-    assert "--jobs" in capsys.readouterr().out
+    assert "--jobs" not in capsys.readouterr().out

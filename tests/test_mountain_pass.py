@@ -472,6 +472,45 @@ def test_newton_guard_keeps_the_lower_critical_point():
                                                       rel=1e-6)
 
 
+@pytest.mark.parametrize("kind", ["ascent", "critical_ray"])
+def test_newton_guard_drops_non_descent_ladders(case1_coarse, monkeypatch,
+                                                kind):
+    # every Newton attempt returns a direction with g^ . d^ > 0 that the
+    # guard must drop, an ascent ladder for having no rung below e(w) and
+    # the critical-ray ladder for its lowest rung being a halved one: the
+    # run takes none of them and follows the descent of a run whose
+    # attempts all meet negative curvature
+    mesh, form, M, S, u1 = case1_coarse
+    nl = en.NONLINEARITIES["cubic"]
+    cfg = mp.SolverConfig(check_invariants=True)
+    monkeypatch.setattr(mp, "newton_direction", lambda *args: (None, 1))
+    plain = mp.solve(form, nl, u1, cfg)
+    _, lam, V = form.modal_basis(cfg.grounding_rel)
+    q = V.T @ nm.fem.tridiagonal_product(form.H,
+                                         form.reduce(plain.solution))
+    given = []
+
+    def newton_direction(hessian, lam, a, g_hat):
+        if kind == "ascent":
+            # short enough that the full step's ray maximum is above e(w)
+            d_hat = 1e-3 * np.linalg.norm(a) / np.linalg.norm(g_hat) * g_hat
+        else:
+            # the halved step w + d / 2 lies on the ray of the descent's
+            # own critical point, the lowest ray maximum of the ladder;
+            # g^ . a is round-off, so the sign of q makes g^ . d^ > 0
+            d_hat = -2.0 * a + math.copysign(
+                np.linalg.norm(a) / np.linalg.norm(q), g_hat @ q) * q
+        given.append(float(g_hat @ d_hat))
+        return d_hat, 1
+    monkeypatch.setattr(mp, "newton_direction", newton_direction)
+    result = mp.solve(form, nl, u1, cfg)
+    assert plain.converged and result.converged
+    assert result.newton_attempts == plain.newton_attempts == len(given) > 0
+    assert min(given) > 0.0 and result.newton_negative_curvature == 0
+    assert result.newton_steps == result.newton_damped == 0
+    assert result.records == plain.records
+
+
 STUDY_ROWS = ([(case, h_for(n)) for case in ("case1", "case2", "case3",
                                              "case4") for n in (20, 40, 80)]
               + [("case5", h) for h in (0.3, 0.15, 0.075)])

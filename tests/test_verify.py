@@ -160,34 +160,6 @@ def test_fit_orders_needs_three_distinct_mesh_sizes(h_list):
     assert study.orders == dict.fromkeys(("R_L1", "R_L2", "E_L1", "E_L2"))
 
 
-def test_study_forks_no_more_workers_than_rows(monkeypatch):
-    import concurrent.futures
-
-    workers = []
-
-    class InProcessPool:
-        """Records the worker count and maps in this process."""
-
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        InProcessPool)
-    spec = RunSpec(domain=(-math.pi, math.pi),
-                   h_list=(h_for(10), h_for(14), h_for(20)))
-    study = verify.convergence_study(spec, jobs=64)
-    assert workers == [3] and len(study.reports) == 3
-
-
 def test_convergence_study_requires_three_rows():
     with pytest.raises(ConfigError) as info:
         RunSpec(h_list=(0.3, 0.15))
@@ -227,17 +199,6 @@ def test_failed_row_is_marked():
     assert run.report.stop_reason == "max_iterations"
     assert run.report.l2_ratio == verify.l2_ratio(run.result, run.M)
     assert 0.0 < run.report.l2_ratio < math.inf and not run.report.trivial
-
-
-def test_convergence_study_parallel_rows():
-    spec = RunSpec(domain=(-math.pi, math.pi),
-                   h_list=(h_for(10), h_for(14), h_for(20)))
-    seq = verify.convergence_study(spec, jobs=1)
-    par = verify.convergence_study(spec, jobs=2)
-    for a, b in zip(seq.reports, par.reports):
-        assert a.n_dof == b.n_dof
-        assert a.R_L1 == pytest.approx(b.R_L1, rel=1e-12)
-        assert a.iterations == b.iterations
 
 
 def test_case1_monotone_refinement():
