@@ -1,12 +1,13 @@
 """Command-line entry point.
 
 Runs a single solve or a convergence study from a flat key = value
-configuration file or a bundled case preset.  Exit codes: 0 converged,
-2 trivial-solution capture, 3 solver failure, 4 configuration or usage
-error, which includes an output path (``--out``, ``--log``,
-``--dump-matrix``, ``output.*``) that cannot be written or a mesh too
-fine to allocate.  A study runs its rows one after another in this
-process.
+configuration file or a bundled case preset.  The configuration's
+``output.*`` keys name every file a run writes, and the header echoes
+them.  Exit codes: 0 converged, 2 trivial-solution capture, 3 a row's
+fault (assembly or descent) or unconverged stop, 4 configuration or
+usage error, which includes an ``output.*`` path that cannot be written
+or a mesh too fine to allocate.  A study runs its rows one after
+another in this process; a faulted row does not stop it.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import sys
 
 from . import assembly, cases, fem, verify
 from .config import parse_config_file, parse_config_text
-from .errors import ConfigError, NonlocalMPError
+from .errors import ConfigError
 
 __all__ = ["main"]
 
@@ -36,12 +37,6 @@ def _build_parser():
                    help="bundled case preset (see --list-cases)")
     p.add_argument("--list-cases", action="store_true",
                    help="print the bundled case presets and exit")
-    p.add_argument("--out", metavar="PATH",
-                   help="write the solution as two-column CSV")
-    p.add_argument("--log", metavar="PATH",
-                   help="write the iteration log CSV here instead of stdout")
-    p.add_argument("--dump-matrix", metavar="PATH",
-                   help="write the assembled matrix in coordinate format")
     return p
 
 
@@ -80,16 +75,16 @@ def _exit_code(reports):
     return EXIT_OK
 
 
-def _run_single(spec, args):
+def _run_single(spec):
     run = verify.run_single(spec, spec.h)
     r = run.report
     if run.result is not None:
-        _log_records(run.result, args.log or spec.outputs.get("log"))
-        out_path = args.out or spec.outputs.get("solution")
-        if out_path:
-            fem.write_function_csv(out_path, run.result.solution)
-    if args.dump_matrix:
-        assembly.dump_matrix(args.dump_matrix, run.form)
+        _log_records(run.result, spec.outputs.get("log"))
+        if "solution" in spec.outputs:
+            fem.write_function_csv(spec.outputs["solution"],
+                                   run.result.solution)
+    if "matrix" in spec.outputs and run.form is not None:
+        assembly.dump_matrix(spec.outputs["matrix"], run.form)
     print(",".join(verify.REPORT_COLUMNS))
     print(verify.report_line(r))
     if r.failed:
@@ -144,15 +139,10 @@ def main(argv=None):
             spec = parse_config_text(cases.case_config_text(args.case))
         else:
             spec = parse_config_file(args.config)
-        flags = ("--out", "--log", "--dump-matrix") if spec.h_list else ()
-        for flag in flags:
-            if getattr(args, flag[2:].replace("-", "_")):
-                raise ConfigError(f"{flag} applies to a single run (h), "
-                                  f"not to a convergence study (h_list)")
         _print_header(spec)
         if spec.h_list:
             return _run_study(spec)
-        return _run_single(spec, args)
+        return _run_single(spec)
     except ConfigError as exc:   # also raised mid-run, e.g. by a start CSV
         where = f" (line {exc.line})" if exc.line else ""
         print(f"config error{where}: {exc}", file=sys.stderr)
@@ -162,9 +152,6 @@ def main(argv=None):
         print(f"config error: the mesh of h = {h!r} is too fine to "
               f"allocate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NonlocalMPError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except OSError as exc:       # an output path that cannot be written
         print(f"usage error: cannot write {exc.filename}: {exc.strerror}",
               file=sys.stderr)

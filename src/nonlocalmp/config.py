@@ -38,13 +38,13 @@ _SCALAR_KEYS = {
     "initial_guess": ("initial_guess", str),
     "quad_order": ("quad_order", int),
     "solver.max_iterations": ("max_iterations", int),
-    "solver.max_halvings": ("max_halvings", int),
     "solver.grounding_rel": ("grounding_rel", float),
     "solver.direction_reg": ("direction_reg", float),
 }
 _ALL_KEYS = set(_SCALAR_KEYS) | {
     "domain.left", "domain.right",
-    "output.solution", "output.log", "output.report", "output.plot",
+    "output.solution", "output.log", "output.matrix", "output.report",
+    "output.plot",
 } | {f"kernel.{f.name}" for cls in KERNEL_NAMES.values() for f in fields(cls)}
 _TYPE_NAMES = {float: "a finite number", int: "an integer",
                tuple: "a list of finite numbers"}
@@ -71,7 +71,6 @@ class RunSpec:
     initial_guess: str = "sine"
     quad_order: int = assembly.QUAD_ORDER
     max_iterations: int = SolverConfig.max_iterations
-    max_halvings: int = SolverConfig.max_halvings
     grounding_rel: float = SolverConfig.grounding_rel
     direction_reg: float = SolverConfig.direction_reg
     outputs: dict = field(default_factory=dict)
@@ -104,7 +103,7 @@ class RunSpec:
                               key="domain.right")
         key = "h" if self.h is not None else "h_list"
         for name in {"h": ("report", "plot"),
-                     "h_list": ("solution", "log")}[key]:
+                     "h_list": ("solution", "log", "matrix")}[key]:
             if name in self.outputs:
                 raise ConfigError(f"output.{name} is not written when {key} "
                                   f"is set", key=f"output.{name}")
@@ -159,7 +158,6 @@ class RunSpec:
     def solver_config(self):
         return SolverConfig(epsilon=self.epsilon, delta=self.delta,
                             max_iterations=self.max_iterations,
-                            max_halvings=self.max_halvings,
                             grounding_rel=self.grounding_rel,
                             direction_reg=self.direction_reg)
 

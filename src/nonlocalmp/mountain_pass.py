@@ -28,7 +28,7 @@ starting from an iterate w sitting on its own ray maximum:
      4;
   3. form the normalized descent direction v1 = V v^ from the nonzero
      g^ (``modal_direction``) and step along it by one of the halved
-     steps delta 2^-k, k = 0 .. max_halvings, whose re-maximized trial
+     steps delta 2^-k, k = 0 .. MAX_HALVINGS, whose re-maximized trial
      t*(w~) w~ has strictly lower energy.  Along w + s v1 the pairings
      B[w,w], B[w,v1], B[v1,v1] and B of every trial are sums over the
      modes, sum lam a b less the grounding sigma int u v (lam a is the
@@ -133,6 +133,9 @@ __all__ = ["SolverConfig", "IterationRecord", "SolveResult",
 NEWTON_EVERY = 10
 NEWTON_RTOL = 1e-4
 NEWTON_MAX_PRODUCTS = 50
+# The halving budget: an iteration tries the steps delta 2^-k,
+# k = 0 .. MAX_HALVINGS; ``solve`` and ``SolverConfig`` read it when called.
+MAX_HALVINGS = 60
 
 
 @dataclass
@@ -142,7 +145,6 @@ class SolverConfig:
     epsilon: float = 1e-3
     delta: float = 1.0
     max_iterations: int = 10000
-    max_halvings: int = 60
     # relative mass shift grounding the Neumann constant mode; small enough
     # to sit below discretization error, large enough that the stopping
     # norm remains attainable in double precision
@@ -156,7 +158,6 @@ class SolverConfig:
             ("epsilon", self.epsilon > 0, "positive"),
             ("delta", self.delta > 0, "positive"),
             ("max_iterations", self.max_iterations >= 1, "at least 1"),
-            ("max_halvings", self.max_halvings >= 0, "non-negative"),
             ("grounding_rel", self.grounding_rel > 0, "positive"),
             ("direction_reg", self.direction_reg >= 0, "non-negative"))
         check_finite((name, getattr(self, name)) for name, _, _ in rules)
@@ -166,10 +167,10 @@ class SolverConfig:
                                   f"{getattr(self, name)!r}", key=name)
         # the last step of the halving, as ``solve`` forms it: a step that
         # underflows to 0 can never lower the energy
-        if self.delta * 0.5 ** self.max_halvings == 0.0:
-            raise ConfigError(f"max_halvings must leave a nonzero last step "
-                              f"delta * 2**-max_halvings, got "
-                              f"{self.max_halvings!r}", key="max_halvings")
+        if self.delta * 0.5 ** MAX_HALVINGS == 0.0:
+            raise ConfigError(f"delta must leave a nonzero last step "
+                              f"delta * 2**-{MAX_HALVINGS}, got "
+                              f"{self.delta!r}", key="delta")
 
 
 @dataclass
@@ -364,7 +365,7 @@ def solve(form, nl, u1, cfg=None):
     records = []
     attempts = newton_steps = damped = negative_curvature = cg_products = 0
     # every step the halving may try: the floats of repeated halving
-    steps = cfg.delta * 0.5 ** np.arange(cfg.max_halvings + 1)
+    steps = cfg.delta * 0.5 ** np.arange(MAX_HALVINGS + 1)
     rays = step_polynomial(nl, steps, weights)
     # the power tables of x_w (column 0) and x_v (column 1), refilled in
     # place every iteration; f(w), f'(w) and the mixed moments share them

@@ -72,8 +72,8 @@ class SingleRun:
     """Full artifacts of one (spec, h) pipeline run."""
 
     report: CaseReport
-    result: object          # SolveResult or None on a solver fault
-    form: object
+    result: object          # SolveResult or None on a fault
+    form: object            # NonlocalForm or None when assembly faulted
     M: np.ndarray           # the dense L2(Omega) mass matrix, all nodes
 
 
@@ -131,25 +131,30 @@ def l2_ratio(result, M):
 
 def run_single(spec, h,
                check_invariants=mountain_pass.SolverConfig.check_invariants):
-    """Assemble, solve and verify one mesh size of a run specification."""
+    """Assemble, solve and verify one mesh size of a run specification.
+
+    A fault of assembly or of the descent, any NonlocalMPError but a
+    ConfigError (which is raised), becomes the row's ``error``, with R
+    and E NaN, so a study goes on to its next row.
+    """
     t0 = time.perf_counter()
     mesh = spec.build_mesh(h)
-    kernel = spec.make_kernel()
     nl = spec.make_nonlinearity()
-    if spec.constraint == "dirichlet":
-        form = assembly.assemble_dirichlet(mesh, kernel, spec.quad_order)
-    else:
-        form = assembly.assemble_neumann(mesh, kernel, spec.quad_order)
-    u1 = spec.initial_guess_fe(mesh)
-    if not np.any(form.reduce(u1)):
-        raise ConfigError(f"initial_guess {spec.initial_guess!r} is zero at "
-                          "every unknown node", key="initial_guess")
     cfg = spec.solver_config()
     cfg.check_invariants = check_invariants
 
-    result = error = None
+    form = result = error = None
     try:
+        assemble = (assembly.assemble_dirichlet if spec.constraint
+                    == "dirichlet" else assembly.assemble_neumann)
+        form = assemble(mesh, spec.make_kernel(), spec.quad_order)
+        u1 = spec.initial_guess_fe(mesh)
+        if not np.any(form.reduce(u1)):
+            raise ConfigError(f"initial_guess {spec.initial_guess!r} is zero "
+                              "at every unknown node", key="initial_guess")
         result = mountain_pass.solve(form, nl, u1, cfg)
+    except ConfigError:
+        raise
     except NonlocalMPError as exc:
         error = f"{type(exc).__name__}: {exc}"
     else:
@@ -157,7 +162,7 @@ def run_single(spec, h,
         # name that leads the text
         if result.stop_reason == "stall":
             error = (f"StallError: no energy decrease after "
-                     f"{cfg.max_halvings} halvings at iteration "
+                     f"{mountain_pass.MAX_HALVINGS} halvings at iteration "
                      f"{result.iterations + 1}")
         elif not result.converged:
             error = (f"MaxIterations: no convergence within "

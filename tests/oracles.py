@@ -286,7 +286,7 @@ def halving_solve(form, nl, u1, cfg):
 
     It runs the modal arithmetic of ``mountain_pass.solve`` (gradient,
     direction and pairings in the form's modal basis) in a plain loop
-    over the steps delta 2^-k, k = 0 .. max_halvings.  Each trial's ray
+    over the steps delta 2^-k, k = 0 .. MAX_HALVINGS.  Each trial's ray
     comes from its own pairing and Gauss-point moments, not from a step
     polynomial, and its energy is the ray polynomial evaluated at t*.
     Of the trials below e(w) the lowest is taken, ties going to the
@@ -318,7 +318,7 @@ def halving_solve(form, nl, u1, cfg):
         v = V @ v_hat
         x_v = form.values_at_omega_quad(form.full_values(v))
         best = None
-        for halvings in range(cfg.max_halvings + 1):
+        for halvings in range(mp.MAX_HALVINGS + 1):
             step = cfg.delta * 0.5 ** halvings
             a_u, x_u = a + step * v_hat, x_w + step * x_v
             Buu = mp.pairing(basis, weights, lam * a_u, x_u, a_u, x_u)

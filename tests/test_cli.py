@@ -1,12 +1,14 @@
 import io
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 import nonlocalmp as nm
-from nonlocalmp import assembly, cli, fem
+from nonlocalmp import assembly, cli, fem, verify
+from nonlocalmp import mountain_pass as mp
 from nonlocalmp.cases import CASE_NAMES, case_config_text
 from nonlocalmp.config import RunSpec, parse_config_text
 from nonlocalmp.errors import ConfigError, ExtensionMarginWarning
@@ -63,6 +65,40 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "frobnicate" in err and "line 2" in err
 
 
+# malformed configurations: (FAST_CFG line, its replacement, the one
+# line printed)
+MALFORMED = {
+    "nonlinearity=foo": ("nonlinearity = cubic", "nonlinearity = foo",
+                         "config error: unknown nonlinearity 'foo'"),
+    "no_mesh_size": (f"h = {h_for(20)!r}", "",
+                     "config error: one of h or h_list is required"),
+    "h_and_h_list": (f"h = {h_for(20)!r}", f"h = {h_for(20)!r}\n"
+                     f"{STUDY_H_LIST}",
+                     "config error: h and h_list are mutually exclusive"),
+    "empty_domain": (f"domain.right = {math.pi!r}",
+                     f"domain.right = {-math.pi!r}",
+                     "config error: domain.right must exceed domain.left"),
+    "step(x,2)": ("initial_guess = sine", "initial_guess = step(x,2)",
+                  "config error: malformed step bounds in 'step(x,2)'"),
+    "empty_value": ("kernel.scale = 1.0", "kernel.a =",
+                    "config error (line 7): empty value for 'kernel.a' on "
+                    "line 7"),
+    # the halving budget is a constant of the solver, not a setting
+    "solver.max_halvings": ("delta = 1.0", "solver.max_halvings = 60",
+                            "config error (line 11): unknown key "
+                            "'solver.max_halvings' on line 11"),
+}
+
+
+@pytest.mark.parametrize("old,new,line", MALFORMED.values(),
+                         ids=list(MALFORMED))
+def test_malformed_config_exits_4(tmp_path, capsys, old, new, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(FAST_CFG.replace(f"\n{old}\n", f"\n{new}\n"))
+    assert cli.main(["--config", str(cfg)]) == 4
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_kernel_param_mismatch_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("kernel = exponential\nkernel.p = 4.0\nh = 0.3\n")
@@ -71,15 +107,19 @@ def test_kernel_param_mismatch_rejected(tmp_path):
 
 def test_single_run_outputs(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(FAST_CFG)
     out_csv = tmp_path / "solution.csv"
     log_csv = tmp_path / "log.csv"
     mat = tmp_path / "B.txt"
-    code = cli.main(["--config", str(cfg), "--out", str(out_csv),
-                     "--log", str(log_csv), "--dump-matrix", str(mat)])
-    assert code == 0
+    cfg.write_text(FAST_CFG + f"output.solution = {out_csv}\n"
+                   f"output.log = {log_csv}\noutput.matrix = {mat}\n")
+    assert cli.main(["--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "h,n_dof,R_L1,R_L2,E_L1,E_L2,iterations,wall_time_s" in out
+    assert "iteration,energy" not in out
+    # the header names every file the run writes
+    for key, path in (("log", log_csv), ("matrix", mat),
+                      ("solution", out_csv)):
+        assert f"# output.{key} = {path}\n" in out
 
     mesh = nm.build_mesh(-math.pi, math.pi, h_for(20))
     u = fem.read_function_csv(out_csv, mesh)
@@ -120,7 +160,6 @@ delta = 0.5
 initial_guess = step(0,1)
 quad_order = 5
 solver.max_iterations = 500
-solver.max_halvings = 30
 solver.grounding_rel = 0.001
 solver.direction_reg = 0.5
 output.report = rep.csv
@@ -129,7 +168,7 @@ output.plot = rep.plot
 ALL_KEYS_SINGLE = ALL_KEYS_STUDY.replace(
     "h_list = 0.5 0.25 0.125", "h = 0.5").replace(
     "output.report = rep.csv\noutput.plot = rep.plot",
-    "output.solution = u.csv\noutput.log = log.csv")
+    "output.solution = u.csv\noutput.log = log.csv\noutput.matrix = B.txt")
 
 
 def _echoed(out):
@@ -235,9 +274,6 @@ def test_exit_code_mapping():
 @pytest.mark.parametrize("setting,line", [
     ("solver.max_iterations = 5",
      "solver failure: MaxIterations: no convergence within 5 iterations"),
-    ("solver.max_halvings = 0",
-     "solver failure: StallError: no energy decrease after 0 halvings "
-     "at iteration 4"),
 ])
 def test_solver_failure_output_pinned(tmp_path, capsys, setting, line):
     # the stop's name leads the error text: benchmark/workloads.py reads
@@ -246,6 +282,85 @@ def test_solver_failure_output_pinned(tmp_path, capsys, setting, line):
     cfg.write_text(FAST_CFG + setting + "\n")
     assert cli.main(["--config", str(cfg)]) == 3
     assert capsys.readouterr().err == line + "\n"
+
+
+def test_stall_output_pinned(tmp_path, capsys, monkeypatch):
+    # the halving budget is read when the row runs: with none, the descent
+    # stalls at its fourth iteration
+    monkeypatch.setattr(mp, "MAX_HALVINGS", 0)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST_CFG)
+    assert cli.main(["--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "solver failure: StallError: no energy decrease after 0 halvings "
+        "at iteration 4\n")
+
+
+def test_trivial_capture_notes_exit_2(tmp_path, capsys, monkeypatch):
+    # a capture ratio above every row's ||u*|| / ||w1|| makes every
+    # converged row a trivial capture
+    monkeypatch.setattr(verify, "TRIVIAL_CAPTURE_RATIO", math.inf)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST_CFG)
+    assert cli.main(["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == \
+        "note: converged to the trivial (near-zero) solution\n"
+    cfg.write_text(FAST_CFG.replace(f"h = {h_for(20)!r}", STUDY_H_LIST))
+    assert cli.main(["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"row h={h_for(n):.6g} captured the trivial solution"
+        for n in (10, 14, 20)]
+
+
+# an inverted Mexican hat under Neumann conditions: from h = 0.3 on, the
+# exterior block of the sign-changing kernel is not positive definite
+SIGN_CHANGING_NEUMANN = """
+domain.left = 0.0
+domain.right = 3.0
+constraint = neumann
+kernel = mexican_hat
+kernel.a = 1
+kernel.b = 2
+kernel.A = 5
+kernel.B = 6
+nonlinearity = allen_cahn
+initial_guess = step(1,2)
+"""
+EXTERIOR_FAULT = ("SingularExteriorBlock: exterior block not positive "
+                  "definite; increase the extension or check the kernel "
+                  "sign")
+
+
+def _rows(out):
+    return [line.split(",") for line in out.splitlines()
+            if line[:1].isdigit()]
+
+
+def test_assembly_fault_is_the_rows_failure(tmp_path, capsys):
+    # a study goes on past its faulted rows, and a single run prints its
+    # row before the fault
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SIGN_CHANGING_NEUMANN + "h_list = 0.6 0.3 0.15\n")
+    with pytest.warns(ExtensionMarginWarning):
+        assert cli.main(["--config", str(cfg)]) == 3
+    out, err = capsys.readouterr()
+    rows = _rows(out)
+    assert [r[0] for r in rows] == ["0.6", "0.3", "0.15"]
+    assert rows[0][6] == "36" and "nan" not in rows[0]
+    for r in rows[1:]:
+        assert r[2:7] == ["nan"] * 4 + ["0"]
+    assert err.splitlines() == [f"row h={h} failed: {EXTERIOR_FAULT}"
+                                for h in ("0.3", "0.15")]
+
+    cfg.write_text(SIGN_CHANGING_NEUMANN + "h = 0.3\n"
+                   f"output.matrix = {tmp_path / 'B.txt'}\n")
+    with pytest.warns(ExtensionMarginWarning):
+        assert cli.main(["--config", str(cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert [r[:7] for r in _rows(out)] == [
+        ["0.3", "20"] + ["nan"] * 4 + ["0"]]
+    assert err == f"solver failure: {EXTERIOR_FAULT}\n"
+    assert not (tmp_path / "B.txt").exists()    # no form to write
 
 
 def test_last_budgeted_step_that_converges_exits_0(tmp_path, capsys):
@@ -296,7 +411,7 @@ OUT_OF_RANGE = {
     "h_list": f"{h_for(10)!r} {h_for(20)!r}",
     "initial_guess": "missing-start.csv",
     "solver.direction_reg": "-0.5",
-    "solver.max_halvings": "-1",
+    "solver.max_iterations": "0",
     "output.report": "rep.csv",        # a single run writes no report
     "output.plot": "rep.plot",
     "neumann.extension": "2.0",        # a Dirichlet run has no extension
@@ -304,11 +419,12 @@ OUT_OF_RANGE = {
 NON_FINITE = [("kernel.scale", "nan"), ("domain.right", "inf"),
               ("solver.direction_reg", "inf"), ("delta", "inf"),
               ("epsilon", "inf"), ("kernel.scale", "inf")]
-# an integer too large for a float, a halving budget whose last step
-# delta * 2**-max_halvings underflows to 0, and a kernel whose second
+# an integer too large for a float, a delta whose last halved step
+# delta * 2**-MAX_HALVINGS underflows to 0, and a kernel whose second
 # moment 2 scale**2 overflows
-TOO_LARGE = {"max_halvings=10**400": ("solver.max_halvings", "1" + "0" * 400),
-             "max_halvings=1075": ("solver.max_halvings", "1075"),
+TOO_LARGE = {"max_iterations=10**400": ("solver.max_iterations",
+                                        "1" + "0" * 400),
+             "delta=1e-310": ("delta", "1e-310"),
              "kernel.scale=1e300": ("kernel.scale", "1e300")}
 
 
@@ -356,6 +472,8 @@ BAD_MESH_OR_START = [
     # single-run outputs on a study, which would ignore them
     ("output.solution", "u.csv"),
     ("output.log", "log.csv"),
+    ("output.matrix", "B.txt"),
+    # the flags that named them once are unknown: a usage error
     ("--out", "u.csv"),
     ("--log", "log.csv"),
     ("--dump-matrix", "B.txt"),
@@ -412,6 +530,7 @@ def test_bad_mesh_or_start_exits_4(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert key in err
     assert BAD_START_CSV.get(value, ("", ""))[1] in err
+    assert ("usage:" in err) == bool(flags)
 
 
 def test_mesh_too_fine_to_allocate_exits_4(tmp_path, capsys):
@@ -524,35 +643,40 @@ def test_non_finite_settings_in_code_rejected(key, kwargs):
             assert info.value.key == name
 
 
-def test_too_large_solver_settings_in_code_rejected():
-    # only the settings are built: 10**400 is no float, and from 1075
-    # halvings of delta = 1 on the last step delta * 2**-k is 0.0
+def test_too_large_solver_settings_in_code_rejected(monkeypatch):
+    # only the settings are built: 10**400 is no float, and a delta whose
+    # last halved step delta * 2**-MAX_HALVINGS is 0.0 can never lower the
+    # energy.  The budget is read when the settings are checked: from 1075
+    # halvings of delta = 1 the last step is 0.0
     with pytest.raises(ConfigError, match="max_iterations must be a finite "
                        "number") as info:
         SolverConfig(max_iterations=10**400)
     assert info.value.key == "max_iterations"
-    SolverConfig(max_halvings=1074)
-    for kwargs in (dict(max_halvings=1075), dict(max_halvings=10**8),
-                   dict(delta=2.0 ** -1000, max_halvings=75)):
-        with pytest.raises(ConfigError, match="max_halvings must leave a "
-                           "nonzero last step") as info:
-            SolverConfig(**kwargs)
-        assert info.value.key == "max_halvings"
+    SolverConfig(delta=2.0 ** -1014)
+    cases = [(60, 2.0 ** -1015), (60, 5e-324), (1075, 1.0), (10**8, 1.0),
+             (75, 2.0 ** -1000)]
+    for budget, delta in cases:
+        monkeypatch.setattr(mp, "MAX_HALVINGS", budget)
+        with pytest.raises(ConfigError, match=r"delta must leave a nonzero "
+                           rf"last step delta \* 2\*\*-{budget}, got") as info:
+            SolverConfig(delta=delta)
+        assert info.value.key == "delta"
+    monkeypatch.setattr(mp, "MAX_HALVINGS", 1074)
+    SolverConfig()
 
 
-@pytest.mark.parametrize("output", ["--out", "--log", "--dump-matrix",
-                                    "output.report", "output.plot"])
+@pytest.mark.parametrize("output", ["output.solution", "output.log",
+                                    "output.matrix", "output.report",
+                                    "output.plot"])
 def test_unwritable_output_exits_4(tmp_path, capsys, output):
     path = tmp_path / "missing" / "file.txt"
     cfg = tmp_path / "run.cfg"
-    flags = []
-    if output.startswith("--"):
-        cfg.write_text(FAST_CFG)
-        flags = [output, str(path)]
-    else:
+    if output in ("output.report", "output.plot"):
         cfg.write_text(FAST_CFG.replace(f"h = {h_for(20)!r}",
                                         f"{STUDY_H_LIST}\n{output} = {path}"))
-    assert cli.main(["--config", str(cfg)] + flags) == 4
+    else:
+        cfg.write_text(FAST_CFG + f"{output} = {path}\n")
+    assert cli.main(["--config", str(cfg)]) == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and str(path) in err[0]
 
@@ -576,4 +700,7 @@ def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["--help"])
     assert info.value.code == 0
-    assert "--jobs" not in capsys.readouterr().out
+    # the option lines of the help text, by their first spelling
+    assert re.findall(r"^  (-[\w-]+)", capsys.readouterr().out,
+                      re.MULTILINE) == ["-h", "--config", "--case",
+                                        "--list-cases"]

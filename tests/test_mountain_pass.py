@@ -115,7 +115,7 @@ def test_eigenvalue_roots_only_above_degree_two(fixture, nl, companion,
     assert (len(calls) > 0) == companion
 
 
-def test_screened_descent_stalls_with_halving_loop(case2_40):
+def test_screened_descent_stalls_with_halving_loop(case2_40, monkeypatch):
     # with at most 2 halvings the case-2 descent at 40 elements stalls, at
     # iteration 25 after Newton attempts that met negative curvature (from
     # 3 halvings on it converges; at 20 elements it converges with 2
@@ -126,7 +126,8 @@ def test_screened_descent_stalls_with_halving_loop(case2_40):
     # round-off long before the stall.)
     form, u1 = case2_40
     nl = en.NONLINEARITIES["cubic"]
-    cfg = mp.SolverConfig(max_halvings=2)
+    monkeypatch.setattr(mp, "MAX_HALVINGS", 2)
+    cfg = mp.SolverConfig()
     result = mp.solve(form, nl, u1, cfg)
     assert result.stop_reason == "stall" and result.iterations > 1
     assert result.newton_attempts > 0
@@ -181,8 +182,8 @@ def test_one_ray_evaluation_per_iteration(monkeypatch):
         assert len(given_up) == result.newton_attempts
         screens = result.newton_attempts - result.newton_steps \
             - sum(given_up)
-        assert calls == [1] + [cfg.max_halvings + 1] * (result.iterations
-                                                         + screens)
+        assert calls == [1] + [mp.MAX_HALVINGS + 1] * (result.iterations
+                                                        + screens)
         rejected += screens
     assert rejected > 0
 
@@ -731,10 +732,10 @@ def test_max_iterations_carries_partial_result(case1_solved):
     assert partial.records == result.records[:2]
 
 
-def test_stall_error_carries_partial_result(case1_solved):
+def test_stall_error_carries_partial_result(case1_solved, monkeypatch):
     mesh, form, M, S, u1, result = case1_solved
-    cfg = mp.SolverConfig(max_halvings=0)
-    partial = mp.solve(form, en.NONLINEARITIES["cubic"], u1, cfg)
+    monkeypatch.setattr(mp, "MAX_HALVINGS", 0)
+    partial = mp.solve(form, en.NONLINEARITIES["cubic"], u1)
     assert not partial.converged
     assert partial.stop_reason == "stall"
 

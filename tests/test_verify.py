@@ -43,6 +43,24 @@ def test_one_gram_build_per_row(monkeypatch):
     assert np.array_equal(run.M[u, u], dense(run.form.M_uu))
 
 
+def test_assembly_fault_is_the_rows_error():
+    # the inverted Mexican hat's exterior block at h = 0.3 is not positive
+    # definite: the row carries the fault, with no form and no result
+    spec = RunSpec(domain=(0.0, 3.0), constraint="neumann",
+                   kernel_name="mexican_hat",
+                   kernel_params=dict(a=1.0, b=2.0, A=5.0, B=6.0),
+                   nonlinearity_name="allen_cahn",
+                   initial_guess="step(1,2)", h=0.3)
+    with pytest.warns(nm.errors.ExtensionMarginWarning):
+        run = verify.run_single(spec, spec.h)
+    r = run.report
+    assert run.form is None and run.result is None
+    assert r.failed and r.error.startswith("SingularExteriorBlock: ")
+    assert np.isnan([r.R_L1, r.R_L2, r.E_L1, r.E_L2]).all()
+    assert r.iterations == 0 and r.stop_reason is None
+    assert run.M.shape == (spec.build_mesh(0.3).n_nodes,) * 2
+
+
 def test_residual_of_zero(case1_coarse):
     mesh, form, M, S, u1 = case1_coarse
     for nl in (en.NONLINEARITIES["cubic"], en.NONLINEARITIES["allen_cahn"]):

@@ -17,10 +17,9 @@ Every row runs to its own stop under its preset's solver settings.
 It records per row the iterations, the step halvings taken over the
 whole descent (the sum of ``halvings_used`` over its records), the stop
 reason, the Newton counts of ``SolveResult`` (attempts, full and damped
-steps, attempts ended by negative curvature, Hessian-vector products;
-null where the tree's result has no such field), the solve seconds
-(``SolveResult.wall_time``, which includes building the modal basis)
-and the microseconds per iteration.  Trees take turns, one process per
+steps, attempts ended by negative curvature, Hessian-vector products),
+the solve seconds (``SolveResult.wall_time``, which includes building
+the modal basis) and the microseconds per iteration.  Trees take turns, one process per
 tree and repeat; the counts must repeat exactly.  Per row it keeps the
 median seconds over ``--repeats`` and the minimum microseconds per
 iteration (``us_per_iteration_min``).  On a shared machine other load
@@ -47,8 +46,8 @@ that stays inside both trees' spreads is round-off, not a gain or loss.
 
 Before the descent it times ``import nonlocalmp`` in fresh processes,
 ``IMPORT_REPEATS`` per tree with the trees taking turns, and records
-the median seconds of the import itself, the median peak RSS after it,
-the number of modules it loads and how many of those are scipy's.
+the median seconds of the import itself, the median peak RSS after it
+and the number of modules it loads.
 
 It also times the form's two dense factorizations per call, best of
 ``LINALG_REPEATS``, on the case-1 forms of 80, 320 and 640 elements
@@ -96,9 +95,7 @@ import nonlocalmp
 print(json.dumps({"import_s": time.perf_counter() - t0,
                   "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                   / 1024.0,
-                  "modules": len(sys.modules) - before,
-                  "scipy_modules": sum(m.split(".")[0] == "scipy"
-                                       for m in sys.modules)}))
+                  "modules": len(sys.modules) - before}))
 """
 # run by ``python -c`` in a tree's process: a tool's function, as JSON
 CHILD = ("import json, sys; sys.path.insert(0, {tools!r}); import {tool}; "
@@ -179,7 +176,7 @@ def measure():
                         "iterations": result.iterations,
                         "halvings": halvings,
                         "stop_reason": result.stop_reason,
-                        **{key: getattr(result, key, None)
+                        **{key: getattr(result, key)
                            for key in NEWTON_COUNTS},
                         "solve_s": result.wall_time})
     return records
@@ -317,13 +314,12 @@ def run_tree(src, code):
 
 def summarize_imports(runs):
     """Median import seconds and RSS; the module count must repeat."""
-    if len({(r["modules"], r["scipy_modules"]) for r in runs}) != 1:
+    if len({r["modules"] for r in runs}) != 1:
         raise RuntimeError("import loads a different number of modules "
                            "between repeats")
     return {"import_s": statistics.median(r["import_s"] for r in runs),
             "rss_mb": statistics.median(r["rss_mb"] for r in runs),
             "modules": runs[0]["modules"],
-            "scipy_modules": runs[0]["scipy_modules"],
             "import_s_repeats": [r["import_s"] for r in runs],
             "rss_mb_repeats": [r["rss_mb"] for r in runs]}
 
@@ -387,8 +383,7 @@ def main(argv=None):
     for label, rows_out in record["trees"].items():
         imp = record["imports"][label]
         print(f"{label}: import {imp['import_s']:.3f} s, "
-              f"{imp['rss_mb']:.1f} MiB, {imp['modules']} modules "
-              f"({imp['scipy_modules']} scipy)")
+              f"{imp['rss_mb']:.1f} MiB, {imp['modules']} modules")
         for r in record["linalg"][label]:
             print(f"  {r['unknowns']:>4} unknowns: basis "
                   f"{r['basis_ms']:.1f} ms, SPD solve "
