@@ -121,6 +121,9 @@ class RunSpec:
             raise ConfigError(f"neumann.extension must be positive, got "
                               f"{self.extension!r}", key="neumann.extension")
         guess = self._parse_guess()  # validates eagerly
+        if guess[0] == "csv" and self.h_list:
+            raise ConfigError("an initial_guess .csv fits one mesh, not "
+                              "every row of h_list", key="initial_guess")
         if guess[0] == "csv" and not os.path.isfile(guess[1]):
             raise ConfigError(f"initial_guess file {guess[1]!r} not found",
                               key="initial_guess")

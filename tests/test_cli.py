@@ -11,7 +11,8 @@ from nonlocalmp import assembly, cli, fem, verify
 from nonlocalmp import mountain_pass as mp
 from nonlocalmp.cases import CASE_NAMES, case_config_text
 from nonlocalmp.config import RunSpec, parse_config_text
-from nonlocalmp.errors import ConfigError, ExtensionMarginWarning
+from nonlocalmp.errors import (ConfigError, ExtensionMarginWarning,
+                               SingularSystem)
 from nonlocalmp.mountain_pass import SolverConfig
 
 from conftest import h_for
@@ -296,6 +297,50 @@ def test_stall_output_pinned(tmp_path, capsys, monkeypatch):
         "at iteration 4\n")
 
 
+def test_invariant_violation_is_the_rows_failure(tmp_path, capsys,
+                                                 monkeypatch):
+    # a step rule whose t* overshoots the ray maximum by 1e-3: the check
+    # that every descent makes catches the first accepted step
+    step_polynomial = mp.step_polynomial
+
+    def overshooting(*args):
+        rays = step_polynomial(*args)
+
+        def shifted(B_step, pw):
+            t_steps, e_steps, c_steps = rays(B_step, pw)
+            return t_steps * (1.0 + 1e-3), e_steps, c_steps
+        return shifted
+
+    monkeypatch.setattr(mp, "step_polynomial", overshooting)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST_CFG)
+    assert cli.main(["--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "solver failure: InvariantViolation: iterate left its ray maximum "
+        "at iteration 1\n")
+
+
+def test_verify_fault_is_the_rows_failure(tmp_path, capsys, monkeypatch):
+    # the descent converges but the reference resolve fails: R is
+    # measured, E is not, and the error is the verify fault alone
+    fault = "system not positive definite (grounding shift 0)"
+
+    def singular(self, rhs, grounding_rel):
+        raise SingularSystem(fault)
+
+    monkeypatch.setattr(assembly.NonlocalForm, "solve_spd", singular)
+    run = verify.run_single(RunSpec(h=h_for(20)), h_for(20))
+    r = run.report
+    assert run.result.converged and r.failed
+    assert r.error == f"verify: {fault}"
+    assert np.isfinite([r.R_L1, r.R_L2]).all()
+    assert np.isnan([r.E_L1, r.E_L2]).all()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST_CFG)
+    assert cli.main(["--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == f"solver failure: verify: {fault}\n"
+
+
 def test_trivial_capture_notes_exit_2(tmp_path, capsys, monkeypatch):
     # a capture ratio above every row's ||u*|| / ||w1|| makes every
     # converged row a trivial capture
@@ -469,6 +514,8 @@ BAD_MESH_OR_START = [
     # starts that are zero at every unknown node
     ("initial_guess", "step(3.5,4)"),   # beyond the domain
     ("initial_guess", "zeros.csv"),
+    # one mesh's start for every row of a study
+    ("initial_guess", "study.csv"),
     # single-run outputs on a study, which would ignore them
     ("output.solution", "u.csv"),
     ("output.log", "log.csv"),
@@ -478,11 +525,14 @@ BAD_MESH_OR_START = [
     ("--log", "log.csv"),
     ("--dump-matrix", "B.txt"),
 ]
-# start CSVs whose shape is wrong: (text, what the message says)
+# start CSVs whose shape is wrong or that no study can take: (text, what
+# the message says)
 BAD_START_CSV = {
     "two-rows.csv": ("x,u\n0.0,0.0\n1.0,0.0\n", "CSV has 2 rows"),
     "header-only.csv": ("x,u\n", "CSV has 0 rows"),
     "one-column.csv": ("x\n0.0\n1.0\n", "CSV has 2 rows"),
+    "study.csv": (None, "config error: an initial_guess .csv fits one mesh, "
+                        "not every row of h_list\n"),
 }
 
 
@@ -508,15 +558,18 @@ def test_bad_mesh_or_start_exits_4(tmp_path, capsys, key, value):
         text = text.replace("initial_guess = sine", f"initial_guess = {value}")
     else:
         start = tmp_path / value
-        if value in ("nan-value.csv", "zeros.csv"):
+        if value in ("nan-value.csv", "zeros.csv", "study.csv"):
             # the run's own node coordinates, every value zero or one value
-            # not a number
+            # not a number; or the sine start of a single run, given to a
+            # study whose last row has that mesh
             u = nm.interpolate(nm.build_mesh(-math.pi, math.pi, h_for(20)),
                                math.sin, constraint="dirichlet")
             if value == "zeros.csv":
                 u.values[:] = 0.0
-            else:
+            elif value == "nan-value.csv":
                 u.values[5] = np.nan
+            else:
+                text = text.replace(f"h = {h_for(20)!r}", STUDY_H_LIST)
             fem.write_function_csv(start, u)
         else:
             start.write_text(BAD_START_CSV[value][0])

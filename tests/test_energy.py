@@ -499,5 +499,5 @@ def test_nonlinearity_given_as_data(case1_coarse):
                              step=1e-3)
         assert abs(ts - tg) <= 1e-3
 
-    result = mp.solve(form, nl, u1, mp.SolverConfig(check_invariants=True))
+    result = mp.solve(form, nl, u1)
     assert result.converged and result.final_grad_norm <= 1e-3

@@ -26,8 +26,7 @@ def case1_solved(request):
     form = nm.assemble_dirichlet(mesh, nm.Exponential())
     M, S = nm.omega_norm_matrices(mesh)
     u1 = nm.interpolate(mesh, math.sin, constraint="dirichlet")
-    cfg = mp.SolverConfig(check_invariants=True)
-    result = mp.solve(form, en.NONLINEARITIES["cubic"], u1, cfg)
+    result = mp.solve(form, en.NONLINEARITIES["cubic"], u1)
     return mesh, form, M, S, u1, result
 
 
@@ -463,10 +462,8 @@ def test_newton_guard_keeps_the_lower_critical_point():
     values[lo:hi + 1] += 0.01 * np.max(np.abs(values)) \
         / np.max(np.abs(p)) * p
     form = nm.assemble_neumann(mesh, spec.make_kernel(), spec.quad_order)
-    cfg = spec.solver_config()
-    cfg.check_invariants = True
     result = mp.solve(form, spec.make_nonlinearity(),
-                      nm.FeFunction(mesh, values), cfg)
+                      nm.FeFunction(mesh, values), spec.solver_config())
     assert mesh.n_elements == 20 and result.converged
     assert result.newton_attempts > 0
     assert result.records[-1].energy == pytest.approx(0.0133416797,
@@ -483,7 +480,7 @@ def test_newton_guard_drops_non_descent_ladders(case1_coarse, monkeypatch,
     # attempts all meet negative curvature
     mesh, form, M, S, u1 = case1_coarse
     nl = en.NONLINEARITIES["cubic"]
-    cfg = mp.SolverConfig(check_invariants=True)
+    cfg = mp.SolverConfig()
     monkeypatch.setattr(mp, "newton_direction", lambda *args: (None, 1))
     plain = mp.solve(form, nl, u1, cfg)
     _, lam, V = form.modal_basis(cfg.grounding_rel)
@@ -525,7 +522,7 @@ def test_study_rows_keep_invariants(case, h):
     # takes Newton steps but case 5 at h = 0.3, where each attempt meets
     # negative curvature (Morse index 2)
     spec = nm.config.parse_config_text(nm.cases.case_config_text(case))
-    run = nm.verify.run_single(spec, h, check_invariants=True)
+    run = nm.verify.run_single(spec, h)
     assert run.report.converged
     assert (run.result.newton_steps > 0) == ((case, h) != ("case5", 0.3))
 
@@ -587,7 +584,6 @@ def test_newton_attempts_add_up(case, h, perturbed, monkeypatch):
         else nm.assemble_neumann
     form = assemble(mesh, spec.make_kernel(), spec.quad_order)
     cfg = spec.solver_config()
-    cfg.check_invariants = True
     start = spec.initial_guess_fe(mesh)
     if perturbed:
         start = cosine_perturbed(mesh, start)
@@ -745,8 +741,7 @@ def test_budget_met_by_last_step_converges(case1_solved):
     # before the budget is: a budget equal to the iteration count of the
     # unbudgeted run converges with its records
     mesh, form, M, S, u1, result = case1_solved
-    cfg = mp.SolverConfig(max_iterations=result.iterations,
-                          check_invariants=True)
+    cfg = mp.SolverConfig(max_iterations=result.iterations)
     edge = mp.solve(form, en.NONLINEARITIES["cubic"], u1, cfg)
     assert edge.converged and edge.stop_reason == "converged"
     assert edge.records == result.records
@@ -784,7 +779,7 @@ def test_unregularized_direction_available(case1_solved):
 
 def test_neumann_solve_converges(neumann_coarse):
     mesh, form, M, S, u1 = neumann_coarse
-    cfg = mp.SolverConfig(max_iterations=60000, check_invariants=True)
+    cfg = mp.SolverConfig(max_iterations=60000)
     result = mp.solve(form, en.NONLINEARITIES["allen_cahn"], u1, cfg)
     assert result.converged
     assert result.final_grad_norm <= 1e-3
@@ -802,6 +797,23 @@ VIOLATIONS = {
     "energy did not decrease": (np.ones(2), -np.ones(2), 1.0, 1.0, RAY, 1.0),
     "ray maximum": (np.ones(2), -np.ones(2), 1.0, 0.5, RAY, 0.5),
 }
+
+
+def test_default_descent_checks_every_step(case1_coarse, monkeypatch):
+    # no setting turns the checks on: a default run checks each accepted
+    # step, Newton or descent, once
+    calls = []
+    check_invariants = mp.check_invariants
+
+    def counted(iteration, *args):
+        calls.append(iteration)
+        return check_invariants(iteration, *args)
+
+    monkeypatch.setattr(mp, "check_invariants", counted)
+    mesh, form, M, S, u1 = case1_coarse
+    result = mp.solve(form, en.NONLINEARITIES["cubic"], u1, mp.SolverConfig())
+    assert result.converged and result.newton_steps > 0
+    assert calls == [rec.iteration for rec in result.records]
 
 
 def test_check_invariants_raises_with_iteration():
