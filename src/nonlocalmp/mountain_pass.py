@@ -23,9 +23,9 @@ starting from an iterate w sitting on its own ray maximum:
      gradient B w - load recomputed from the nodal values; or when the
      iteration budget is spent;
   2. when the iteration number is a multiple of NEWTON_EVERY, or the
-     previous iteration took a Newton step (full or damped), attempt one
-     (the Newton finish, below); if the guard takes its full step, go to
-     4;
+     previous iteration took a Newton step (full or damped) or a step
+     along negative curvature, attempt a Newton step (the Newton finish,
+     below); if the guard takes its full step, go to 4;
   3. form the normalized descent direction v1 = V v^ from the nonzero
      g^ (``modal_direction``) and step along it by one of the halved
      steps delta 2^-k, k = 0 .. MAX_HALVINGS, whose re-maximized trial
@@ -45,9 +45,11 @@ starting from an iterate w sitting on its own ray maximum:
      [s_opt, 2 s_opt) and lower the energy by almost nothing, while the
      lowest lies within a factor sqrt(2) of s_opt.  That call is the
      iteration's only ray evaluation but for the screen of a Newton
-     ladder whose full step was not taken.  A damped Newton rung kept by
-     the guard competes with this step: the lower ray maximum wins, ties
-     going to the descent step;
+     ladder whose full step was not taken or of a direction of negative
+     curvature.  A damped Newton rung kept by the guard, or a step along
+     the direction of negative curvature the attempt met (below),
+     competes with this step: the lower ray maximum wins, ties going to
+     the descent step;
   4. replace w by the re-maximized trial t* (w + s v1) and repeat.
 
 An iteration thus makes two dense n x n products, V^T load and V v^,
@@ -69,9 +71,10 @@ tangent space (lam a) . d = 0, the modal form of (B + sigma M)[w, d] =
 Hessian (``modal_hessian``, f'(w) from the iteration's power table).
 CG stops at a relative preconditioned residual NEWTON_RTOL = 1e-4:
 solved only to 1e-2, a step lands inside the epsilon-ball early, at a
-worse point.  Negative curvature (p . H^ p <= 0) ends the attempt.  The
-guard screens the step d = V d^ like a descent direction, by the same
-step rule over the ladder of steps 1, 1/2, ... (v = d / delta), and keeps
+worse point.  Negative curvature (p . H^ p <= 0) ends the attempt, which
+then returns that CG direction p instead of a step.  The guard screens
+the step d = V d^ like a descent direction, by the same step rule over
+the ladder of steps 1, 1/2, ... (v = d / delta), and keeps
 the rung with the lowest ray maximum below e(w).  When that rung is the
 full step the iteration takes it.  When it is a halved rung (a damped
 Newton step) and d^ is a descent direction (g^ . d^ < 0), it competes
@@ -90,6 +93,42 @@ them reach 0.2082 and 0.1395, so both ladders lose and the run ends at
 descent direction (g^ . d^ = -d^T H^ d^ < 0 for the full step, asked of
 a damped one) and ends on its ray maximum, so ``check_invariants``, which
 ``solve`` calls on every accepted step, holds for every kind of step.
+
+Steps along negative curvature.  On rows that end in a one-node spike
+most attempts meet negative curvature while the spike forms, and the
+descent creeps there (case 4 at 320 elements: 1,462 iterations, 145 of
+its attempts ending on p . H^ p <= 0).  The direction p lies on the
+tangent space and points into the spike; Moré & Sorensen (Math.
+Programming 16 (1979) 1-20) step along such directions.  ``solve``
+signs it so that g^ . p < 0 (no step when g^ . p = 0), scales it to
+unit H1 norm and screens it like the descent direction; it then
+competes with the descent step as a damped rung does.  Taken
+everywhere, it moves rows to other critical points, so three gates,
+all of which must hold, decide whether p competes:
+  - localization: |V p| exceeds half its largest value on at most
+    CURVATURE_WIDTH unknown nodes.  With the gradient gate off too,
+    case 5 at h <= 0.15 ends at the constant u = 1/4 (energy 0.017578)
+    instead of its one-node spike;
+  - creeping: the last NEWTON_EVERY accepted steps lowered e(w) by less
+    than CREEP_FRACTION e(w).  Without it case 1 at 40, 80 and 160
+    elements leaves its smooth solution (0.0207085 and width 27 at 40)
+    for a one-node spike (0.0247500).  A fraction of 0.5 moves the
+    40-element row and 0.4 the row of the next gate;
+  - far from the stop: |b|_H1 > CURVATURE_FAR.  Without it the
+    Neumann row on (0, 3) with the inverted Mexican hat kernel (a = 1,
+    b = 2, A = 1, B = 2), Allen-Cahn f, a step(1,2) start and h = 0.075
+    leaves its width-2 point (0.0051522046) for a one-node spike
+    (0.0027787901), and a gate of 0.01 moves it too.  The bound is
+    absolute, not a multiple of epsilon, so a tighter tolerance does not
+    open the gate nearer the stop.
+A creeping fraction of 0.2-0.3 and a gradient gate of 0.02-0.3 keep
+every row of the presets, of the benchmark studies at seeds 1-7
+and of the 20 kernel and nonlinearity pairings on five meshes at its
+point.  With the gates, case 4 at 320 elements takes 233 iterations and
+case 2 at 320 takes 162, at the critical point of the descent without
+the step (energy within 1e-6 relative, the same width); case 1 and case
+3 never take the step.  A step along p descends (g^ . p < 0) and ends
+on its ray maximum, so ``check_invariants`` holds for it too.
 
 The direction v1 comes from the H1-regularized system
 
@@ -133,6 +172,10 @@ __all__ = ["SolverConfig", "IterationRecord", "SolveResult",
 NEWTON_EVERY = 10
 NEWTON_RTOL = 1e-4
 NEWTON_MAX_PRODUCTS = 50
+# the gates of a step along negative curvature (module docstring)
+CURVATURE_WIDTH = 3
+CREEP_FRACTION = 0.25
+CURVATURE_FAR = 0.1
 # The halving budget: an iteration tries the steps delta 2^-k,
 # k = 0 .. MAX_HALVINGS; ``solve`` and ``SolverConfig`` read it when called.
 MAX_HALVINGS = 60
@@ -197,11 +240,13 @@ class SolveResult:
     stop_reason: str = None
     # Newton attempts made, full Newton steps and damped ones (a halved
     # rung of the Newton ladder) taken, attempts ended by negative
-    # curvature, and Hessian-vector products
+    # curvature, steps taken along the direction of negative curvature
+    # such an attempt met, and Hessian-vector products
     newton_attempts: int = 0
     newton_steps: int = 0
     newton_damped: int = 0
     newton_negative_curvature: int = 0
+    curvature_steps: int = 0
     cg_products: int = 0
 
     @property
@@ -290,10 +335,11 @@ def modal_hessian(form, nl, basis, pw):
 
 
 def newton_direction(hessian, lam, a, g_hat):
-    """(d^, products): the Newton step d^ in modal coordinates at the
+    """(d^, p, products): the Newton step d^ in modal coordinates at the
     iterate w = V a, on the tangent space (lam a) . d^ = 0, and the number
-    of Hessian-vector products made; d^ is None when the attempt meets
-    negative curvature.
+    of Hessian-vector products made.  When the attempt meets negative
+    curvature d^ is None and p the CG direction on which p . H^ p <= 0,
+    a direction of the tangent space; otherwise p is None.
 
     ``hessian`` is the product of ``modal_hessian`` and g^ the modal
     gradient.  Projected PCG (Gould, Hribar & Nocedal, SIAM J. Sci.
@@ -318,7 +364,7 @@ def newton_direction(hessian, lam, a, g_hat):
         Hp = hessian(p)
         pHp = float(p @ Hp)
         if not pHp > 0.0:
-            return None, products
+            return None, p, products
         alpha = rz / pHp
         d_hat = d_hat + alpha * p
         r = r + alpha * Hp
@@ -327,7 +373,7 @@ def newton_direction(hessian, lam, a, g_hat):
         if rz <= stop:
             break
         p = (rz / rz_old) * p - z
-    return d_hat, products
+    return d_hat, None, products
 
 
 def solve(form, nl, u1, cfg=None):
@@ -362,7 +408,8 @@ def solve(form, nl, u1, cfg=None):
                          0.0))
 
     records = []
-    attempts = newton_steps = damped = negative_curvature = cg_products = 0
+    attempts = newton_steps = damped = negative_curvature = 0
+    curvature_steps = cg_products = 0
     # every step the halving may try: the floats of repeated halving
     steps = cfg.delta * 0.5 ** np.arange(MAX_HALVINGS + 1)
     rays = step_polynomial(nl, steps, weights)
@@ -380,15 +427,17 @@ def solve(form, nl, u1, cfg=None):
                            newton_steps=newton_steps,
                            newton_damped=damped,
                            newton_negative_curvature=negative_curvature,
+                           curvature_steps=curvature_steps,
                            cg_products=cg_products)
 
-    def screen(v_hat, Bww):
+    def screen(v_hat, Bww, v=None):
         """The step along v = V v^ from w that has the lowest ray maximum
         below e(w), ties going to the longer step and NaN (no ray
         maximum) never winning: (halvings, its ray maximum, t*, its ray
         polynomial, v^, v, x_v).  With no ray maximum below e(w) it is
         the full step's."""
-        v = V @ v_hat
+        if v is None:
+            v = V @ v_hat
         x_v = form.values_at_omega_quad(v)
         power_table(x_v, top, out=pw[:, 1])
         B_step = (Bww, pairing(basis, weights, lam_a, x_w, v_hat, x_v),
@@ -397,6 +446,31 @@ def solve(form, nl, u1, cfg=None):
         k = int(np.where(e_steps < e_w, e_steps, np.inf).argmin())
         return (k, float(e_steps[k]), float(t_steps[k]), c_steps[k], v_hat,
                 v, x_v)
+
+    def curvature_step(p_hat, Bww):
+        """The screened step along the direction p^ of negative curvature,
+        signed to descend and of unit H1 norm, or None where a gate shuts
+        or no rung is below e(w)."""
+        if not grad_norm > CURVATURE_FAR:
+            return None
+        # e(w) NEWTON_EVERY accepted steps ago
+        if len(records) < NEWTON_EVERY:
+            return None
+        e_then = records[-NEWTON_EVERY - 1].energy \
+            if len(records) > NEWTON_EVERY else e0
+        if not e_then - e_w < CREEP_FRACTION * e_w:
+            return None
+        slope = float(g_hat @ p_hat)
+        if not slope:
+            return None
+        v_hat = math.copysign(1.0 / math.sqrt(float(p_hat @ p_hat)),
+                              -slope) * p_hat
+        v = V @ v_hat
+        size = np.abs(v)
+        if np.count_nonzero(size > 0.5 * size.max()) > CURVATURE_WIDTH:
+            return None
+        step = screen(v_hat, Bww, v)
+        return step if step[1] < e_w else None
 
     newton_last = False
     for it in itertools.count(1):
@@ -419,35 +493,42 @@ def solve(form, nl, u1, cfg=None):
             return result("max_iterations")
 
         Bww = pairing(basis, weights, lam_a, x_w, a, x_w)
-        newton = None
+        # a full Newton step, taken at once, or a rival of the descent
+        # step: a damped Newton rung or a step along negative curvature
+        full = rival = None
         if newton_last or it % NEWTON_EVERY == 0:
             attempts += 1
-            d_hat, products = newton_direction(
+            d_hat, p_hat, products = newton_direction(
                 modal_hessian(form, nl, basis, pw[:, 0]), lam, a, g_hat)
             cg_products += products
             if d_hat is None:
                 negative_curvature += 1
+                rival = curvature_step(p_hat, Bww)
             else:
-                newton = screen(d_hat / cfg.delta, Bww)
+                ladder = screen(d_hat / cfg.delta, Bww)
                 # the guard: the ladder's lowest rung, if below e(w); a
                 # halved rung only along a descent direction
-                halvings, e_trial = newton[:2]
-                if not e_trial < e_w or (halvings and
-                                         not float(g_hat @ d_hat) < 0.0):
-                    newton = None
-        if newton is not None and newton[0] == 0:
-            step = newton
+                halvings, e_trial = ladder[:2]
+                if e_trial < e_w and not halvings:
+                    full = ladder
+                elif e_trial < e_w and float(g_hat @ d_hat) < 0.0:
+                    rival = ladder
+        if full is not None:
+            step = full
             newton_steps += 1
         else:
             step = screen(modal_direction(g_hat, lam, cfg.direction_reg),
                           Bww)
-            # a damped rung competes with the descent step: the lower ray
+            # a rival competes with the descent step: the lower ray
             # maximum wins, ties going to the descent step (whose ray
             # maximum may be NaN or not below e(w))
-            if newton is not None and not step[1] <= newton[1]:
-                step = newton
-                damped += 1
-        newton_last = step is newton
+            if rival is not None and not step[1] <= rival[1]:
+                step = rival
+                if d_hat is None:
+                    curvature_steps += 1
+                else:
+                    damped += 1
+        newton_last = step is full or step is rival
         halvings, e_trial, ts, c_step, v_hat, v, x_v = step
         if not e_trial < e_w:
             return result("stall")

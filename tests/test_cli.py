@@ -586,6 +586,35 @@ def test_bad_mesh_or_start_exits_4(tmp_path, capsys, key, value):
     assert ("usage:" in err) == bool(flags)
 
 
+@pytest.mark.parametrize("constraint", ["dirichlet", "neumann"])
+def test_mismatched_start_exits_4_before_assembly(tmp_path, capsys,
+                                                  monkeypatch, constraint):
+    # a start CSV written on 20 elements given to a single run on 1,280:
+    # the run exits 4 on its config-error line without assembling a form
+    start = tmp_path / "start20.csv"
+    fem.write_function_csv(start, nm.interpolate(
+        nm.build_mesh(-math.pi, math.pi, h_for(20)), math.sin,
+        constraint="dirichlet"))
+    text = FAST_CFG.replace(f"h = {h_for(20)!r}", f"h = {h_for(1280)!r}") \
+        .replace("initial_guess = sine", f"initial_guess = {start}")
+    nodes = 1281
+    if constraint == "neumann":
+        text = text.replace("constraint = dirichlet",
+                            "constraint = neumann\nneumann.extension = 0.1")
+        nodes = nm.build_extended_mesh((-math.pi, math.pi), h_for(1280),
+                                       0.1).n_nodes
+    cfg = tmp_path / "mismatch.cfg"
+    cfg.write_text(text)
+    assembled = []
+    monkeypatch.setattr(assembly, "NonlocalForm",
+                        lambda *args: assembled.append(args))
+    assert cli.main(["--config", str(cfg)]) == 4
+    assert assembled == []
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: initial_guess {str(start)!r}: CSV has 21 "
+                   f"rows but the mesh has {nodes} nodes"]
+
+
 def test_mesh_too_fine_to_allocate_exits_4(tmp_path, capsys):
     # h passes the index bound, but the nodes alone would take 6.94 EiB:
     # numpy refuses that request at once and allocates nothing

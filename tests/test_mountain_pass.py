@@ -44,12 +44,28 @@ def case5_h03():
     return form, nm.step_function(mesh, 1, 2)
 
 
+def preset_row(case, h, **keys):
+    """(form, nonlinearity, start, solver config) of a bundled preset at
+    mesh size h, with the given config keys replaced."""
+    text = nm.cases.case_config_text(case)
+    keys = {"h_list": None, **keys, "h": repr(h)}
+    lines = [line for line in text.splitlines()
+             if line.split("=")[0].strip() not in keys]
+    lines += [f"{key} = {value}" for key, value in keys.items()
+              if value is not None]
+    spec = nm.config.parse_config_text("\n".join(lines) + "\n")
+    mesh = spec.build_mesh(h)
+    assemble = nm.assemble_dirichlet if spec.constraint == "dirichlet" \
+        else nm.assemble_neumann
+    form = assemble(mesh, spec.make_kernel(), spec.quad_order)
+    return (form, spec.make_nonlinearity(), spec.initial_guess_fe(mesh),
+            spec.solver_config())
+
+
 def case2_preset(n_elements):
     # the Mexican-hat preset ends in a one-node spike
-    spec = nm.config.parse_config_text(nm.cases.case_config_text("case2"))
-    mesh = spec.build_mesh(h_for(n_elements))
-    form = nm.assemble_dirichlet(mesh, spec.make_kernel(), spec.quad_order)
-    return form, spec.initial_guess_fe(mesh)
+    form, _, u1, _ = preset_row("case2", h_for(n_elements))
+    return form, u1
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +162,8 @@ def test_one_ray_evaluation_per_iteration(monkeypatch):
     # attempt that screens its ladder and takes no full step (its damped
     # rung, if any, competes with the descent step): the attempts less the
     # full Newton steps and the attempts given up on negative curvature
-    # (which screen no step)
+    # (which screen no step: on these two rows no direction of negative
+    # curvature passes the gates of a step along it)
     calls = []
     ray_max = en.ray_max
 
@@ -158,9 +175,9 @@ def test_one_ray_evaluation_per_iteration(monkeypatch):
     newton_direction = mp.newton_direction
 
     def newton_counted(*args):
-        d_hat, products = newton_direction(*args)
+        d_hat, p_hat, products = newton_direction(*args)
         given_up.append(d_hat is None)
-        return d_hat, products
+        return d_hat, p_hat, products
 
     monkeypatch.setattr(en, "ray_max", counted)
     monkeypatch.setattr(mp, "newton_direction", newton_counted)
@@ -179,6 +196,7 @@ def test_one_ray_evaluation_per_iteration(monkeypatch):
         result = mp.solve(form, nl, u1, cfg)
         assert result.converged
         assert len(given_up) == result.newton_attempts
+        assert result.curvature_steps == 0
         screens = result.newton_attempts - result.newton_steps \
             - sum(given_up)
         assert calls == [1] + [mp.MAX_HALVINGS + 1] * (result.iterations
@@ -436,9 +454,10 @@ def test_newton_direction_on_tangent_space(setup, request):
     u = mp.solve(form, nl, u1).solution
     basis, a, pw, g_hat = newton_setup(form, nl, u)
     lam = basis[1]
-    d_hat, products = mp.newton_direction(
+    d_hat, p_hat, products = mp.newton_direction(
         mp.modal_hessian(form, nl, basis, pw), lam, a, g_hat)
-    assert d_hat is not None and products < mp.NEWTON_MAX_PRODUCTS
+    assert d_hat is not None and p_hat is None
+    assert products < mp.NEWTON_MAX_PRODUCTS
     assert abs((lam * a) @ d_hat) \
         <= 1e-13 * np.linalg.norm(lam * a) * np.linalg.norm(d_hat)
     assert g_hat @ d_hat < 0.0
@@ -477,11 +496,13 @@ def test_newton_guard_drops_non_descent_ladders(case1_coarse, monkeypatch,
     # guard must drop, an ascent ladder for having no rung below e(w) and
     # the critical-ray ladder for its lowest rung being a halved one: the
     # run takes none of them and follows the descent of a run whose
-    # attempts all meet negative curvature
+    # attempts all meet negative curvature, along a direction as wide as
+    # the iterate that no step is taken along
     mesh, form, M, S, u1 = case1_coarse
     nl = en.NONLINEARITIES["cubic"]
     cfg = mp.SolverConfig()
-    monkeypatch.setattr(mp, "newton_direction", lambda *args: (None, 1))
+    monkeypatch.setattr(mp, "newton_direction",
+                        lambda hessian, lam, a, g_hat: (None, a, 1))
     plain = mp.solve(form, nl, u1, cfg)
     _, lam, V = form.modal_basis(cfg.grounding_rel)
     q = V.T @ nm.fem.tridiagonal_product(form.H,
@@ -499,13 +520,15 @@ def test_newton_guard_drops_non_descent_ladders(case1_coarse, monkeypatch,
             d_hat = -2.0 * a + math.copysign(
                 np.linalg.norm(a) / np.linalg.norm(q), g_hat @ q) * q
         given.append(float(g_hat @ d_hat))
-        return d_hat, 1
+        return d_hat, None, 1
     monkeypatch.setattr(mp, "newton_direction", newton_direction)
     result = mp.solve(form, nl, u1, cfg)
     assert plain.converged and result.converged
     assert result.newton_attempts == plain.newton_attempts == len(given) > 0
     assert min(given) > 0.0 and result.newton_negative_curvature == 0
     assert result.newton_steps == result.newton_damped == 0
+    assert plain.newton_negative_curvature == plain.newton_attempts
+    assert plain.curvature_steps == result.curvature_steps == 0
     assert result.records == plain.records
 
 
@@ -551,20 +574,29 @@ ADD_UP_ROWS = ([(case, h, False) for case, h in STUDY_ROWS]
                               for c, h, p in ADD_UP_ROWS])
 def test_newton_attempts_add_up(case, h, perturbed, monkeypatch):
     # every Newton attempt ends one way: a full step, a damped rung that
-    # beat the descent step, negative curvature, or a loss to the descent
-    # step.  Each attempt is told apart here from outside ``solve``, by
-    # the calls its iteration made and the direction its step took.  The
-    # study rows lose no attempt to the descent step from their preset
-    # starts; the perturbed case-5 start of the guard test loses two
+    # beat the descent step, a step along the direction of negative
+    # curvature it met, negative curvature with the descent step taken, or
+    # a loss to the descent step.  Each attempt is told apart here from
+    # outside ``solve``, by the calls its iteration made and the direction
+    # its step took.  The study rows lose no attempt to the descent step
+    # from their preset starts; the perturbed case-5 start of the guard
+    # test loses two.  A direction of negative curvature lies on the
+    # tangent space, and a step along it is that direction, signed to
+    # descend and of unit H1 norm
     events = []
     newton_direction = mp.newton_direction
     modal_direction = mp.modal_direction
     check_invariants = mp.check_invariants
 
-    def newton_traced(*args):
-        d_hat, products = newton_direction(*args)
-        events.append(("newton", d_hat))
-        return d_hat, products
+    def newton_traced(hessian, lam, a, g_hat):
+        d_hat, p_hat, products = newton_direction(hessian, lam, a, g_hat)
+        assert (d_hat is None) != (p_hat is None)
+        if p_hat is not None:
+            assert float(p_hat @ hessian(p_hat)) <= 0.0
+            assert abs((lam * a) @ p_hat) \
+                <= 1e-12 * np.linalg.norm(lam * a) * np.linalg.norm(p_hat)
+        events.append(("newton", d_hat, p_hat))
+        return d_hat, p_hat, products
 
     def descent_traced(*args):
         v_hat = modal_direction(*args)
@@ -572,67 +604,177 @@ def test_newton_attempts_add_up(case, h, perturbed, monkeypatch):
         return v_hat
 
     def step_traced(iteration, g, v1, *args):
-        events.append(("step", v1))
+        events.append(("step", v1, g))
         return check_invariants(iteration, g, v1, *args)
 
     monkeypatch.setattr(mp, "newton_direction", newton_traced)
     monkeypatch.setattr(mp, "modal_direction", descent_traced)
     monkeypatch.setattr(mp, "check_invariants", step_traced)
-    spec = nm.config.parse_config_text(nm.cases.case_config_text(case))
-    mesh = spec.build_mesh(h)
-    assemble = nm.assemble_dirichlet if spec.constraint == "dirichlet" \
-        else nm.assemble_neumann
-    form = assemble(mesh, spec.make_kernel(), spec.quad_order)
-    cfg = spec.solver_config()
-    start = spec.initial_guess_fe(mesh)
+    form, nl, start, cfg = preset_row(case, h)
     if perturbed:
-        start = cosine_perturbed(mesh, start)
-    result = mp.solve(form, spec.make_nonlinearity(), start, cfg)
+        start = cosine_perturbed(form.mesh, start)
+    result = mp.solve(form, nl, start, cfg)
     assert result.converged
 
-    ends = dict.fromkeys(("full", "damped", "negative", "lost"), 0)
+    ends = dict.fromkeys(("full", "damped", "along_p", "negative", "lost"),
+                         0)
     iteration = {}
-    for kind, vec in events:
+    for kind, *vecs in events:
         if kind != "step":
-            iteration[kind] = vec
+            iteration[kind] = vecs
             continue
+        vec, g = vecs
         if "newton" in iteration:
-            if iteration["newton"] is None:
+            d_hat, p_hat = iteration["newton"]
+            descent = vec is iteration.get("descent", [None])[0]
+            if d_hat is None and descent:
                 ends["negative"] += 1
+            elif d_hat is None:
+                ends["along_p"] += 1
+                assert abs(vec @ p_hat) == pytest.approx(
+                    np.linalg.norm(p_hat), rel=1e-12)
+                assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-12)
+                assert g @ vec < 0.0
             elif "descent" not in iteration:
                 ends["full"] += 1
             else:
-                ends["lost" if vec is iteration["descent"] else "damped"] += 1
+                ends["lost" if descent else "damped"] += 1
         iteration = {}
     assert not iteration        # a converged run stops before any attempt
-    assert (ends["full"], ends["damped"], ends["negative"]) == (
-        result.newton_steps, result.newton_damped,
+    assert (ends["full"], ends["damped"], ends["along_p"],
+            ends["negative"] + ends["along_p"]) == (
+        result.newton_steps, result.newton_damped, result.curvature_steps,
         result.newton_negative_curvature)
     assert result.newton_attempts == sum(ends.values())
     if (case, h) == ("case4", h_for(80)):
-        assert result.newton_damped >= 1
+        assert result.newton_damped >= 1 and result.curvature_steps >= 1
     if perturbed:
         assert ends["lost"] > 0
 
 
-def test_final_grad_norm_survives_long_descent():
-    # the case-4 preset at 320 elements converges after over 1,000
-    # iterations with the iterate carried in three linearly updated forms;
-    # |b|_H1 recomputed from the returned nodal values by Cholesky matches
-    # the reported one, which the stopping test trusts.  The run may end on
-    # a Newton step far below epsilon (5.4e-6 against 1e-3 in one run),
-    # where the relative bound holds only because the stop is confirmed on
-    # the nodal gradient
-    spec = nm.config.parse_config_text(nm.cases.case_config_text("case4"))
-    mesh = spec.build_mesh(h_for(320))
-    form = nm.assemble_dirichlet(mesh, spec.make_kernel(), spec.quad_order)
-    nl = spec.make_nonlinearity()
-    cfg = spec.solver_config()
-    result = mp.solve(form, nl, spec.initial_guess_fe(mesh), cfg)
-    assert result.converged and result.iterations > 1000
-    g = en.gradient(form, nl, result.solution)
-    b_h1 = cholesky_direction(form, g, cfg.grounding_rel, 0.0)[2]
-    assert result.final_grad_norm == pytest.approx(b_h1, rel=1e-8, abs=0.0)
+def end_point(form, result):
+    """(energy, width) where a converged descent ended: the width counts
+    the unknown nodes where |u*| exceeds half its maximum."""
+    assert result.converged
+    u = np.abs(form.reduce(result.solution))
+    return (result.records[-1].energy,
+            int(np.count_nonzero(u > 0.5 * u.max())))
+
+
+# case 1's smooth solution (energy, width) at 40, 80 and 160 elements, and
+# the energy of the one-node spike a step along negative curvature reaches
+# when it is taken while the descent still makes headway
+SMOOTH_CASE1 = {40: (0.02070849754, 27, 0.02474997347),
+                80: (0.02045926639, 55, 0.01567316309),
+                160: (0.02033134999, 111, 0.008827563629)}
+
+
+@pytest.mark.parametrize("n", sorted(SMOOTH_CASE1))
+def test_creeping_gate_keeps_the_smooth_solution(n, monkeypatch):
+    # case 1 descends quickly to its smooth solution, so no step along
+    # negative curvature passes the creeping gate.  Without that gate the
+    # row steps along a localized direction of negative curvature and ends
+    # on a one-node spike below the smooth solution; a creeping fraction of
+    # 0.5 already moves the 40-element row
+    energy, width, spike = SMOOTH_CASE1[n]
+    form, nl, u1, cfg = preset_row("case1", h_for(n))
+    for fraction, point in ((mp.CREEP_FRACTION, (energy, width)),
+                            (math.inf, (spike, 1))):
+        monkeypatch.setattr(mp, "CREEP_FRACTION", fraction)
+        result = mp.solve(form, nl, u1, cfg)
+        assert (result.curvature_steps > 0) == (fraction == math.inf)
+        e, w = end_point(form, result)
+        assert e == pytest.approx(point[0], rel=1e-6) and w == point[1]
+
+
+@pytest.mark.parametrize("epsilon, point", [(1e-3, (0.0051522046, 2)),
+                                            (1e-4, (0.0027787901, 1))])
+def test_gradient_gate_keeps_the_width_two_point(epsilon, point,
+                                                 monkeypatch):
+    # the Neumann row of case 5 with the inverted Mexican hat kernel at
+    # h = 0.075 stops at a width-2 critical point at epsilon = 1e-3, while
+    # at 1e-4 the descent alone goes on to a one-node spike of lower
+    # energy.  A step along negative curvature taken near the stop
+    # (|b|_H1 <= 0.1) sends the 1e-3 row to that spike too; a creeping
+    # fraction of 0.4 does as well.  The gate does not scale with epsilon,
+    # so at 1e-4 no step along negative curvature is taken either (a gate
+    # of 100 epsilon would take two)
+    form, nl, u1, cfg = preset_row("case5", 0.075, kernel="mexican_hat",
+                                   epsilon=epsilon, **{"kernel.scale": None})
+    for far, end in ((mp.CURVATURE_FAR, point), (0.0, (0.0027787901, 1))):
+        monkeypatch.setattr(mp, "CURVATURE_FAR", far)
+        result = mp.solve(form, nl, u1, cfg)
+        assert (result.curvature_steps > 0) == (far == 0.0)
+        e, w = end_point(form, result)
+        assert e == pytest.approx(end[0], rel=1e-6) and w == end[1]
+
+
+@pytest.mark.parametrize("h, spike", [(0.15, 0.008975820684),
+                                      (0.075, 0.005295397296)])
+def test_localization_gate_keeps_case5_off_the_constant(h, spike,
+                                                        monkeypatch):
+    # with the gradient gate off, case 5 at h <= 0.15 still ends on its
+    # one-node spike, because only a localized direction of negative
+    # curvature is stepped along.  Without that gate too it steps along a
+    # wide one onto the constant u = 1/4 (energy 0.0175781, the critical
+    # point of the h = 0.3 row, nonzero on every unknown)
+    form, nl, u1, cfg = preset_row("case5", h)
+    monkeypatch.setattr(mp, "CURVATURE_FAR", 0.0)
+    for width, point in ((mp.CURVATURE_WIDTH, (spike, 1)),
+                         (form.n_unknowns, (0.0175781312, form.n_unknowns))):
+        monkeypatch.setattr(mp, "CURVATURE_WIDTH", width)
+        e, w = end_point(form, mp.solve(form, nl, u1, cfg))
+        assert e == pytest.approx(point[0], rel=1e-6) and w == point[1]
+
+
+def test_spike_row_builds_its_spike_along_negative_curvature():
+    # case 2 at 160 elements ends on a one-node spike; stepping along the
+    # directions of negative curvature its Newton attempts meet, it gets
+    # there in at most 120 iterations (251 by descent and Newton steps
+    # alone), at the same critical point
+    form, nl, u1, cfg = preset_row("case2", h_for(160))
+    result = mp.solve(form, nl, u1, cfg)
+    assert result.iterations <= 120 and result.curvature_steps > 0
+    e, w = end_point(form, result)
+    assert e == pytest.approx(0.003079834648, rel=1e-6) and w == 1
+
+
+def test_curvature_step_signed_to_descend(monkeypatch):
+    # a direction of negative curvature is stepped along with the sign that
+    # descends, so negating every one the Newton attempts return changes
+    # no iterate (negation is exact in floating point)
+    form, nl, u1, cfg = preset_row("case4", h_for(80))
+    plain = mp.solve(form, nl, u1, cfg)
+    newton_direction = mp.newton_direction
+
+    def negated(*args):
+        d_hat, p_hat, products = newton_direction(*args)
+        return d_hat, None if p_hat is None else -p_hat, products
+    monkeypatch.setattr(mp, "newton_direction", negated)
+    result = mp.solve(form, nl, u1, cfg)
+    assert plain.curvature_steps > 0 and result.records == plain.records
+
+
+def test_final_grad_norm_survives_long_descent(monkeypatch):
+    # the case-4 preset at 320 elements converges, and with no step along
+    # negative curvature (no direction is narrow enough) it converges
+    # after over 1,000 iterations, with the iterate carried in three
+    # linearly updated forms; |b|_H1 recomputed from the returned nodal
+    # values by Cholesky matches the reported one, which the stopping test
+    # trusts.  The run may end on a Newton step far below epsilon (5.4e-6
+    # against 1e-3 in one run), where the relative bound holds only
+    # because the stop is confirmed on the nodal gradient
+    form, nl, u1, cfg = preset_row("case4", h_for(320))
+    for width in (mp.CURVATURE_WIDTH, 0):
+        monkeypatch.setattr(mp, "CURVATURE_WIDTH", width)
+        result = mp.solve(form, nl, u1, cfg)
+        assert result.converged
+        assert (result.curvature_steps > 0) == (width > 0)
+        assert width or result.iterations > 1000
+        g = en.gradient(form, nl, result.solution)
+        b_h1 = cholesky_direction(form, g, cfg.grounding_rel, 0.0)[2]
+        assert result.final_grad_norm == pytest.approx(b_h1, rel=1e-8,
+                                                       abs=0.0)
 
 
 def test_converged_stop_confirmed_on_nodal_gradient(case1_coarse,
