@@ -163,11 +163,7 @@ class NonlocalForm:
 
         lo, hi = self.mesh.interior_range
         dirichlet = self.constraint == "dirichlet"
-        if dirichlet and (lo, hi) != (0, self.mesh.n_nodes - 1):
-            raise ValueError("Dirichlet assembly expects the mesh to cover "
-                             "exactly the physical domain")
-        # Omega's nodes, less its two end nodes on a Dirichlet form
-        self.unknowns = u = slice(1, hi) if dirichlet else slice(lo, hi + 1)
+        self.unknowns = u = fem.unknown_nodes(self.mesh, self.constraint)
         off = slice(u.start, u.stop - 1)
         (m0, m1), (s0, s1) = fem.omega_norm_diagonals(self.mesh)
         self.M_uu = (m0[u], m1[off])

@@ -18,6 +18,7 @@ __all__ = [
     "FeFunction",
     "build_mesh",
     "build_extended_mesh",
+    "unknown_nodes",
     "omega_norm_diagonals",
     "omega_norm_matrices",
     "tridiagonal_product",
@@ -102,6 +103,19 @@ def build_extended_mesh(omega, h, extension):
     nodes = x_left + h_actual * np.arange(n_elements + 1)
     return Mesh(x_left, x_right, h_actual, nodes, n_elements,
                 (nodes[n_ext], nodes[n_ext + n_int]), (n_ext, n_ext + n_int))
+
+
+def unknown_nodes(mesh, constraint):
+    """The slice of the nodes a form of ``constraint`` solves for: Omega's
+    nodes, less its two end nodes on a Dirichlet form, whose mesh must
+    cover exactly Omega."""
+    lo, hi = mesh.interior_range
+    if constraint != "dirichlet":
+        return slice(lo, hi + 1)
+    if (lo, hi) != (0, mesh.n_nodes - 1):
+        raise ValueError("Dirichlet assembly expects the mesh to cover "
+                         "exactly the physical domain")
+    return slice(1, hi)
 
 
 def omega_norm_diagonals(mesh):

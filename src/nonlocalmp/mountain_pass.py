@@ -23,13 +23,15 @@ starting from an iterate w sitting on its own ray maximum:
      gradient B w - load recomputed from the nodal values; or when the
      iteration budget is spent;
   2. when the iteration number is a multiple of NEWTON_EVERY, or the
-     previous iteration took a Newton step (full or damped) or a step
-     along negative curvature, attempt a Newton step (the Newton finish,
-     below); if the guard takes its full step, go to 4;
-  3. form the normalized descent direction v1 = V v^ from the nonzero
-     g^ (``modal_direction``) and step along it by one of the halved
-     steps delta 2^-k, k = 0 .. MAX_HALVINGS, whose re-maximized trial
-     t*(w~) w~ has strictly lower energy.  Along w + s v1 the pairings
+     previous iteration took any step but the descent step, attempt a
+     Newton step (the Newton finish, below); the attempt gives one
+     candidate step, a Newton ladder or a step along negative curvature;
+  3. unless that candidate is a full Newton step below e(w), form the
+     normalized descent direction v1 = V v^ from the nonzero g^
+     (``modal_direction``) and screen the halved steps delta 2^-k,
+     k = 0 .. MAX_HALVINGS, along it for the candidate descent step,
+     whose re-maximized trial t*(w~) w~ has strictly lower energy.
+     Along w + s v1 the pairings
      B[w,w], B[w,v1], B[v1,v1] and B of every trial are sums over the
      modes, sum lam a b less the grounding sigma int u v (lam a is the
      gradient's), and the moments of a trial come from the Gauss values
@@ -44,16 +46,20 @@ starting from an iterate w sitting on its own ray maximum:
      (0, 2 s_opt), so the first halving below e(w) may lie anywhere in
      [s_opt, 2 s_opt) and lower the energy by almost nothing, while the
      lowest lies within a factor sqrt(2) of s_opt.  That call is the
-     iteration's only ray evaluation but for the screen of a Newton
-     ladder whose full step was not taken or of a direction of negative
-     curvature.  A damped Newton rung kept by the guard, or a step along
-     the direction of negative curvature the attempt met (below),
-     competes with this step: the lower ray maximum wins, ties going to
-     the descent step;
-  4. replace w by the re-maximized trial t* (w + s v1) and repeat.
+     iteration's only ray evaluation but for the screen of the Newton
+     attempt's candidate;
+  4. choose the step from the candidates, each a screened step tagged
+     with its kind (descent, newton, damped or curvature), by one rule:
+     drop every candidate whose ray maximum is not below e(w) (a NaN
+     never is); a full Newton step left pre-empts; otherwise the lowest
+     ray maximum wins, ties going to the descent step.  With no candidate
+     left the descent stalls;
+  5. replace w by the re-maximized trial t* (w + s v1) and repeat.
 
-An iteration thus makes two dense n x n products, V^T load and V v^,
-and a Newton attempt two more per Hessian-vector product.
+An iteration thus makes dense n x n products V^T load and one V v^ per
+direction it screens (a full Newton step pre-empts the descent
+direction, which is then not formed), and a Newton attempt two more per
+Hessian-vector product.
 Building the basis is the descent's one O(n^3) cost: numpy's ``eigh``
 of the pencil reduced by the bidiagonal Cholesky factor of H, which an
 O(n) recurrence gives from H's two diagonals (see
@@ -73,14 +79,11 @@ CG stops at a relative preconditioned residual NEWTON_RTOL = 1e-4:
 solved only to 1e-2, a step lands inside the epsilon-ball early, at a
 worse point.  Negative curvature (p . H^ p <= 0) ends the attempt, which
 then returns that CG direction p instead of a step.  The guard screens
-the step d = V d^ like a descent direction, by the same step rule over
-the ladder of steps 1, 1/2, ... (v = d / delta), and keeps
-the rung with the lowest ray maximum below e(w).  When that rung is the
-full step the iteration takes it.  When it is a halved rung (a damped
-Newton step) and d^ is a descent direction (g^ . d^ < 0), it competes
-with the iteration's descent step as above; a ladder with no rung below
-e(w) is dropped.  After a full or a damped step the next iteration
-attempts Newton again.
+the step d = V d^ like a descent direction, over the ladder of steps
+1, 1/2, ... (v = d / delta), and keeps the rung with the lowest ray
+maximum below e(w).  The ladder is a newton candidate of step 4 when
+that rung is the full step, and a damped one otherwise; a damped ladder
+is a candidate only when d^ is a descent direction (g^ . d^ < 0).
 Unguarded, an attempt far from the solution can jump to a higher
 critical point: from a perturbed case-5 start at h = 0.3 the run ended
 at energy 0.2066 instead of 0.01334.  A damped rung is not that jump.
@@ -101,10 +104,10 @@ its attempts ending on p . H^ p <= 0).  The direction p lies on the
 tangent space and points into the spike; Moré & Sorensen (Math.
 Programming 16 (1979) 1-20) step along such directions.  ``solve``
 signs it so that g^ . p < 0 (no step when g^ . p = 0), scales it to
-unit H1 norm and screens it like the descent direction; it then
-competes with the descent step as a damped rung does.  Taken
-everywhere, it moves rows to other critical points, so three gates,
-all of which must hold, decide whether p competes:
+unit H1 norm and screens it like the descent direction, for a curvature
+candidate of step 4.  Taken everywhere, it moves rows to
+other critical points, so three gates, all of which must hold, decide
+whether p is a candidate:
   - localization: |V p| exceeds half its largest value on at most
     CURVATURE_WIDTH unknown nodes.  With the gradient gate off too,
     case 5 at h <= 0.15 ends at the constant u = 1/4 (energy 0.017578)
@@ -408,8 +411,9 @@ def solve(form, nl, u1, cfg=None):
                          0.0))
 
     records = []
-    attempts = newton_steps = damped = negative_curvature = 0
-    curvature_steps = cg_products = 0
+    attempts = negative_curvature = cg_products = 0
+    # the accepted steps of each kind
+    tally = dict.fromkeys(("descent", "newton", "damped", "curvature"), 0)
     # every step the halving may try: the floats of repeated halving
     steps = cfg.delta * 0.5 ** np.arange(MAX_HALVINGS + 1)
     rays = step_polynomial(nl, steps, weights)
@@ -424,18 +428,19 @@ def solve(form, nl, u1, cfg=None):
                            final_grad_norm=grad_norm, initial_energy=e0,
                            initial_l2=l2_0, stop_reason=stop_reason,
                            newton_attempts=attempts,
-                           newton_steps=newton_steps,
-                           newton_damped=damped,
+                           newton_steps=tally["newton"],
+                           newton_damped=tally["damped"],
                            newton_negative_curvature=negative_curvature,
-                           curvature_steps=curvature_steps,
+                           curvature_steps=tally["curvature"],
                            cg_products=cg_products)
 
-    def screen(v_hat, Bww, v=None):
-        """The step along v = V v^ from w that has the lowest ray maximum
-        below e(w), ties going to the longer step and NaN (no ray
-        maximum) never winning: (halvings, its ray maximum, t*, its ray
-        polynomial, v^, v, x_v).  With no ray maximum below e(w) it is
-        the full step's."""
+    def screen(kind, v_hat, Bww, v=None):
+        """The candidate step of ``kind`` along v = V v^ from w: of the
+        halved steps, the one with the lowest ray maximum below e(w), ties
+        going to the longer step and NaN (no ray maximum) never winning,
+        as (kind, halvings, its ray maximum, t*, its ray polynomial, v^,
+        v, x_v).  With no ray maximum below e(w) it is the full step's.
+        A Newton ladder whose lowest rung is a halved one is ``damped``."""
         if v is None:
             v = V @ v_hat
         x_v = form.values_at_omega_quad(v)
@@ -444,13 +449,15 @@ def solve(form, nl, u1, cfg=None):
                   pairing(basis, weights, lam * v_hat, x_v, v_hat, x_v))
         t_steps, e_steps, c_steps = rays(B_step, pw)
         k = int(np.where(e_steps < e_w, e_steps, np.inf).argmin())
-        return (k, float(e_steps[k]), float(t_steps[k]), c_steps[k], v_hat,
-                v, x_v)
+        if kind == "newton" and k:
+            kind = "damped"
+        return (kind, k, float(e_steps[k]), float(t_steps[k]), c_steps[k],
+                v_hat, v, x_v)
 
     def curvature_step(p_hat, Bww):
-        """The screened step along the direction p^ of negative curvature,
-        signed to descend and of unit H1 norm, or None where a gate shuts
-        or no rung is below e(w)."""
+        """The candidate step along the direction p^ of negative curvature,
+        signed to descend and of unit H1 norm, or None where a gate
+        shuts."""
         if not grad_norm > CURVATURE_FAR:
             return None
         # e(w) NEWTON_EVERY accepted steps ago
@@ -469,10 +476,13 @@ def solve(form, nl, u1, cfg=None):
         size = np.abs(v)
         if np.count_nonzero(size > 0.5 * size.max()) > CURVATURE_WIDTH:
             return None
-        step = screen(v_hat, Bww, v)
-        return step if step[1] < e_w else None
+        return screen("curvature", v_hat, Bww, v)
 
-    newton_last = False
+    def below(*candidates):
+        """The candidates whose ray maximum is below e(w); NaN never is."""
+        return [c for c in candidates if c is not None and c[2] < e_w]
+
+    kind = "descent"
     for it in itertools.count(1):
         power_table(x_w, top, out=pw[:, 0])
         lam_a = lam * a
@@ -492,46 +502,32 @@ def solve(form, nl, u1, cfg=None):
         if it > cfg.max_iterations:
             return result("max_iterations")
 
+        # the choice of step, step 4 of the module docstring; the descent
+        # step is listed first so that min gives it the ties
         Bww = pairing(basis, weights, lam_a, x_w, a, x_w)
-        # a full Newton step, taken at once, or a rival of the descent
-        # step: a damped Newton rung or a step along negative curvature
-        full = rival = None
-        if newton_last or it % NEWTON_EVERY == 0:
+        attempted = None
+        if kind != "descent" or it % NEWTON_EVERY == 0:
             attempts += 1
             d_hat, p_hat, products = newton_direction(
                 modal_hessian(form, nl, basis, pw[:, 0]), lam, a, g_hat)
             cg_products += products
             if d_hat is None:
                 negative_curvature += 1
-                rival = curvature_step(p_hat, Bww)
+                attempted = curvature_step(p_hat, Bww)
             else:
-                ladder = screen(d_hat / cfg.delta, Bww)
-                # the guard: the ladder's lowest rung, if below e(w); a
-                # halved rung only along a descent direction
-                halvings, e_trial = ladder[:2]
-                if e_trial < e_w and not halvings:
-                    full = ladder
-                elif e_trial < e_w and float(g_hat @ d_hat) < 0.0:
-                    rival = ladder
-        if full is not None:
-            step = full
-            newton_steps += 1
-        else:
-            step = screen(modal_direction(g_hat, lam, cfg.direction_reg),
-                          Bww)
-            # a rival competes with the descent step: the lower ray
-            # maximum wins, ties going to the descent step (whose ray
-            # maximum may be NaN or not below e(w))
-            if rival is not None and not step[1] <= rival[1]:
-                step = rival
-                if d_hat is None:
-                    curvature_steps += 1
-                else:
-                    damped += 1
-        newton_last = step is full or step is rival
-        halvings, e_trial, ts, c_step, v_hat, v, x_v = step
-        if not e_trial < e_w:
+                ladder = screen("newton", d_hat / cfg.delta, Bww)
+                # a damped rung only along a descent direction
+                if ladder[0] == "newton" or float(g_hat @ d_hat) < 0.0:
+                    attempted = ladder
+        candidates = below(attempted)
+        if not any(c[0] == "newton" for c in candidates):
+            candidates = below(screen("descent", modal_direction(
+                g_hat, lam, cfg.direction_reg), Bww)) + candidates
+        if not candidates:
             return result("stall")
+        kind, halvings, e_trial, ts, c_step, v_hat, v, x_v = min(
+            candidates, key=lambda c: c[2])
+        tally[kind] += 1
 
         s = steps[halvings]
         w, a, x_w = ts * (w + s * v), ts * (a + s * v_hat), \

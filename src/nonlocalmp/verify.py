@@ -140,17 +140,18 @@ def run_single(spec, h):
     t0 = time.perf_counter()
     mesh = spec.build_mesh(h)
     nl = spec.make_nonlinearity()
-    # a start that does not fit the mesh is a ConfigError before assembly
+    # a start that does not fit the mesh, or is zero at every unknown node,
+    # is a ConfigError before assembly
     u1 = spec.initial_guess_fe(mesh)
+    if not np.any(u1.values[fem.unknown_nodes(mesh, spec.constraint)]):
+        raise ConfigError(f"initial_guess {spec.initial_guess!r} is zero at "
+                          "every unknown node", key="initial_guess")
 
     form = result = error = None
     try:
         assemble = (assembly.assemble_dirichlet if spec.constraint
                     == "dirichlet" else assembly.assemble_neumann)
         form = assemble(mesh, spec.make_kernel(), spec.quad_order)
-        if not np.any(form.reduce(u1)):
-            raise ConfigError(f"initial_guess {spec.initial_guess!r} is zero "
-                              "at every unknown node", key="initial_guess")
         result = mountain_pass.solve(form, nl, u1, spec.solver_config())
     except ConfigError:
         raise

@@ -536,9 +536,21 @@ BAD_START_CSV = {
 }
 
 
+def refuse_assembly(monkeypatch):
+    """Make assembling a form of either constraint fail the test."""
+    def refused(*args):
+        raise AssertionError("assembled a form")
+    monkeypatch.setattr(assembly, "assemble_dirichlet", refused)
+    monkeypatch.setattr(assembly, "assemble_neumann", refused)
+
+
 @pytest.mark.parametrize("key,value", BAD_MESH_OR_START,
                          ids=[f"{k}={v}" for k, v in BAD_MESH_OR_START])
-def test_bad_mesh_or_start_exits_4(tmp_path, capsys, key, value):
+def test_bad_mesh_or_start_exits_4(tmp_path, capsys, monkeypatch, key,
+                                   value):
+    # each is refused before a form is assembled: which nodes are unknown
+    # follows from the mesh, so an all-zero start is refused there too
+    refuse_assembly(monkeypatch)
     text, flags = FAST_CFG, []
     if key.startswith(("output.", "--")):
         text = text.replace(f"h = {h_for(20)!r}", STUDY_H_LIST)
@@ -670,10 +682,11 @@ def test_tiny_neumann_extension_runs(tmp_path, capsys):
     ("step(10,11)", []),                # beyond the extended mesh
     ("step(-1,-0.5)", []),              # only exterior-margin nodes
 ])
-def test_neumann_start_zero_on_unknowns_exits_4(tmp_path, capsys, start,
-                                                flags):
+def test_neumann_start_zero_on_unknowns_exits_4(tmp_path, capsys,
+                                                monkeypatch, start, flags):
     # the form eliminates the exterior nodes, so a start that is nonzero
-    # only there is an all-zero start too
+    # only there is an all-zero start too, refused before assembly
+    refuse_assembly(monkeypatch)
     text = case_config_text("case5").replace("step(1,2)", start)
     if not flags:
         text = text.replace("h_list = 0.15 0.075 0.0375", "h = 0.3")

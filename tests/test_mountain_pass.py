@@ -739,6 +739,31 @@ def test_spike_row_builds_its_spike_along_negative_curvature():
     assert e == pytest.approx(0.003079834648, rel=1e-6) and w == 1
 
 
+@pytest.mark.parametrize("case, h", [("case1", h_for(40)),
+                                     ("case2", h_for(80)), ("case5", 0.15)])
+def test_descent_step_takes_ties(case, h, monkeypatch):
+    # every Newton attempt returns delta times the descent direction, so
+    # its ladder is the descent step's own: a ladder whose lowest rung is
+    # the full step is a full Newton step, and any other ties the descent
+    # step, which takes the tie.  The run takes no damped rung and its
+    # iterates are those of the descent without Newton attempts
+    form, nl, u1, cfg = preset_row(case, h)
+    monkeypatch.setattr(mp, "NEWTON_EVERY", 10 ** 9)
+    plain = mp.solve(form, nl, u1, cfg)
+    monkeypatch.undo()
+
+    def newton_direction(hessian, lam, a, g_hat):
+        return (cfg.delta * mp.modal_direction(g_hat, lam, cfg.direction_reg),
+                None, 1)
+    monkeypatch.setattr(mp, "newton_direction", newton_direction)
+    result = mp.solve(form, nl, u1, cfg)
+    assert plain.converged and plain.newton_attempts == 0
+    assert result.newton_damped == 0 and result.curvature_steps == 0
+    # the attempts that took no full step each met a tie
+    assert result.newton_attempts > result.newton_steps
+    assert result.records == plain.records
+
+
 def test_curvature_step_signed_to_descend(monkeypatch):
     # a direction of negative curvature is stepped along with the sign that
     # descends, so negating every one the Newton attempts return changes

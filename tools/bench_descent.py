@@ -10,14 +10,16 @@ threads pinned to 1, the descent of these rows from their preset starts:
 - the 15 preset rows of the benchmark studies: cases 1-4 at 20, 40 and
   80 elements and case 5 at h = 0.3, 0.15 and 0.075;
 - case 1 at 160, 320 and 640 elements;
-- case 4 at 160 and 320 elements and case 2 at 320 elements.
+- case 4 at 160, 320 and 640 elements and case 2 at 320 and 640
+  elements.
 
 Every row runs to its own stop under its preset's solver settings.
 
 It records per row the iterations, the step halvings taken over the
 whole descent (the sum of ``halvings_used`` over its records), the stop
 reason, the Newton counts of ``SolveResult`` (attempts, full and damped
-steps, attempts ended by negative curvature, Hessian-vector products),
+steps, attempts ended by negative curvature, steps along negative
+curvature, Hessian-vector products),
 the solve seconds (``SolveResult.wall_time``, which includes building
 the modal basis) and the microseconds per iteration.  Trees take turns, one process per
 tree and repeat; the counts must repeat exactly.  Per row it keeps the
@@ -102,7 +104,8 @@ CHILD = ("import json, sys; sys.path.insert(0, {tools!r}); import {tool}; "
          "print(json.dumps({tool}.{function}()))")
 # the SolveResult fields of the Newton counts of a descent
 NEWTON_COUNTS = ("newton_attempts", "newton_steps", "newton_damped",
-                 "newton_negative_curvature", "cg_products")
+                 "newton_negative_curvature", "curvature_steps",
+                 "cg_products")
 # the record keys that must repeat exactly between runs of one tree
 COUNT_KEYS = ("row", "iterations", "halvings", "stop_reason") + NEWTON_COUNTS
 # (label, case, n_elements or h) of the 15 rows of the benchmark studies
@@ -123,10 +126,11 @@ def benchmark_run():
 
 
 def rows():
-    """(label, case, n_elements or h): the preset rows and six fine ones."""
+    """(label, case, n_elements or h): the preset rows and eight fine
+    ones."""
     return (PRESET_ROWS + [(f"case1/{n}", "case1", n) for n in (160, 320, 640)]
-            + [(f"case4/{n}", "case4", n) for n in (160, 320)]
-            + [("case2/320", "case2", 320)])
+            + [(f"case4/{n}", "case4", n) for n in (160, 320, 640)]
+            + [(f"case2/{n}", "case2", n) for n in (320, 640)])
 
 
 def row_spec(case, size):
